@@ -6,13 +6,11 @@ diagnostics."""
 from .config import ConfigError, CouplingConfig, SimulationConfig, load_config, parse_config, serialize_config
 from .coupling import (
     CouplingSpec,
-    TimeKernel,
     WeightMatrix,
     collision_weights,
     coupling_strengths,
     custom_coupling,
     mirror_coupling,
-    time_kernel,
     white_coupling,
 )
 from .divisibility import (
@@ -26,12 +24,10 @@ from .divisibility import (
 )
 from .engine import (
     CollisionPlan,
-    MirrorRecursionState,
     Representation,
     Stepper,
     Trajectory,
     build_plan,
-    mirror_recursion_step,
     run,
     step_full,
     step_single_excitation,
@@ -56,14 +52,12 @@ __all__ = [
     "DdeSolution",
     "DivisibilityReport",
     "IntermediateMap",
-    "MirrorRecursionState",
     "QubitChannel",
     "QubitDensityMatrix",
     "Representation",
     "SimulationConfig",
     "SingleExcitationState",
     "Stepper",
-    "TimeKernel",
     "Trajectory",
     "TruncatedFockState",
     "WeightMatrix",
@@ -80,7 +74,6 @@ __all__ = [
     "intermediate_map",
     "load_config",
     "mirror_coupling",
-    "mirror_recursion_step",
     "parse_config",
     "reduced_qubit_state",
     "run",
@@ -88,7 +81,6 @@ __all__ = [
     "solve_dde",
     "step_full",
     "step_single_excitation",
-    "time_kernel",
     "white_amplitude",
     "white_coupling",
 ]

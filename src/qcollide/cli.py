@@ -16,7 +16,7 @@ import numpy as np
 
 from . import export
 from .config import ConfigError, SimulationConfig, load_config
-from .coupling import collision_weights, time_kernel
+from .coupling import collision_weights
 from .divisibility import analyze
 from .engine import run
 from .reference import solve_dde, white_amplitude
@@ -34,7 +34,7 @@ def _say(quiet: bool, message: str) -> None:
 def cmd_kernel(config: SimulationConfig, outdir: Path, quiet: bool) -> int:
     spec = config.coupling_spec()
     n_steps, _ = config.effective_steps()
-    weights = collision_weights(time_kernel(spec), config.dt, n_steps)
+    weights = collision_weights(spec, config.dt, n_steps)
     for warning in weights.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     path = export.write_text(

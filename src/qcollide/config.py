@@ -268,17 +268,18 @@ def parse_config(data: Any) -> SimulationConfig:
             raise ConfigError("t_max", f"must allow at least one step of dt={dt}, got {t_max}")
 
     try:
-        stepper = Stepper(data.get("stepper", "exact"))
-    except ValueError:
-        raise ConfigError(
-            "stepper", f"expected one of {[s.value for s in Stepper]}, got {data.get('stepper')!r}"
-        ) from None
-    try:
         representation = Representation(data.get("representation", "single_excitation"))
     except ValueError:
         raise ConfigError(
             "representation",
             f"expected one of {[r.value for r in Representation]}, got {data.get('representation')!r}",
+        ) from None
+    recursion = representation == Representation.MIRROR_RECURSION
+    try:
+        stepper = Stepper(data.get("stepper", "second_order" if recursion else "exact"))
+    except ValueError:
+        raise ConfigError(
+            "stepper", f"expected one of {[s.value for s in Stepper]}, got {data.get('stepper')!r}"
         ) from None
 
     if representation != Representation.FULL_FOCK and ("n_max" in data or "window" in data):
@@ -297,7 +298,7 @@ def parse_config(data: Any) -> SimulationConfig:
                 raise ConfigError("window", f"expected an integer >= 1, got {raw!r}")
             window = raw
 
-    if representation == Representation.MIRROR_RECURSION:
+    if recursion:
         if coupling.shape != "mirror":
             raise ConfigError("representation", "mirror_recursion requires a mirror coupling")
         if int(round(coupling.tau / dt)) < 1:
@@ -305,6 +306,8 @@ def parse_config(data: Any) -> SimulationConfig:
                 "representation",
                 f"mirror_recursion needs a delay of at least one step (tau={coupling.tau}, dt={dt})",
             )
+        if stepper != Stepper.SECOND_ORDER:
+            raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
 
     beta = _parse_complex(data.get("beta", 1.0), "beta")
     if abs(beta) > 1 + 1e-12:

@@ -18,12 +18,10 @@ import numpy as np
 
 __all__ = [
     "CouplingSpec",
-    "TimeKernel",
     "WeightMatrix",
     "white_coupling",
     "mirror_coupling",
     "custom_coupling",
-    "time_kernel",
     "collision_weights",
     "coupling_strengths",
     "GRID_MATCH_RTOL",
@@ -118,30 +116,6 @@ def custom_coupling(
     )
 
 
-@dataclass(frozen=True)
-class TimeKernel:
-    """Memory kernel in the time domain, detached from the coupling rate."""
-
-    deltas: Deltas = ()
-    smooth: Optional[SmoothKernel] = None
-    smooth_support: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas", _canonical_deltas(self.deltas))
-        if self.smooth is not None and not (
-            self.smooth_support > 0 and math.isfinite(self.smooth_support)
-        ):
-            raise ValueError("a smooth kernel part needs a finite positive support bound")
-
-
-def time_kernel(spec: CouplingSpec) -> TimeKernel:
-    """Extract the time-domain kernel of a coupling (white: single lag-0 delta,
-    mirror: delta pair, custom: pass-through)."""
-    return TimeKernel(
-        deltas=spec.deltas, smooth=spec.smooth, smooth_support=spec.smooth_support
-    )
-
-
 @dataclass(frozen=True, eq=True)
 class WeightMatrix:
     """Stationary banded weight table W(n, m) = W(n - m).
@@ -208,8 +182,11 @@ def _smooth_lag_weight(
     return total / dt
 
 
-def collision_weights(kernel: TimeKernel, dt: float, n_steps: int) -> WeightMatrix:
-    """Discretize a time kernel into per-lag collision weights.
+def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatrix:
+    """Discretize the memory kernel of a coupling into per-lag collision weights.
+
+    Only the kernel fields (``deltas``, ``smooth``, ``smooth_support``) are
+    read; the rate enters through ``coupling_strengths``.
 
     Each delta (lag L, weight w) contributes w at the integer lag round(L/dt);
     a lag further than 1e-9*dt from the grid sets a discretization-mismatch
@@ -224,7 +201,7 @@ def collision_weights(kernel: TimeKernel, dt: float, n_steps: int) -> WeightMatr
     warnings: list[str] = []
     lags: Dict[int, complex] = {}
     seen: Dict[int, float] = {}
-    for lag_time, weight in kernel.deltas:
+    for lag_time, weight in spec.deltas:
         ell = int(round(lag_time / dt))
         if abs(lag_time - ell * dt) > GRID_MATCH_RTOL * dt:
             warnings.append(
@@ -239,10 +216,10 @@ def collision_weights(kernel: TimeKernel, dt: float, n_steps: int) -> WeightMatr
             seen[ell] = lag_time
         lags[ell] = lags.get(ell, 0j) + weight
 
-    if kernel.smooth is not None:
-        last = int(math.floor(kernel.smooth_support / dt)) + 1
+    if spec.smooth is not None:
+        last = int(math.floor(spec.smooth_support / dt)) + 1
         for ell in range(0, last + 1):
-            w = _smooth_lag_weight(kernel.smooth, kernel.smooth_support, ell, dt)
+            w = _smooth_lag_weight(spec.smooth, spec.smooth_support, ell, dt)
             if w != 0:
                 lags[ell] = lags.get(ell, 0j) + w
 

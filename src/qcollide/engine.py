@@ -10,8 +10,6 @@ feedback arrives.
 
 from __future__ import annotations
 
-import cmath
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from .coupling import WeightMatrix, collision_weights, coupling_strengths, time_kernel
+from .coupling import WeightMatrix, collision_weights, coupling_strengths
 from .states import SingleExcitationState, TruncatedFockState, init_single_excitation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,11 +28,9 @@ __all__ = [
     "Representation",
     "CollisionPlan",
     "Trajectory",
-    "MirrorRecursionState",
     "build_plan",
     "step_single_excitation",
     "step_full",
-    "mirror_recursion_step",
     "run",
 ]
 
@@ -60,21 +56,31 @@ class Representation(str, Enum):
 
 @dataclass
 class CollisionPlan:
-    """Interaction data for each collision, derived from a stationary strength table."""
+    """Interaction data for each collision, derived from a stationary strength table.
+
+    The collision map does not depend on the step: collision k applies the
+    same propagator to the emitter and to ancilla k - lag for every stored
+    lag.  The lags, their strengths and the propagators are therefore built
+    once per plan.
+    """
 
     strengths: WeightMatrix
     omega0: float
     n_steps: int
-    _unitaries: Dict[tuple, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    couplings: Tuple[Tuple[int, complex], ...] = field(init=False)
+    lags: np.ndarray = field(init=False, repr=False, compare=False)
+    _propagators: Dict[object, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # nonzero (lag, strength) pairs, ascending lag
+        self.couplings = tuple((lag, self.strengths.w(lag)) for lag in self.strengths.lags_present)
+        self.lags = np.array([lag for lag, _ in self.couplings], dtype=np.intp)
 
     @property
     def dt(self) -> float:
         return self.strengths.dt
-
-    @property
-    def couplings(self) -> Tuple[Tuple[int, complex], ...]:
-        """Nonzero (lag, strength) pairs, ascending lag."""
-        return tuple((lag, self.strengths.w(lag)) for lag in self.strengths.lags_present)
 
     @property
     def max_lag(self) -> int:
@@ -94,6 +100,29 @@ class CollisionPlan:
             raise ValueError(f"step must be in 1..{self.n_steps}, got {step}")
         return [(step - lag, g) for lag, g in self.couplings]
 
+    def propagator(self, kind: Stepper) -> np.ndarray:
+        """One-excitation collision map on (eps, c[k - lags]), built once per stepper.
+
+        H has omega0 on the emitter and the strengths g in its first column
+        and row; V is H without the omega0 entry.  The exact stepper is
+        exp(-i H dt); the second-order one is 1 - i H dt - V^2 dt^2 / 2.
+        """
+        kind = Stepper(kind)
+        m = self._propagators.get(kind)
+        if m is None:
+            gs = np.array([g for _, g in self.couplings], dtype=complex)
+            v = np.zeros((len(gs) + 1,) * 2, dtype=complex)
+            v[1:, 0] = gs
+            v[0, 1:] = gs.conj()
+            h = v.copy()
+            h[0, 0] = self.omega0
+            if kind == Stepper.EXACT:
+                m = _expm_hermitian(h, self.dt)
+            else:
+                m = np.eye(len(h)) - 1j * self.dt * h - 0.5 * self.dt**2 * (v @ v)
+            self._propagators[kind] = m
+        return m
+
 
 def build_plan(strengths: WeightMatrix, omega0: float, n_steps: int) -> CollisionPlan:
     """Wrap scaled strengths into a per-step collision plan."""
@@ -108,20 +137,44 @@ def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
-def _sector_unitary(plan: CollisionPlan, gs: Tuple[complex, ...]) -> np.ndarray:
-    """Collision unitary restricted to span{|e,vac>, |g,1_m>} for the touched modes."""
-    key = ("sector", gs)
-    u = plan._unitaries.get(key)
-    if u is None:
-        n = len(gs) + 1
-        h = np.zeros((n, n), dtype=complex)
-        h[0, 0] = plan.omega0
-        for j, g in enumerate(gs):
-            h[j + 1, 0] = g
-            h[0, j + 1] = np.conj(g)
-        u = _expm_hermitian(h, plan.dt)
-        plan._unitaries[key] = u
-    return u
+def _collide(
+    state: SingleExcitationState, plan: CollisionPlan, kind: Stepper, first: int, last: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Apply collisions ``first``..``last`` to the one-excitation state, in place.
+
+    Returns eps after each collision and the running change of the squared
+    norm, summed from |out|^2 - |in|^2 of the touched amplitudes.  The vacuum
+    amplitude and untouched ancillas are left bitwise unchanged (both are
+    dark under the collision Hamiltonian).
+    """
+    if not 1 <= first <= last <= plan.n_steps:
+        raise ValueError(f"steps must lie in 1..{plan.n_steps}, got {first}..{last}")
+    u = plan.propagator(kind)
+    lags = plan.lags  # ascending
+    if len(lags) and (first - lags[-1] < state.min_index or last - lags[0] > state.max_index):
+        raise RuntimeError(
+            f"plan/state mismatch: collisions {first}..{last} reach ancillas outside the "
+            f"allocated range {state.min_index}..{state.max_index}"
+        )
+    c = state.c
+    idx = first - state.min_index - lags  # c[idx] are the ancillas of collision first
+    vec = np.empty(len(lags) + 1, dtype=complex)
+    eps = np.empty(last - first + 1, dtype=complex)
+    norm_change = np.empty(last - first + 1, dtype=float)
+    e = state.eps
+    total = 0.0
+    for j in range(last - first + 1):
+        vec[0] = e
+        vec[1:] = c[idx]
+        out = u @ vec
+        c[idx] = out[1:]
+        e = out[0]
+        total += float((np.vdot(out, out) - np.vdot(vec, vec)).real)
+        eps[j] = e
+        norm_change[j] = total
+        idx += 1
+    state.eps = complex(e)
+    return eps, norm_change
 
 
 def step_single_excitation(
@@ -130,46 +183,9 @@ def step_single_excitation(
     step: int,
     kind: Stepper = Stepper.EXACT,
 ) -> SingleExcitationState:
-    """Advance one collision in the one-excitation sector, in place.
-
-    The vacuum amplitude and untouched ancillas are left untouched exactly
-    (both are dark under the collision Hamiltonian).
-    """
-    touched = plan.touched(step)
-    idx = []
-    for m, _ in touched:
-        i = m - state.min_index
-        if not 0 <= i < len(state.c):
-            raise RuntimeError(
-                f"plan/state mismatch: collision {step} touches ancilla {m}, outside the "
-                f"allocated range {state.min_index}..{state.max_index}"
-            )
-        idx.append(i)
-
-    if kind == Stepper.EXACT:
-        if not touched:
-            state.eps *= cmath.exp(-1j * plan.omega0 * plan.dt)
-            return state
-        u = _sector_unitary(plan, tuple(g for _, g in touched))
-        vec = np.empty(len(touched) + 1, dtype=complex)
-        vec[0] = state.eps
-        vec[1:] = state.c[idx]
-        vec = u @ vec
-        state.eps = complex(vec[0])
-        state.c[idx] = vec[1:]
-        return state
-
-    if kind == Stepper.SECOND_ORDER:
-        dt = plan.dt
-        eps = state.eps
-        overlap = sum(np.conj(g) * state.c[i] for (_, g), i in zip(touched, idx))
-        strength_sq = sum(abs(g) ** 2 for _, g in touched)
-        state.eps = eps - 1j * dt * (plan.omega0 * eps + overlap) - 0.5 * dt * dt * strength_sq * eps
-        for (_, g), i in zip(touched, idx):
-            state.c[i] += -1j * dt * g * eps - 0.5 * dt * dt * g * overlap
-        return state
-
-    raise ValueError(f"unknown stepper kind: {kind!r}")
+    """Advance one collision in the one-excitation sector, in place."""
+    _collide(state, plan, kind, step, step)
+    return state
 
 
 def _fock_operators(n_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,7 +204,7 @@ def _kron_chain(ops: List[np.ndarray]) -> np.ndarray:
 
 def _fock_unitary(plan: CollisionPlan, state: TruncatedFockState, slots_gs: tuple) -> np.ndarray:
     key = ("fock", state.n_max, len(state.active_modes), slots_gs)
-    u = plan._unitaries.get(key)
+    u = plan._propagators.get(key)
     if u is None:
         annihilate, lower, excited = _fock_operators(state.n_max)
         eye = np.eye(state.n_max + 1, dtype=complex)
@@ -200,7 +216,7 @@ def _fock_unitary(plan: CollisionPlan, state: TruncatedFockState, slots_gs: tupl
             v = g * _kron_chain(ops)
             h = h + v + v.conj().T
         u = _expm_hermitian(h, plan.dt)
-        plan._unitaries[key] = u
+        plan._propagators[key] = u
     return u
 
 
@@ -224,61 +240,6 @@ def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> Trun
 
 
 @dataclass
-class MirrorRecursionState:
-    """Ring-buffer state of the delayed-feedback recursion.
-
-    Each ancilla collides twice, d steps apart; between the two collisions its
-    amplitude is frozen, so only the last d first-collision amplitudes need to
-    be stored.  ``occupied_weight`` accumulates |c|^2 of ancillas whose second
-    collision has been applied, which keeps the full norm reconstructible.
-    """
-
-    eps: complex
-    ring: np.ndarray
-    step: int = 0
-    a_vac: float = 0.0
-    ring_weight: float = 0.0
-    occupied_weight: float = 0.0
-
-    def norm(self) -> float:
-        return math.sqrt(
-            self.a_vac**2 + abs(self.eps) ** 2 + self.ring_weight + self.occupied_weight
-        )
-
-
-def mirror_recursion_step(
-    state: MirrorRecursionState, gamma: float, phi: float, d: int, omega0: float, dt: float
-) -> MirrorRecursionState:
-    """One step of the two-collision recursion (second-order arithmetic).
-
-    eps gains the free decay -(i*omega0 + gamma)*dt*eps plus the feedback
-    i*sqrt(gamma*dt)*e^{i*phi}*c from the ancilla emitted d steps earlier; the
-    fresh ancilla amplitude is -i*sqrt(gamma*dt)*eps plus the second-order
-    feedback echo (gamma*dt/2)*e^{i*phi}*c.
-    """
-    if d < 1:
-        raise ValueError("the recursion needs a delay of at least one step (d >= 1)")
-    n = state.step
-    feedback = state.ring[(n - d) % d] if n >= d else 0j
-    root = math.sqrt(gamma * dt)
-    phase = cmath.exp(1j * phi)
-    eps = state.eps
-
-    state.eps = eps - (1j * omega0 + gamma) * dt * eps + 1j * root * phase * feedback
-    fresh = -1j * root * eps + 0.5 * gamma * dt * phase * feedback
-    # last collision of ancilla n-d (a pre-history vacuum mode when n < d):
-    # its amplitude stops evolving afterwards, so only its weight is kept
-    final = feedback * (1.0 - 0.5 * gamma * dt) + 1j * root * phase.conjugate() * eps
-    state.occupied_weight += abs(final) ** 2
-    if n >= d:
-        state.ring_weight -= abs(feedback) ** 2
-    state.ring[n % d] = fresh
-    state.ring_weight += abs(fresh) ** 2
-    state.step = n + 1
-    return state
-
-
-@dataclass
 class Trajectory:
     """Per-collision record of a simulation run."""
 
@@ -287,7 +248,7 @@ class Trajectory:
     eps: np.ndarray
     excited_population: np.ndarray
     norms: np.ndarray
-    wall_times: np.ndarray
+    wall_time_s: float
     config: dict
     notes: Tuple[str, ...] = ()
 
@@ -304,25 +265,11 @@ class Trajectory:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
 
-def _run_single_excitation(config, plan, n_steps: int):
+def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
     state = init_single_excitation(n_steps, config.beta, n_history=plan.max_lag)
-    eps = np.empty(n_steps + 1, dtype=complex)
-    norm_sq = np.empty(n_steps + 1, dtype=float)
-    wall = np.zeros(n_steps + 1, dtype=float)
-    eps[0] = state.eps
-    total = abs(state.a_vac) ** 2 + abs(state.eps) ** 2
-    norm_sq[0] = total
-    start = time.perf_counter()
-    for k in range(1, n_steps + 1):
-        idx = [m - state.min_index for m, _ in plan.touched(k)]
-        before = abs(state.eps) ** 2 + float(np.sum(np.abs(state.c[idx]) ** 2))
-        step_single_excitation(state, plan, k, config.stepper)
-        after = abs(state.eps) ** 2 + float(np.sum(np.abs(state.c[idx]) ** 2))
-        total += after - before  # untouched amplitudes are bitwise unchanged
-        eps[k] = state.eps
-        norm_sq[k] = total
-        wall[k] = time.perf_counter() - start
-    return eps, np.sqrt(norm_sq), wall
+    norm_sq = abs(state.a_vac) ** 2 + abs(state.eps) ** 2
+    eps, norm_change = _collide(state, plan, config.stepper, 1, n_steps)
+    return np.append(complex(config.beta), eps), np.sqrt(np.append(norm_sq, norm_sq + norm_change))
 
 
 def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -335,10 +282,8 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
     window_cap = config.window if config.window is not None else plan.max_lag + 1
     eps = np.empty(n_steps + 1, dtype=complex)
     norms = np.empty(n_steps + 1, dtype=float)
-    wall = np.zeros(n_steps + 1, dtype=float)
     eps[0] = fock.excited_vacuum_amplitude()
     norms[0] = fock.norm()
-    start = time.perf_counter()
     for k in range(1, n_steps + 1):
         for m, _ in plan.touched(k):
             if m not in fock.active_modes:
@@ -353,46 +298,22 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
             fock.retire_mode(m)
         eps[k] = fock.excited_vacuum_amplitude()
         norms[k] = fock.norm()
-        wall[k] = time.perf_counter() - start
-    return eps, norms, wall
-
-
-def _run_mirror_recursion(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
-    gamma = config.coupling.gamma
-    phi = config.coupling.phi
-    d = int(round(config.coupling.tau / config.dt))
-    omega0 = plan.omega0
-    beta = complex(config.beta)
-    state = MirrorRecursionState(
-        eps=beta,
-        ring=np.zeros(d, dtype=complex),
-        a_vac=math.sqrt(max(0.0, 1.0 - abs(beta) ** 2)),
-    )
-    eps = np.empty(n_steps + 1, dtype=complex)
-    norms = np.empty(n_steps + 1, dtype=float)
-    wall = np.zeros(n_steps + 1, dtype=float)
-    eps[0] = state.eps
-    norms[0] = state.norm()
-    start = time.perf_counter()
-    for k in range(1, n_steps + 1):
-        mirror_recursion_step(state, gamma, phi, d, omega0, config.dt)
-        eps[k] = state.eps
-        norms[k] = state.norm()
-        wall[k] = time.perf_counter() - start
-    return eps, norms, wall
+    return eps, norms
 
 
 def run(config: "SimulationConfig") -> Trajectory:
     """Run a full collision sequence and record the trajectory.
 
-    Deterministic: identical configs produce identical arrays.  Wall times are
-    recorded per step for the summary but never enter the data columns.
+    Deterministic: identical configs produce identical arrays.  The wall time
+    of the step loop is recorded for the summary but never enters the data
+    columns.  A non-finite amplitude or norm raises a RuntimeError naming the
+    first step where it appears.
     """
     spec = config.coupling_spec()
     n_steps, note = config.effective_steps()
     notes: List[str] = [] if note is None else [note]
 
-    weights = collision_weights(time_kernel(spec), config.dt, n_steps)
+    weights = collision_weights(spec, config.dt, n_steps)
     notes.extend(weights.warnings)
     strengths = coupling_strengths(weights, spec.gamma)
     omega0 = 0.0 if config.rotating_frame else config.omega0
@@ -403,14 +324,20 @@ def run(config: "SimulationConfig") -> Trajectory:
         )
     plan = build_plan(strengths, omega0, n_steps)
 
-    if config.representation == Representation.SINGLE_EXCITATION:
-        eps, norms, wall = _run_single_excitation(config, plan, n_steps)
-    elif config.representation == Representation.FULL_FOCK:
-        eps, norms, wall = _run_full_fock(config, plan, n_steps)
-    elif config.representation == Representation.MIRROR_RECURSION:
-        eps, norms, wall = _run_mirror_recursion(config, plan, n_steps)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown representation: {config.representation!r}")
+    start = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        if config.representation == Representation.FULL_FOCK:
+            eps, norms = _run_full_fock(config, plan, n_steps)
+        else:  # mirror_recursion is the single-excitation core on a two-lag kernel
+            eps, norms = _run_single_excitation(config, plan, n_steps)
+    wall_time = time.perf_counter() - start
+    bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(norms)))
+    if bad.size:
+        raise RuntimeError(
+            f"the amplitude or norm is not finite from step {bad[0]} on "
+            f"(eps = {eps[bad[0]]}, norm = {norms[bad[0]]}); the stepper is unstable at "
+            f"this dt"
+        )
 
     steps = np.arange(n_steps + 1)
     return Trajectory(
@@ -419,7 +346,7 @@ def run(config: "SimulationConfig") -> Trajectory:
         eps=eps,
         excited_population=np.abs(eps) ** 2,
         norms=norms,
-        wall_times=wall,
+        wall_time_s=wall_time,
         config=config.to_dict(),
         notes=tuple(notes),
     )

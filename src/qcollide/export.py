@@ -22,6 +22,7 @@ __all__ = [
     "convergence_csv",
     "samples_csv",
     "report_json",
+    "summary_json",
     "write_text",
 ]
 
@@ -74,7 +75,7 @@ def trajectory_summary(traj: Trajectory) -> dict:
             "norm": float(traj.norms[-1]),
         },
         "max_norm_drift": traj.max_norm_drift,
-        "wall_time_s": float(traj.wall_times[-1]),
+        "wall_time_s": traj.wall_time_s,
         "notes": list(traj.notes),
     }
 

@@ -11,7 +11,6 @@ from qcollide.coupling import (
     collision_weights,
     custom_coupling,
     mirror_coupling,
-    time_kernel,
 )
 from qcollide.divisibility import analyze
 from qcollide.engine import run
@@ -130,14 +129,14 @@ def test_criterion_6_divisibility_witness():
 
 def test_criterion_7_kernel_correctness():
     phi = 0.7
-    mirror = collision_weights(time_kernel(mirror_coupling(1.0, phi, 0.4)), 0.1, 30)
+    mirror = collision_weights(mirror_coupling(1.0, phi, 0.4), 0.1, 30)
     exact_deltas = (mirror.w(0) == 1.0 and mirror.w(4) == -np.exp(-1j * phi)
                     and all(mirror.w(l) == 0 for l in (1, 2, 3, 5, 6)))
 
     kappa, dt, support = 1.0, 0.05, 2.0
     decay = lambda u: kappa * math.exp(-kappa * u)  # noqa: E731
     smooth = collision_weights(
-        time_kernel(custom_coupling(1.0, smooth=decay, smooth_support=support)), dt, 50)
+        custom_coupling(1.0, smooth=decay, smooth_support=support), dt, 50)
     worst = 0.0
     for lag in smooth.lags_present:
         oracle = brute_force_lag_weight(decay, support, lag, dt)

@@ -86,7 +86,14 @@ class TestSimulateCommand:
         assert summary["final"]["abs_eps"] == pytest.approx(
             float(rows[-1].split(",")[4]))
         assert summary["max_norm_drift"] < 1e-9
+        assert summary["wall_time_s"] > 0
         assert "config" in summary
+
+    def test_recursion_summary_names_second_order(self, tmp_path):
+        config = write_config(tmp_path, mirror_data(representation="mirror_recursion"))
+        assert main(["simulate", "--config", config, "--output", str(tmp_path), "--quiet"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["stepper"] == "second_order"
 
     def test_custom_output_names(self, tmp_path):
         data = mirror_data(output={"trajectory_csv": "run1.csv", "summary_json": "run1.json"})
@@ -195,3 +202,20 @@ class TestExitCodes:
             representation="full_fock", window=2))
         assert main(["simulate", "--config", config, "--output", str(tmp_path),
                      "--quiet"]) == 3
+
+    def test_exact_recursion_exits_two_naming_stepper(self, tmp_path, capsys):
+        config = write_config(tmp_path, mirror_data(representation="mirror_recursion",
+                                                    stepper="exact"))
+        assert main(["simulate", "--config", config, "--output", str(tmp_path)]) == 2
+        assert "'stepper'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "witness"])
+    def test_overflow_exits_three_and_writes_nothing(self, tmp_path, command, capsys):
+        # gamma*dt = 10: the second-order map grows by about 9 per step
+        config = write_config(tmp_path, mirror_data(
+            coupling={"shape": "mirror", "gamma": 100.0, "phi": 0.0, "tau": 1.0},
+            dt=0.1, n_steps=2000, representation="mirror_recursion"))
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 3
+        assert "not finite from step" in capsys.readouterr().err
+        assert not out.exists()

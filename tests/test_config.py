@@ -115,6 +115,19 @@ class TestValidation:
                 coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 0.001},
             ))
 
+    def test_recursion_defaults_to_second_order(self):
+        mirror = {"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}
+        config = parse_config(minimal(representation="mirror_recursion", coupling=mirror))
+        assert config.stepper == Stepper.SECOND_ORDER
+        assert config.to_dict()["stepper"] == "second_order"
+
+    def test_recursion_rejects_exact_stepper(self):
+        mirror = {"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}
+        with pytest.raises(ConfigError, match="stepper") as info:
+            parse_config(minimal(representation="mirror_recursion", coupling=mirror,
+                                 stepper="exact"))
+        assert info.value.field == "stepper"
+
     def test_output_keys_checked(self):
         with pytest.raises(ConfigError, match="output.plot"):
             parse_config(minimal(output={"plot": "x.png"}))
@@ -134,6 +147,8 @@ class TestRoundTrip:
         minimal(coupling={"shape": "custom", "gamma": 1.0, "deltas": [[0.0, 1.0, 0.0]],
                           "smooth": {"form": "exponential", "kappa": 1.0, "support": 2.0}},
                 rotating_frame=True),
+        minimal(coupling={"shape": "mirror", "gamma": 0.5, "phi": 0.2, "tau": 1.0},
+                representation="mirror_recursion"),
     ])
     def test_parse_serialize_parse_identity(self, data):
         first = parse_config(data)

@@ -10,7 +10,6 @@ from qcollide.coupling import (
     coupling_strengths,
     custom_coupling,
     mirror_coupling,
-    time_kernel,
     white_coupling,
 )
 
@@ -65,65 +64,66 @@ class TestCouplingSpec:
 
     def test_gamma_zero_is_valid(self):
         spec = white_coupling(0.0)
-        weights = collision_weights(time_kernel(spec), 0.1, 10)
+        weights = collision_weights(spec, 0.1, 10)
         assert coupling_strengths(weights, spec.gamma).lags == {}
 
 
 class TestTimeKernel:
+    """The memory kernel is the spec's deltas, smooth and smooth_support fields."""
+
     def test_white_kernel_single_delta(self):
-        assert time_kernel(white_coupling(1.0)).deltas == ((0.0, 1.0 + 0j),)
+        assert white_coupling(1.0).deltas == ((0.0, 1.0 + 0j),)
 
     def test_mirror_kernel_delta_pair(self):
-        kernel = time_kernel(mirror_coupling(1.0, 0.3, 2.0))
-        assert kernel.deltas == ((0.0, 1.0 + 0j), (2.0, -cmath.exp(-0.3j)))
+        spec = mirror_coupling(1.0, 0.3, 2.0)
+        assert spec.deltas == ((0.0, 1.0 + 0j), (2.0, -cmath.exp(-0.3j)))
 
     def test_smooth_passthrough(self):
         decay = lambda u: 2.0 * math.exp(-2.0 * u)  # noqa: E731
         spec = custom_coupling(1.0, smooth=decay, smooth_support=3.0)
-        kernel = time_kernel(spec)
-        assert kernel.smooth is decay
-        assert kernel.smooth_support == 3.0
+        assert spec.smooth is decay
+        assert spec.smooth_support == 3.0
 
 
 class TestCollisionWeights:
     def test_white_kronecker(self):
         for dt in (0.1, 0.01, 0.5):
-            weights = collision_weights(time_kernel(white_coupling(1.0)), dt, 50)
+            weights = collision_weights(white_coupling(1.0), dt, 50)
             assert weights.lags == {0: 1.0 + 0j}
             assert weights.warnings == ()
 
     def test_mirror_exact_on_grid(self):
-        weights = collision_weights(time_kernel(mirror_coupling(1.0, 0.0, 0.3)), 0.1, 20)
+        weights = collision_weights(mirror_coupling(1.0, 0.0, 0.3), 0.1, 20)
         assert weights.w(0) == 1.0
         assert weights.w(3) == -1.0
         assert all(weights.w(ell) == 0 for ell in (1, 2, 4, 5))
         assert weights.warnings == ()
 
     def test_off_grid_lag_warns(self):
-        kernel = time_kernel(custom_coupling(1.0, [(0.37, 1.0)]))
-        weights = collision_weights(kernel, 0.1, 20)
+        spec = custom_coupling(1.0, [(0.37, 1.0)])
+        weights = collision_weights(spec, 0.1, 20)
         assert weights.w(4) == 1.0
         assert any("discretization mismatch" in w for w in weights.warnings)
 
     def test_sub_step_delay_merges_with_warning(self):
         phi = 1.1
-        weights = collision_weights(time_kernel(mirror_coupling(1.0, phi, 0.04)), 0.1, 20)
+        weights = collision_weights(mirror_coupling(1.0, phi, 0.04), 0.1, 20)
         assert weights.w(0) == pytest.approx(1 - cmath.exp(-1j * phi))
         assert any("merged deltas" in w for w in weights.warnings)
         assert any("discretization mismatch" in w for w in weights.warnings)
 
     def test_invalid_grid_rejected(self):
-        kernel = time_kernel(white_coupling(1.0))
+        spec = white_coupling(1.0)
         with pytest.raises(ValueError, match="dt"):
-            collision_weights(kernel, 0.0, 10)
+            collision_weights(spec, 0.0, 10)
         with pytest.raises(ValueError, match="n_steps"):
-            collision_weights(kernel, 0.1, 0)
+            collision_weights(spec, 0.1, 0)
 
     def test_smooth_weights_match_brute_force_oracle(self):
         kappa, dt, support = 1.0, 0.05, 2.0
         decay = lambda u: kappa * math.exp(-kappa * u)  # noqa: E731
-        kernel = time_kernel(custom_coupling(1.0, smooth=decay, smooth_support=support))
-        weights = collision_weights(kernel, dt, 60)
+        spec = custom_coupling(1.0, smooth=decay, smooth_support=support)
+        weights = collision_weights(spec, dt, 60)
         assert 0 in weights.lags
         for lag in (0, 1, 2, 5, 17, 40):
             oracle = brute_force_lag_weight(decay, support, lag, dt)
@@ -132,20 +132,20 @@ class TestCollisionWeights:
     def test_smooth_support_edge(self):
         # support ends inside a lag window; the clipped cell average must follow
         decay = lambda u: 1.0  # noqa: E731
-        kernel = time_kernel(custom_coupling(1.0, smooth=decay, smooth_support=0.25))
-        weights = collision_weights(kernel, 0.1, 10)
+        spec = custom_coupling(1.0, smooth=decay, smooth_support=0.25)
+        weights = collision_weights(spec, 0.1, 10)
         oracle = brute_force_lag_weight(decay, 0.25, 2, 0.1)
         assert weights.w(2) == pytest.approx(oracle, abs=1e-8)
         assert weights.w(4) == 0
 
     def test_stationarity_structural(self):
-        weights = collision_weights(time_kernel(mirror_coupling(1.0, 0.5, 0.3)), 0.1, 12)
+        weights = collision_weights(mirror_coupling(1.0, 0.5, 0.3), 0.1, 12)
         for n in range(1, 12):
             for m in range(1, 12):
                 assert weights.entry(n, m) == weights.entry(n + 1, m + 1)
 
     def test_causal_zeros_above_diagonal(self):
-        weights = collision_weights(time_kernel(mirror_coupling(1.0, 0.5, 0.3)), 0.1, 12)
+        weights = collision_weights(mirror_coupling(1.0, 0.5, 0.3), 0.1, 12)
         for n in range(1, 8):
             for m in range(n + 1, 8):
                 assert weights.entry(n, m) == 0
@@ -169,9 +169,9 @@ class TestLinearity:
     @given(delta_kernels(), delta_kernels())
     def test_delta_weights_additive(self, deltas_a, deltas_b):
         dt, n_steps = 0.1, 16
-        w_a = collision_weights(time_kernel(custom_coupling(1.0, deltas_a)), dt, n_steps)
-        w_b = collision_weights(time_kernel(custom_coupling(1.0, deltas_b)), dt, n_steps)
-        w_ab = collision_weights(time_kernel(custom_coupling(1.0, deltas_a + deltas_b)), dt, n_steps)
+        w_a = collision_weights(custom_coupling(1.0, deltas_a), dt, n_steps)
+        w_b = collision_weights(custom_coupling(1.0, deltas_b), dt, n_steps)
+        w_ab = collision_weights(custom_coupling(1.0, deltas_a + deltas_b), dt, n_steps)
         for lag in set(w_a.lags) | set(w_b.lags) | set(w_ab.lags):
             assert w_ab.w(lag) == pytest.approx(w_a.w(lag) + w_b.w(lag), abs=1e-12)
 
@@ -180,10 +180,10 @@ class TestLinearity:
         f = lambda u: math.exp(-u)  # noqa: E731
         g = lambda u: 3.0 * math.exp(-2.0 * u)  # noqa: E731
         both = lambda u: f(u) + g(u)  # noqa: E731
-        w_f = collision_weights(time_kernel(custom_coupling(1.0, smooth=f, smooth_support=support)), dt, 40)
-        w_g = collision_weights(time_kernel(custom_coupling(1.0, smooth=g, smooth_support=support)), dt, 40)
+        w_f = collision_weights(custom_coupling(1.0, smooth=f, smooth_support=support), dt, 40)
+        w_g = collision_weights(custom_coupling(1.0, smooth=g, smooth_support=support), dt, 40)
         w_fg = collision_weights(
-            time_kernel(custom_coupling(1.0, smooth=both, smooth_support=support)), dt, 40
+            custom_coupling(1.0, smooth=both, smooth_support=support), dt, 40
         )
         for lag in w_fg.lags:
             assert w_fg.w(lag) == pytest.approx(w_f.w(lag) + w_g.w(lag), abs=1e-12)
@@ -191,36 +191,36 @@ class TestLinearity:
 
 class TestCouplingStrengths:
     def test_unit_scaling(self):
-        weights = collision_weights(time_kernel(white_coupling(1.0)), 1.0, 5)
+        weights = collision_weights(white_coupling(1.0), 1.0, 5)
         assert coupling_strengths(weights, 1.0).w(0) == 1.0
 
     def test_mirror_strengths(self):
         phi = 0.4
-        weights = collision_weights(time_kernel(mirror_coupling(0.5, phi, 0.3)), 0.1, 20)
+        weights = collision_weights(mirror_coupling(0.5, phi, 0.3), 0.1, 20)
         strengths = coupling_strengths(weights, 0.5)
         assert strengths.w(0) == pytest.approx(math.sqrt(5.0))
         assert strengths.w(3) == pytest.approx(-math.sqrt(5.0) * cmath.exp(-1j * phi))
 
     def test_decoupled_limit(self):
-        weights = collision_weights(time_kernel(mirror_coupling(0.0, 0.1, 0.3)), 0.1, 20)
+        weights = collision_weights(mirror_coupling(0.0, 0.1, 0.3), 0.1, 20)
         assert coupling_strengths(weights, 0.0).lags == {}
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=10.0))
     def test_scaling_homogeneity(self, gamma):
-        weights = collision_weights(time_kernel(mirror_coupling(gamma, 0.2, 0.3)), 0.1, 20)
+        weights = collision_weights(mirror_coupling(gamma, 0.2, 0.3), 0.1, 20)
         single = coupling_strengths(weights, gamma)
         doubled = coupling_strengths(weights, 2 * gamma)
         for lag in single.lags:
             assert doubled.w(lag) == pytest.approx(math.sqrt(2) * single.w(lag), rel=1e-12)
 
     def test_negative_gamma_rejected(self):
-        weights = collision_weights(time_kernel(white_coupling(1.0)), 0.1, 5)
+        weights = collision_weights(white_coupling(1.0), 0.1, 5)
         with pytest.raises(ValueError, match="gamma"):
             coupling_strengths(weights, -1.0)
 
 
 class TestWarningsPropagation:
     def test_scaled_matrix_keeps_warnings(self):
-        weights = collision_weights(time_kernel(custom_coupling(1.0, [(0.37, 1.0)])), 0.1, 10)
+        weights = collision_weights(custom_coupling(1.0, [(0.37, 1.0)]), 0.1, 10)
         assert coupling_strengths(weights, 2.0).warnings == weights.warnings

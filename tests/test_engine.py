@@ -3,19 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcollide.config import ConfigError
 from qcollide.coupling import (
     collision_weights,
     coupling_strengths,
     mirror_coupling,
-    time_kernel,
     white_coupling,
 )
 from qcollide.engine import (
-    MirrorRecursionState,
     Stepper,
     build_plan,
-    mirror_recursion_step,
     run,
     step_full,
     step_single_excitation,
@@ -27,8 +27,27 @@ from conftest import make_config
 
 
 def make_plan(spec, dt, n_steps, omega0=0.0):
-    weights = collision_weights(time_kernel(spec), dt, n_steps)
+    weights = collision_weights(spec, dt, n_steps)
     return build_plan(coupling_strengths(weights, spec.gamma), omega0, n_steps)
+
+
+def explicit_second_order(plan, beta, n_steps):
+    """Second-order collisions written out term by term: an independent form of
+    1 - i H dt - V^2 dt^2 / 2.  Returns eps per step and the final state."""
+    state = init_single_excitation(n_steps, beta, n_history=plan.max_lag)
+    dt = plan.dt
+    eps_out = [state.eps]
+    for k in range(1, n_steps + 1):
+        touched = plan.touched(k)
+        idx = [m - state.min_index for m, _ in touched]
+        eps = state.eps
+        overlap = sum(np.conj(g) * state.c[i] for (_, g), i in zip(touched, idx))
+        strength_sq = sum(abs(g) ** 2 for _, g in touched)
+        state.eps = eps - 1j * dt * (plan.omega0 * eps + overlap) - 0.5 * dt * dt * strength_sq * eps
+        for (_, g), i in zip(touched, idx):
+            state.c[i] += -1j * dt * g * eps - 0.5 * dt * dt * g * overlap
+        eps_out.append(state.eps)
+    return np.array(eps_out), state
 
 
 class TestBuildPlan:
@@ -176,14 +195,16 @@ class TestFullFockStepper:
             assert var == pytest.approx(var0, abs=1e-10)
 
 
+def mirror(gamma, phi, tau):
+    return {"shape": "mirror", "gamma": gamma, "phi": phi, "tau": tau}
+
+
 class TestMirrorRecursion:
     def test_no_feedback_before_delay(self):
         gamma, dt, d = 0.5, 0.1, 5
-        state = MirrorRecursionState(eps=1.0, ring=np.zeros(d, complex))
-        values = [state.eps]
-        for _ in range(d):
-            mirror_recursion_step(state, gamma, 0.0, d, 0.0, dt)
-            values.append(state.eps)
+        traj = run(make_config(coupling=mirror(gamma, 0.0, d * dt), dt=dt, n_steps=d,
+                               representation="mirror_recursion"))
+        values = traj.eps
         # pure damping until the first echo: eps_{n+1} = (1 - gamma*dt)*eps_n
         for n in range(d):
             assert values[n + 1] == pytest.approx((1 - gamma * dt) * values[n], abs=1e-15)
@@ -191,25 +212,21 @@ class TestMirrorRecursion:
     def test_matches_second_order_stepper(self):
         gamma, phi, omega0, dt, d = 0.5, 0.7, 0.4, 0.1, 4
         n_steps = 60
-        plan = make_plan(mirror_coupling(gamma, phi, d * dt), dt, n_steps, omega0=omega0)
-        sector = init_single_excitation(n_steps, 1.0, n_history=plan.max_lag)
-        rec = MirrorRecursionState(eps=1.0, ring=np.zeros(d, complex))
-        for k in range(1, n_steps + 1):
-            step_single_excitation(sector, plan, k, Stepper.SECOND_ORDER)
-            mirror_recursion_step(rec, gamma, phi, d, omega0, dt)
-            assert abs(rec.eps - sector.eps) < 1e-12
-        assert rec.norm() == pytest.approx(sector.norm(), abs=1e-12)
+        config = make_config(coupling=mirror(gamma, phi, d * dt), dt=dt, n_steps=n_steps,
+                             omega0=omega0, representation="mirror_recursion")
+        rec = run(config)
+        plan = make_plan(config.coupling_spec(), dt, n_steps, omega0=omega0)
+        eps, sector = explicit_second_order(plan, 1.0, n_steps)
+        assert np.max(np.abs(rec.eps - eps)) < 1e-12
+        assert rec.norms[-1] == pytest.approx(sector.norm(), abs=1e-12)
 
     def test_finite_difference_form(self):
         # eliminating the ancilla amplitudes leaves
         # d(eps)/dt = -(i*omega0 + gamma)*eps_n + gamma*e^{i*phi}*eps_{n-d} + O(gamma^2*dt)
         gamma, phi, omega0, dt, d = 0.8, 0.5, 0.0, 0.01, 20
         n_steps = 200
-        state = MirrorRecursionState(eps=1.0, ring=np.zeros(d, complex))
-        eps = [state.eps]
-        for _ in range(n_steps):
-            mirror_recursion_step(state, gamma, phi, d, omega0, dt)
-            eps.append(state.eps)
+        eps = run(make_config(coupling=mirror(gamma, phi, d * dt), dt=dt, n_steps=n_steps,
+                              omega0=omega0, representation="mirror_recursion")).eps
         worst = 0.0
         for n in range(n_steps):
             lhs = (eps[n + 1] - eps[n]) / dt
@@ -219,9 +236,46 @@ class TestMirrorRecursion:
         assert worst <= gamma**2 * dt
 
     def test_zero_delay_rejected(self):
-        state = MirrorRecursionState(eps=1.0, ring=np.zeros(1, complex))
-        with pytest.raises(ValueError, match="d >= 1"):
-            mirror_recursion_step(state, 0.5, 0.0, 0, 0.0, 0.1)
+        # a mirror with no delay has no echo for the recursion to feed back
+        with pytest.raises(ConfigError, match="delay of at least one step"):
+            make_config(coupling=mirror(0.5, 0.0, 0.0), dt=0.1, n_steps=5,
+                        representation="mirror_recursion")
+
+
+@st.composite
+def delta_kernel_configs(draw):
+    """Custom couplings with 1-3 delta lags of at most 4 steps, up to 30 collisions."""
+    dt = 0.1
+    lags = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    deltas = []
+    for lag in lags:
+        w = draw(st.floats(0.05, 1.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        deltas.append([lag * dt, w.real, w.imag])
+    return dict(
+        coupling={"shape": "custom", "gamma": draw(st.floats(0.1, 1.0)), "deltas": deltas},
+        dt=dt, n_steps=draw(st.integers(1, 30)), omega0=draw(st.floats(-1.0, 1.0)),
+        beta=[draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))],
+    )
+
+
+class TestCoreAgainstOracles:
+    @settings(max_examples=25, deadline=None)
+    @given(delta_kernel_configs())
+    def test_exact_core_matches_fock_register(self, base):
+        sector = run(make_config(**base, stepper="exact"))
+        fock = run(make_config(**base, representation="full_fock", n_max=1))
+        assert np.max(np.abs(sector.eps - fock.eps)) < 1e-9
+        assert np.max(np.abs(sector.norms - fock.norms)) < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(delta_kernel_configs())
+    def test_second_order_core_matches_explicit_formula(self, base):
+        config = make_config(**base, stepper="second_order")
+        traj = run(config)
+        plan = make_plan(config.coupling_spec(), config.dt, config.n_steps, omega0=config.omega0)
+        eps, state = explicit_second_order(plan, config.beta, config.n_steps)
+        assert np.max(np.abs(traj.eps - eps)) < 1e-12
+        assert traj.norms[-1] == pytest.approx(state.norm(), abs=1e-12)
 
 
 class TestRunWhite:
@@ -329,12 +383,20 @@ class TestTrajectoryRecord:
         config = make_config(dt=1 / 32, n_steps=64, stepper="second_order")
         traj = run(config)
         spec = config.coupling_spec()
-        weights = collision_weights(time_kernel(spec), config.dt, 64)
+        weights = collision_weights(spec, config.dt, 64)
         plan = build_plan(coupling_strengths(weights, spec.gamma), 0.0, 64)
         state = init_single_excitation(64, 1.0, n_history=plan.max_lag)
         for k in range(1, 65):
             step_single_excitation(state, plan, k, Stepper.SECOND_ORDER)
         assert traj.norms[-1] == pytest.approx(state.norm(), abs=1e-13)
+
+    def test_overflow_raises_naming_first_step(self):
+        # gamma*dt = 10: the second-order map grows by about 9 per step, and the
+        # squared norm overflows first
+        config = make_config(coupling=mirror(100.0, 0.0, 1.0), dt=0.1, n_steps=2000,
+                             representation="mirror_recursion")
+        with pytest.raises(RuntimeError, match="not finite from step 162 on"):
+            run(config)
 
     def test_t_max_rounding_note(self):
         config = make_config(dt=0.3, t_max=1.0)
