@@ -187,6 +187,33 @@ class SimulationConfig:
     rotating_frame: bool = False
     output: Tuple[Tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        """Cross-field rules, shared by ``parse_config`` and direct construction."""
+        if not self.dt > 0:
+            raise ConfigError("dt", f"must be positive, got {self.dt}")
+        if (self.n_steps is None) == (self.t_max is None):
+            raise ConfigError("n_steps", "exactly one of n_steps and t_max must be given")
+        if self.t_max is not None and self.t_max < self.dt:
+            raise ConfigError(
+                "t_max", f"must allow at least one step of dt={self.dt}, got {self.t_max}"
+            )
+        if self.representation != Representation.FULL_FOCK and (
+            self.n_max != 1 or self.window is not None
+        ):
+            offender = "n_max" if self.n_max != 1 else "window"
+            raise ConfigError(offender, "only meaningful for the full_fock representation")
+        if self.representation == Representation.MIRROR_RECURSION:
+            if self.coupling.shape != "mirror":
+                raise ConfigError("representation", "mirror_recursion requires a mirror coupling")
+            if int(round(self.coupling.tau / self.dt)) < 1:
+                raise ConfigError(
+                    "representation",
+                    f"mirror_recursion needs a delay of at least one step "
+                    f"(tau={self.coupling.tau}, dt={self.dt})",
+                )
+            if self.stepper != Stepper.SECOND_ORDER:
+                raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
+
     def coupling_spec(self) -> CouplingSpec:
         return self.coupling.to_spec()
 
@@ -244,28 +271,20 @@ def parse_config(data: Any) -> SimulationConfig:
     if "dt" not in data:
         raise ConfigError("dt", "missing")
     dt = _require_number(data["dt"], "dt")
-    if dt <= 0:
-        raise ConfigError("dt", f"must be positive, got {dt}")
 
     omega0 = _require_number(data.get("omega0", 0.0), "omega0")
 
-    has_steps = "n_steps" in data
-    has_tmax = "t_max" in data
-    if has_steps == has_tmax:
-        raise ConfigError("n_steps", "exactly one of n_steps and t_max must be given")
     n_steps = None
     t_max = None
-    if has_steps:
+    if "n_steps" in data:
         raw = data["n_steps"]
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError("n_steps", f"expected an integer, got {raw!r}")
         if raw < 1:
             raise ConfigError("n_steps", f"must be at least 1, got {raw}")
         n_steps = raw
-    else:
+    if "t_max" in data:
         t_max = _require_number(data["t_max"], "t_max")
-        if t_max < dt:
-            raise ConfigError("t_max", f"must allow at least one step of dt={dt}, got {t_max}")
 
     try:
         representation = Representation(data.get("representation", "single_excitation"))
@@ -297,17 +316,6 @@ def parse_config(data: Any) -> SimulationConfig:
             if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
                 raise ConfigError("window", f"expected an integer >= 1, got {raw!r}")
             window = raw
-
-    if recursion:
-        if coupling.shape != "mirror":
-            raise ConfigError("representation", "mirror_recursion requires a mirror coupling")
-        if int(round(coupling.tau / dt)) < 1:
-            raise ConfigError(
-                "representation",
-                f"mirror_recursion needs a delay of at least one step (tau={coupling.tau}, dt={dt})",
-            )
-        if stepper != Stepper.SECOND_ORDER:
-            raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
 
     beta = _parse_complex(data.get("beta", 1.0), "beta")
     if abs(beta) > 1 + 1e-12:

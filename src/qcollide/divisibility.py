@@ -11,7 +11,7 @@ population flags a non-CP intermediate step (information backflow).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -171,35 +171,31 @@ def analyze(trajectory, rel_tol: float = CP_RTOL) -> DivisibilityReport:
             note="initial amplitude is zero: reduced maps are undefined",
         )
 
-    flags: List[bool] = []
-    witness = 0.0
-    gains: List[Tuple[int, float]] = []
+    zeros = np.flatnonzero(eps[:-1] == 0)
     truncated_at: Optional[int] = None
     note: Optional[str] = None
-    for n in range(len(eps) - 1):
-        if eps[n] == 0:
-            truncated_at = n
-            note = f"amplitude vanished at step {n}: intermediate maps beyond it are singular"
-            break
-        gain = pop[n + 1] - pop[n]
-        significant = gain > rel_tol * pop[n]
-        flags.append(not significant)
-        if significant:
-            witness += gain
-            gains.append((n + 1, gain))
-
-    revivals: List[Tuple[int, int, float]] = []
-    for step, gain in gains:
-        if revivals and revivals[-1][1] == step - 1:
-            start, _, acc = revivals[-1]
-            revivals[-1] = (start, step, acc + gain)
-        else:
-            revivals.append((step, step, gain))
+    n = len(eps) - 1  # transitions scanned
+    if zeros.size:
+        n = truncated_at = int(zeros[0])
+        note = f"amplitude vanished at step {n}: intermediate maps beyond it are singular"
+    gain = pop[1:n + 1] - pop[:n]
+    significant = gain > rel_tol * pop[:n]
+    steps = np.flatnonzero(significant) + 1
+    gains = gain[significant]
+    # np.cumsum adds in sequence, as the running totals of a scalar scan would
+    witness = float(np.cumsum(gains)[-1]) if gains.size else 0.0
+    revivals: Tuple[Tuple[int, int, float], ...] = ()
+    if steps.size:  # maximal runs of consecutive revival steps
+        cuts = np.flatnonzero(np.diff(steps) != 1) + 1
+        revivals = tuple(
+            (int(run[0]), int(run[-1]), float(np.cumsum(part)[-1]))
+            for run, part in zip(np.split(steps, cuts), np.split(gains, cuts))
+        )
 
     return DivisibilityReport(
-        cp_flags=tuple(flags),
-        revivals=tuple(revivals),
-        witness=float(witness),
+        cp_flags=tuple((~significant).tolist()),
+        revivals=revivals,
+        witness=witness,
         truncated_at=truncated_at,
         note=note,
     )

@@ -10,6 +10,7 @@ feedback arrives.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,6 +23,12 @@ from .states import SingleExcitationState, TruncatedFockState, init_single_excit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
+
+# Shortest delay block (CollisionPlan.delay_gap, capped by the run length)
+# that ``_collide`` advances with one vectorised update.  A block costs about
+# 20 us against about 5 us for one per-step collision; on a 2-vCPU x86-64 host
+# the two broke even at 5 and blocks were 1.3x faster at 6.
+BLOCK_MIN_GAP = 6
 
 __all__ = [
     "Stepper",
@@ -69,6 +76,7 @@ class CollisionPlan:
     n_steps: int
     couplings: Tuple[Tuple[int, complex], ...] = field(init=False)
     lags: np.ndarray = field(init=False, repr=False, compare=False)
+    delay_gap: int = field(init=False, repr=False, compare=False)
     _propagators: Dict[object, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -77,6 +85,9 @@ class CollisionPlan:
         # nonzero (lag, strength) pairs, ascending lag
         self.couplings = tuple((lag, self.strengths.w(lag)) for lag in self.strengths.lags_present)
         self.lags = np.array([lag for lag, _ in self.couplings], dtype=np.intp)
+        # smallest distance between two lags: no ancilla is hit twice within
+        # that many collisions (a kernel with fewer than two lags never is)
+        self.delay_gap = int(np.diff(self.lags).min()) if len(self.lags) > 1 else self.n_steps
 
     @property
     def dt(self) -> float:
@@ -145,7 +156,9 @@ def _collide(
     Returns eps after each collision and the running change of the squared
     norm, summed from |out|^2 - |in|^2 of the touched amplitudes.  The vacuum
     amplitude and untouched ancillas are left bitwise unchanged (both are
-    dark under the collision Hamiltonian).
+    dark under the collision Hamiltonian).  Runs whose delay blocks reach
+    BLOCK_MIN_GAP collisions advance a block per update, the others one
+    collision at a time.
     """
     if not 1 <= first <= last <= plan.n_steps:
         raise ValueError(f"steps must lie in 1..{plan.n_steps}, got {first}..{last}")
@@ -156,14 +169,30 @@ def _collide(
             f"plan/state mismatch: collisions {first}..{last} reach ancillas outside the "
             f"allocated range {state.min_index}..{state.max_index}"
         )
-    c = state.c
     idx = first - state.min_index - lags  # c[idx] are the ancillas of collision first
-    vec = np.empty(len(lags) + 1, dtype=complex)
-    eps = np.empty(last - first + 1, dtype=complex)
-    norm_change = np.empty(last - first + 1, dtype=float)
-    e = state.eps
+    n = last - first + 1
+    block = min(plan.delay_gap, n)
+    growth = abs(u[0, 0])
+    if growth > 1:  # keep the scan's powers of u[0, 0] finite (second order only)
+        block = min(block, int(600 / math.log(growth)))
+    if block >= BLOCK_MIN_GAP:
+        e, eps, norm_change = _collide_blocks(state.c, state.eps, u, idx, n, block)
+    else:
+        e, eps, norm_change = _collide_steps(state.c, state.eps, u, idx, n)
+    state.eps = complex(e)
+    return eps, norm_change
+
+
+def _collide_steps(
+    c: np.ndarray, e: complex, u: np.ndarray, idx: np.ndarray, n: int
+) -> Tuple[complex, np.ndarray, np.ndarray]:
+    """Per-step body of ``_collide``: one matvec of u on (eps, c[idx + j]) per collision."""
+    vec = np.empty(len(idx) + 1, dtype=complex)
+    eps = np.empty(n, dtype=complex)
+    norm_change = np.empty(n, dtype=float)
+    idx = idx.copy()
     total = 0.0
-    for j in range(last - first + 1):
+    for j in range(n):
         vec[0] = e
         vec[1:] = c[idx]
         out = u @ vec
@@ -173,8 +202,54 @@ def _collide(
         eps[j] = e
         norm_change[j] = total
         idx += 1
-    state.eps = complex(e)
-    return eps, norm_change
+    return e, eps, norm_change
+
+
+def _collide_blocks(
+    c: np.ndarray, e: complex, u: np.ndarray, idx: np.ndarray, n: int, block: int
+) -> Tuple[complex, np.ndarray, np.ndarray]:
+    """Delay-blocked body of ``_collide``: ``block`` collisions per vectorised update.
+
+    With block no longer than the delay gap, the ancillas of one block are
+    distinct and each was last touched before the block started, so their
+    inputs cin are known up front.  eps then obeys the scalar affine recurrence
+    eps_k = u00 eps_{k-1} + u[0, 1:] . cin_k, solved by a log-depth doubling
+    scan, and the outputs u[1:] . (eps_{k-1}, cin_k) are scattered back.  Over
+    a block the per-collision norm changes |out|^2 - |in|^2 telescope in eps,
+    leaving |eps_k|^2 - |eps_start|^2 plus a running sum over the ancillas.
+    """
+    a, to_eps, to_ancillas = u[0, 0], u[0, 1:], u[1:].T
+    ones = np.ones(len(idx))
+    eps = np.empty(n, dtype=complex)
+    norm_change = np.empty(n, dtype=float)
+    at = idx + np.arange(block)[:, None]  # c[at[j]]: ancillas of the block's collision j
+    vin = np.empty((block, len(idx) + 1), dtype=complex)  # rows (eps_{k-1}, cin_k)
+    total = 0.0
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        rows, cin = vin[:b], vin[:b, 1:]
+        cin[...] = c[at[:b]]
+        x = cin @ to_eps
+        x[0] += a * e
+        s, power = 1, a
+        while s < b:  # x_k <- sum_{j <= k} a^(k-j) x_j
+            x[s:] += power * x[:-s]
+            s, power = 2 * s, power * power
+        rows[0, 0] = e
+        rows[1:, 0] = x[:-1]
+        cout = rows @ to_ancillas
+        gain = np.abs(cout) ** 2
+        gain -= np.abs(cin) ** 2
+        c[at[:b]] = cout
+        out = norm_change[start:start + b]
+        np.cumsum(gain @ ones, out=out)
+        out += np.abs(x) ** 2
+        out += total - abs(e) ** 2
+        total = out[-1]
+        eps[start:start + b] = x
+        e = x[-1]
+        at += block
+    return e, eps, norm_change
 
 
 def step_single_excitation(

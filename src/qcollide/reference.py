@@ -34,7 +34,10 @@ class DdeSolution:
 
     with a = i*omega0 + gamma and b = gamma * e^{i*phi} * e^{a*tau}.  The
     feedback term switches on at t = tau inclusive; continuity of eps makes
-    the endpoint convention immaterial to the values.
+    the endpoint convention immaterial to the values.  Each term is evaluated
+    as one exponential of its logarithm, j log b - log j! + j log(t - j tau)
+    - a t, so that b^j / j! (which overflows for long horizons and strong
+    coupling) and e^{-a t} (which underflows) are never formed on their own.
     """
 
     omega0: float
@@ -42,7 +45,6 @@ class DdeSolution:
     phi: float
     tau: float
     t_max: float
-    coeffs: np.ndarray  # coeffs[j] = b^j / j!
 
     def segment(self, t: float) -> int:
         """Index k of the delay interval [k*tau, (k+1)*tau] containing t."""
@@ -53,15 +55,26 @@ class DdeSolution:
         if np.any(ts < 0) or np.any(ts > self.t_max + 1e-9 * (1 + self.t_max)):
             raise ValueError(f"evaluation time outside [0, {self.t_max}]")
         a = 1j * self.omega0 + self.gamma
-        out = np.empty(ts.shape, dtype=complex)
-        for i, ti in enumerate(ts.ravel()):
-            k = min(self.segment(ti), len(self.coeffs) - 1)
-            acc = 0j
-            for j in range(k + 1):
-                acc += self.coeffs[j] * (ti - j * self.tau) ** j
-            out.ravel()[i] = cmath.exp(-a * ti) * acc
+        decay = -a * ts
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            out = np.exp(decay)  # the j = 0 term: all of eps before the first echo
+            if self.gamma > 0:  # with gamma = 0 every echo term vanishes
+                log_b = math.log(self.gamma) + 1j * self.phi + a * self.tau
+                for j in range(1, self.segment(self.t_max) + 2):
+                    lag = ts - j * self.tau
+                    on = lag > 0  # the term vanishes at t = j*tau and is absent before
+                    if not on.any():
+                        break
+                    out[on] += np.exp(
+                        j * log_b - math.lgamma(j + 1) + j * np.log(lag[on]) + decay[on]
+                    )
+        if not np.all(np.isfinite(out)):
+            raise ValueError(
+                f"the delay-equation reference is not finite (gamma={self.gamma}, "
+                f"tau={self.tau}, t_max={self.t_max})"
+            )
         if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return complex(out.ravel()[0])
+            return complex(out[0])
         return out
 
 
@@ -77,16 +90,9 @@ def solve_dde(omega0: float, gamma: float, phi: float, tau: float, t_max: float)
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    a = 1j * omega0 + gamma
-    b = gamma * cmath.exp(1j * phi) * cmath.exp(a * tau)
-    n_segments = int(math.floor(t_max / tau)) + 1
-    coeffs = np.empty(n_segments + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for j in range(n_segments):
-        coeffs[j + 1] = coeffs[j] * b / (j + 1)
     return DdeSolution(
         omega0=float(omega0), gamma=float(gamma), phi=float(phi), tau=float(tau),
-        t_max=float(t_max), coeffs=coeffs,
+        t_max=float(t_max),
     )
 
 

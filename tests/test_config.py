@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from qcollide.config import ConfigError, load_config, parse_config, serialize_config
+from qcollide.config import (
+    ConfigError,
+    CouplingConfig,
+    SimulationConfig,
+    load_config,
+    parse_config,
+    serialize_config,
+)
 from qcollide.coupling import mirror_coupling, white_coupling
 from qcollide.engine import Representation, Stepper
 
@@ -127,6 +134,30 @@ class TestValidation:
             parse_config(minimal(representation="mirror_recursion", coupling=mirror,
                                  stepper="exact"))
         assert info.value.field == "stepper"
+
+    def test_direct_construction_is_validated(self):
+        # the same rules hold for configs built in code, not only for parsed JSON
+        with pytest.raises(ConfigError, match="requires a mirror coupling") as info:
+            SimulationConfig(coupling=CouplingConfig("white", 1.0), dt=0.1, n_steps=5,
+                             representation=Representation.MIRROR_RECURSION)
+        assert info.value.field == "representation"
+
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(n_steps=5, t_max=1.0), "n_steps"),
+        (dict(), "n_steps"),
+        (dict(n_steps=5, dt=0.0), "dt"),
+        (dict(t_max=0.05), "t_max"),
+        (dict(n_steps=5, n_max=2), "n_max"),
+        (dict(n_steps=5, window=3), "window"),
+        (dict(n_steps=5, representation=Representation.MIRROR_RECURSION,
+              coupling=CouplingConfig("mirror", 1.0, tau=1.0)), "stepper"),
+    ])
+    def test_direct_construction_cross_field_rules(self, overrides, field):
+        kwargs = dict(coupling=CouplingConfig("white", 1.0), dt=0.1)
+        kwargs.update(overrides)
+        with pytest.raises(ConfigError) as info:
+            SimulationConfig(**kwargs)
+        assert info.value.field == field
 
     def test_output_keys_checked(self):
         with pytest.raises(ConfigError, match="output.plot"):

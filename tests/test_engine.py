@@ -1,11 +1,13 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcollide import engine
 from qcollide.config import ConfigError
 from qcollide.coupling import (
     collision_weights,
@@ -276,6 +278,114 @@ class TestCoreAgainstOracles:
         eps, state = explicit_second_order(plan, config.beta, config.n_steps)
         assert np.max(np.abs(traj.eps - eps)) < 1e-12
         assert traj.norms[-1] == pytest.approx(state.norm(), abs=1e-12)
+
+
+def per_step_and_blocked(config):
+    """Collide a config's whole run once per step and once in delay blocks.
+
+    Returns ((eps, norm change, final ancillas) per step, the same blocked).
+    """
+    plan = make_plan(config.coupling_spec(), config.dt, config.effective_steps()[0],
+                     omega0=config.omega0)
+    out = []
+    for gate in (sys.maxsize, 1):  # never block / block whenever the plan allows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "BLOCK_MIN_GAP", gate)
+            state = init_single_excitation(plan.n_steps, config.beta, n_history=plan.max_lag)
+            eps, norm_change = engine._collide(state, plan, config.stepper, 1, plan.n_steps)
+        out.append((eps, norm_change, state.c))
+    return out
+
+
+def assert_bodies_agree(config, tol=1e-12):
+    (eps_s, norm_s, c_s), (eps_b, norm_b, c_b) = per_step_and_blocked(config)
+    assert np.max(np.abs(eps_s - eps_b)) <= tol
+    assert np.max(np.abs(norm_s - norm_b)) <= tol
+    assert np.max(np.abs(c_s - c_b)) <= tol
+
+
+@st.composite
+def sparse_kernel_configs(draw):
+    """Custom couplings with 1-4 delta lags of at most 40 steps whose smallest
+    gap falls on either side of BLOCK_MIN_GAP, with 1-120 collisions."""
+    dt = 0.1
+    gaps = draw(st.lists(st.integers(1, 12), min_size=0, max_size=3))
+    lags = list(np.cumsum([draw(st.integers(0, 4))] + gaps))
+    deltas = []
+    for lag in lags:
+        w = draw(st.floats(0.05, 1.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        deltas.append([int(lag) * dt, w.real, w.imag])
+    return dict(
+        coupling={"shape": "custom", "gamma": draw(st.floats(0.1, 1.0)), "deltas": deltas},
+        dt=dt, n_steps=draw(st.integers(1, 120)), omega0=draw(st.floats(-1.0, 1.0)),
+        beta=[draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))],
+        stepper=draw(st.sampled_from(["exact", "second_order"])),
+    )
+
+
+def _mirror_grid():
+    for gamma in (0.25, 2.0):
+        for phi in (0.0, 2.1):
+            for d, t_max in ((64, 10.0), (64, 40.0), (512, 40.0)):
+                for stepper in ("exact", "second_order"):
+                    yield dict(coupling=mirror(gamma, phi, 1.0), dt=1 / d, t_max=t_max,
+                               omega0=0.4, beta=[0.8, 0.1], stepper=stepper)
+
+
+ACCEPTANCE_CONFIGS = [
+    dict(coupling={"shape": "white", "gamma": 1.0}, dt=1e-3, t_max=5.0),
+    dict(coupling={"shape": "white", "gamma": 1.0}, dt=0.05, n_steps=100),
+    *(dict(dt=1.0 / 2**k, t_max=4.0) for k in range(6, 11)),
+    dict(dt=1.0 / 512, t_max=40.0),
+    dict(coupling=mirror(0.5, 0.0, 0.4), dt=0.1, n_steps=48),
+    dict(coupling=mirror(0.5, 0.0, 0.4), dt=0.1, n_steps=48, stepper="second_order"),
+    dict(coupling=mirror(0.5, 0.0, 0.4), dt=0.05, n_steps=96),
+    dict(coupling=mirror(0.5, 0.0, 0.4), dt=0.05, n_steps=96, stepper="second_order"),
+    dict(dt=1.0 / 512, n_steps=10_000),
+    dict(dt=1.0 / 128, t_max=4.0, stepper="second_order"),
+    dict(dt=1.0 / 256, t_max=4.0, stepper="second_order"),
+    dict(coupling={"shape": "white", "gamma": 1.0}, dt=0.01, t_max=4.0),
+    dict(dt=1.0 / 64, t_max=3.0),
+    dict(coupling=mirror(0.5, 0.3, 1.0), omega0=0.2, dt=1.0 / 64, t_max=3.0, beta=[0.8, 0.1]),
+]
+
+
+class TestDelayBlocks:
+    """The blocked body of the stepping core against its per-step body."""
+
+    def test_mirror_gap_is_the_delay(self):
+        plan = make_plan(mirror_coupling(1.0, 0.0, 1.0), 1 / 64, 640)
+        assert plan.delay_gap == 64
+        assert make_plan(white_coupling(1.0), 0.1, 37).delay_gap == 37
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_kernel_configs())
+    def test_random_sparse_kernels(self, base):
+        assert_bodies_agree(make_config(**base))
+
+    @pytest.mark.parametrize("base", ACCEPTANCE_CONFIGS)
+    def test_acceptance_configs(self, base):
+        assert_bodies_agree(make_config(**base))
+
+    @pytest.mark.parametrize("base", list(_mirror_grid()))
+    def test_mirror_grid(self, base):
+        assert_bodies_agree(make_config(**base))
+
+    def test_unstable_stepper_on_vacuum_stays_zero(self):
+        # |u00| = 1.096 here: one block over the whole single-lag run would
+        # overflow the scan's powers of u00 and turn 0 * inf into NaN
+        traj = run(make_config(coupling={"shape": "white", "gamma": 0.5}, omega0=5.0, dt=0.1,
+                               n_steps=100_000, stepper="second_order", beta=0.0))
+        assert not np.any(traj.eps)
+
+    def test_run_dispatches_on_the_gap(self, monkeypatch):
+        calls = []
+        blocks = engine._collide_blocks
+        monkeypatch.setattr(engine, "_collide_blocks",
+                            lambda *args: calls.append(args[-1]) or blocks(*args))
+        run(make_config(dt=1 / 64, t_max=2.0))  # mirror, tau = 1: gap 64
+        run(make_config(coupling=mirror(0.5, 0.0, 0.5), dt=0.1, t_max=2.0))  # gap 5
+        assert calls == [64]
 
 
 class TestRunWhite:

@@ -69,6 +69,19 @@ class TestSolveDde:
         with pytest.raises(ValueError, match="white_amplitude"):
             solve_dde(0.0, 0.5, 0.0, 0.0, 1.0)
 
+    def test_strong_feedback_long_horizon_stays_finite(self):
+        # b = gamma*e^{gamma*tau} ~ 7e7: b^j/j! overflows and e^{-gamma t}
+        # underflows near t = 100, so each term is evaluated in log form
+        sol = solve_dde(0.0, 8.0, 0.0, 2.0, 100.0)
+        times, eps = dde_numeric_oracle(0.0, 8.0, 0.0, 2.0, 2.0 / 1000, 100.0)
+        reference = sol(times)
+        assert np.all(np.isfinite(reference))
+        assert np.max(np.abs(eps - reference)) <= 1e-5
+
+    def test_non_finite_result_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            solve_dde(math.nan, 0.5, 0.0, 1.0, 4.0)(2.0)
+
     def test_out_of_range_evaluation_rejected(self):
         sol = solve_dde(0.0, 0.5, 0.0, 1.0, 2.0)
         with pytest.raises(ValueError, match="outside"):
