@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from .coupling import CouplingSpec, custom_coupling, mirror_coupling, white_coupling
-from .engine import Representation, Stepper
+from .coupling import CouplingSpec, custom_coupling, grid_reach, mirror_coupling, white_coupling
+from .engine import Representation, Stepper, fock_block_sizes
 
 __all__ = [
     "ConfigError",
@@ -24,6 +24,12 @@ __all__ = [
     "parse_config",
     "serialize_config",
 ]
+
+# Most complex entries a full_fock propagator may hold (2**22 entries, 64 MB).
+# The propagator of a register is block diagonal in the excitation number, so
+# it holds sum_N size_N^2 entries; at n_max = 1 that admits 11 modes, at
+# n_max = 2 seven.
+FOCK_BUDGET = 2**22
 
 OUTPUT_KEYS = ("trajectory_csv", "summary_json", "weights_csv", "convergence_csv", "witness_json")
 
@@ -213,6 +219,38 @@ class SimulationConfig:
                 )
             if self.stepper != Stepper.SECOND_ORDER:
                 raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
+        if self.representation == Representation.FULL_FOCK:
+            self.check_fock_budget(grid_reach(self.coupling_spec(), self.dt))
+
+    def check_fock_budget(self, max_lag: int) -> None:
+        """Refuse a full_fock run whose propagator would exceed FOCK_BUDGET entries.
+
+        The register holds the qubit and up to max_lag + 1 modes, or up to
+        ``window`` modes if that is fewer.  The error names ``window`` when
+        the window sets that size and ``dt`` when the kernel's reach in steps
+        does.
+        """
+        modes, offender = max_lag + 1, "dt"
+        if self.window is not None and self.window <= modes:
+            modes, offender = self.window, "window"
+        dim = 2
+        for _ in range(modes):  # sum_N size_N^2 lies between dim and dim^2
+            dim *= self.n_max + 1
+            if dim > FOCK_BUDGET:
+                break
+        else:
+            if dim**2 <= FOCK_BUDGET:
+                return
+            if int((fock_block_sizes(self.n_max, modes) ** 2).sum()) <= FOCK_BUDGET:
+                return
+        raise ConfigError(
+            offender,
+            f"a full_fock register of {modes} modes at n_max={self.n_max} needs a propagator "
+            f"of more than {FOCK_BUDGET} complex entries (64 MB); "
+            + ("lower the window or n_max" if offender == "window" else
+               f"the kernel reaches {max_lag} steps at dt={self.dt}; use a coarser dt or a "
+               f"lower n_max"),
+        )
 
     def coupling_spec(self) -> CouplingSpec:
         return self.coupling.to_spec()

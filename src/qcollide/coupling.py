@@ -23,6 +23,7 @@ __all__ = [
     "mirror_coupling",
     "custom_coupling",
     "collision_weights",
+    "grid_reach",
     "coupling_strengths",
     "GRID_MATCH_RTOL",
     "QUADRATURE_CELLS",
@@ -225,6 +226,18 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
 
     lags = {ell: w for ell, w in lags.items() if w != 0}
     return WeightMatrix(dt=dt, n_steps=n_steps, lags=lags, warnings=tuple(warnings))
+
+
+def grid_reach(spec: CouplingSpec, dt: float) -> int:
+    """Largest integer lag ``collision_weights(spec, dt, ...)`` can store.
+
+    An upper bound on the table's ``max_lag`` found without the quadrature:
+    deltas may cancel and the last smooth cell average may vanish.
+    """
+    reach = max((int(round(lag / dt)) for lag, _ in spec.deltas), default=0)
+    if spec.smooth is not None:
+        reach = max(reach, int(math.floor(spec.smooth_support / dt)) + 1)
+    return reach
 
 
 def coupling_strengths(weights: WeightMatrix, gamma: float) -> WeightMatrix:

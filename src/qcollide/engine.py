@@ -30,6 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # the two broke even at 5 and blocks were 1.3x faster at 6.
 BLOCK_MIN_GAP = 6
 
+# Largest truncated-Fock register whose number blocks ``step_full`` joins into
+# one dense matrix: a matvec per block costs about 2.5 us of Python overhead,
+# so small registers are faster as one matvec.  On the same host the two
+# broke even at 256 amplitudes; at 128 the dense form took half the time.
+FOCK_DENSE_MAX = 128
+
 __all__ = [
     "Stepper",
     "Representation",
@@ -77,7 +83,7 @@ class CollisionPlan:
     couplings: Tuple[Tuple[int, complex], ...] = field(init=False)
     lags: np.ndarray = field(init=False, repr=False, compare=False)
     delay_gap: int = field(init=False, repr=False, compare=False)
-    _propagators: Dict[object, np.ndarray] = field(
+    _propagators: Dict[object, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -263,43 +269,68 @@ def step_single_excitation(
     return state
 
 
-def _fock_operators(n_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    annihilate = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
-    excited = np.array([[0, 0], [0, 1]], dtype=complex)
-    return annihilate, lower, excited
+def fock_block_sizes(n_max: int, n_modes: int) -> np.ndarray:
+    """Sizes of the excitation-number blocks of the qubit and ``n_modes`` modes.
+
+    Entry N counts the basis states with N excitations (qubit plus photons,
+    at most ``n_max`` per mode): the coefficients of
+    (1 + x)(1 + x + ... + x^n_max)^n_modes.
+    """
+    sizes = np.ones(2, dtype=np.int64)
+    for _ in range(n_modes):
+        sizes = np.convolve(sizes, np.ones(n_max + 1, dtype=np.int64))
+    return sizes
 
 
-def _kron_chain(ops: List[np.ndarray]) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+def _fock_blocks(
+    n_max: int, n_modes: int, omega0: float, dt: float, slots_gs: tuple
+) -> Tuple[np.ndarray, List[Tuple[int, int, np.ndarray]]]:
+    """exp(-i H dt) on the qubit and ``n_modes`` modes, one excitation-number block at a time.
 
-
-def _fock_unitary(plan: CollisionPlan, state: TruncatedFockState, slots_gs: tuple) -> np.ndarray:
-    key = ("fock", state.n_max, len(state.active_modes), slots_gs)
-    u = plan._propagators.get(key)
-    if u is None:
-        annihilate, lower, excited = _fock_operators(state.n_max)
-        eye = np.eye(state.n_max + 1, dtype=complex)
-        n_modes = len(state.active_modes)
-        h = plan.omega0 * _kron_chain([excited] + [eye] * n_modes)
-        for slot, g in slots_gs:
-            ops = [lower] + [eye] * n_modes
-            ops[1 + slot] = annihilate.conj().T
-            v = g * _kron_chain(ops)
-            h = h + v + v.conj().T
-        u = _expm_hermitian(h, plan.dt)
-        plan._propagators[key] = u
-    return u
+    H = omega0 |e><e| + sum over touched slots of g (|g><e| adag_slot + h.c.)
+    conserves the total excitation number N, so it is block diagonal once the
+    register's flat indices are ordered by N.  Returns that order and, per
+    block, its (start, stop) in the order and its unitary.  Each block is
+    filled by index arithmetic, omega0 on the excited-qubit diagonal and
+    g sqrt(n + 1) from |e, n> to |g, n + 1> on each touched slot, so no
+    matrix of the full register dimension is formed.
+    """
+    shape = (2,) + (n_max + 1,) * n_modes
+    occ = np.indices(shape).reshape(len(shape), -1)  # occupations of each flat index
+    number = occ.sum(axis=0)
+    order = np.argsort(number, kind="stable")
+    place = np.empty_like(order)  # position of each flat index in the order
+    place[order] = np.arange(order.size)
+    excited = occ[0] == 1
+    src, dst, amp = [order[:0]], [order[:0]], [np.zeros(0, dtype=complex)]
+    for slot, g in slots_gs:
+        n = occ[1 + slot]
+        hop = np.flatnonzero(excited & (n < n_max))  # |e, n> with room for one more photon
+        src.append(place[hop])
+        dst.append(place[hop - (n_max + 1) ** n_modes + (n_max + 1) ** (n_modes - 1 - slot)])
+        amp.append(g * np.sqrt(n[hop] + 1.0))
+    by_src = np.argsort(np.concatenate(src), kind="stable")  # each block's hops: one slice
+    src, dst, amp = (np.concatenate(part)[by_src] for part in (src, dst, amp))
+    diag = omega0 * excited[order]
+    blocks = []
+    start = 0
+    for stop in np.cumsum(np.bincount(number)):
+        lo, hi = np.searchsorted(src, (start, stop))
+        h = np.diag(diag[start:stop]).astype(complex)
+        h[dst[lo:hi] - start, src[lo:hi] - start] = amp[lo:hi]
+        h[src[lo:hi] - start, dst[lo:hi] - start] = np.conj(amp[lo:hi])
+        blocks.append((start, int(stop), _expm_hermitian(h, dt)))
+        start = int(stop)
+    return order, blocks
 
 
 def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> TruncatedFockState:
     """Advance one collision of the truncated-Fock register, in place.
 
-    Exact dense exponential of H on qubit x active modes; every touched
-    ancilla must already sit inside the active window.
+    Exact exponential of H on qubit x active modes, applied one
+    excitation-number block at a time; every touched ancilla must already sit
+    inside the active window.  The blocks are built once per register layout
+    and cached on the plan.
     """
     touched = plan.touched(step)
     for m, _ in touched:
@@ -309,8 +340,30 @@ def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> Trun
                 f"{state.active_modes}"
             )
     slots_gs = tuple((state.active_modes.index(m), g) for m, g in touched)
-    u = _fock_unitary(plan, state, slots_gs)
-    state.amplitudes = (u @ state.amplitudes.ravel()).reshape(state.amplitudes.shape)
+    key = ("fock", state.n_max, len(state.active_modes), slots_gs)
+    prop = plan._propagators.get(key)
+    if prop is None:
+        order, blocks = _fock_blocks(
+            state.n_max, len(state.active_modes), plan.omega0, plan.dt, slots_gs
+        )
+        if order.size <= FOCK_DENSE_MAX:  # one dense matrix in register order
+            prop = np.zeros((order.size,) * 2, dtype=complex)
+            for start, stop, u in blocks:
+                prop[np.ix_(order[start:stop], order[start:stop])] = u
+        else:
+            prop = (order, blocks)
+        plan._propagators[key] = prop
+    flat = state.amplitudes.reshape(-1)
+    if isinstance(prop, np.ndarray):
+        flat = prop @ flat
+    else:  # blocks are contiguous slices of the register permuted into number order
+        order, blocks = prop
+        x = flat[order]
+        for start, stop, u in blocks:
+            x[start:stop] = u @ x[start:stop]
+        flat = np.empty_like(x)
+        flat[order] = x
+    state.amplitudes = flat.reshape(state.amplitudes.shape)
     return state
 
 
@@ -348,6 +401,7 @@ def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.n
 
 
 def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    config.check_fock_budget(plan.max_lag)
     state = init_single_excitation(0, config.beta)
     fock = TruncatedFockState(
         amplitudes=np.array([state.a_vac, state.eps], dtype=complex),
@@ -374,6 +428,17 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
         eps[k] = fock.excited_vacuum_amplitude()
         norms[k] = fock.norm()
     return eps, norms
+
+
+def _fock_note(plan: CollisionPlan) -> str:
+    """Register sizes of a full_fock run, read off the keys of its propagator cache."""
+    layouts = [(n_max, n_modes) for _, n_max, n_modes, _ in plan._propagators]
+    n_max, n_modes = max(layouts, key=lambda layout: layout[1])
+    return (
+        f"full_fock register: peak dimension {2 * (n_max + 1) ** n_modes}, largest "
+        f"excitation-number block {int(fock_block_sizes(n_max, n_modes).max())}, "
+        f"cached propagators {len(layouts)}"
+    )
 
 
 def run(config: "SimulationConfig") -> Trajectory:
@@ -403,6 +468,7 @@ def run(config: "SimulationConfig") -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if config.representation == Representation.FULL_FOCK:
             eps, norms = _run_full_fock(config, plan, n_steps)
+            notes.append(_fock_note(plan))
         else:  # mirror_recursion is the single-excitation core on a two-lag kernel
             eps, norms = _run_single_excitation(config, plan, n_steps)
     wall_time = time.perf_counter() - start

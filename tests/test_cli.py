@@ -203,6 +203,25 @@ class TestExitCodes:
         assert main(["simulate", "--config", config, "--output", str(tmp_path),
                      "--quiet"]) == 3
 
+    @pytest.mark.parametrize("command", ["simulate", "witness", "kernel"])
+    def test_fock_register_over_budget_exits_two_and_writes_nothing(
+        self, tmp_path, command, capsys
+    ):
+        # the default window at dt = 1/64 is 65 modes, 2 * 2**65 amplitudes
+        config = write_config(tmp_path, mirror_data(representation="full_fock"))
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert "'dt'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_converge_step_over_fock_budget_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, mirror_data(dt=1 / 8, representation="full_fock"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config, "--output", str(out), "--quiet",
+                     "--dt-list", "0.125,0.015625"]) == 2
+        assert "'dt'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_recursion_exits_two_naming_stepper(self, tmp_path, capsys):
         config = write_config(tmp_path, mirror_data(representation="mirror_recursion",
                                                     stepper="exact"))

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from qcollide.config import (
+    FOCK_BUDGET,
     ConfigError,
     CouplingConfig,
     SimulationConfig,
@@ -166,6 +168,61 @@ class TestValidation:
     def test_rotating_frame_must_be_bool(self):
         with pytest.raises(ConfigError, match="rotating_frame"):
             parse_config(minimal(rotating_frame="yes"))
+
+
+def fock_mirror(dt, **overrides):
+    return minimal(coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 1.0}, dt=dt,
+                   representation="full_fock", **overrides)
+
+
+class TestFockBudget:
+    def test_default_window_from_a_fine_dt_is_refused_at_once(self):
+        # tau = 1 at dt = 1/64: the default window of 65 modes would hold 2 * 2**65
+        # amplitudes; the refusal allocates nothing of that size on the way
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="65 modes") as info:
+                parse_config(fock_mirror(1 / 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.field == "dt"
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("window,n_max", [(12, 1), (8, 2), (6, 3)])
+    def test_window_over_budget_names_window(self, window, n_max):
+        with pytest.raises(ConfigError, match=f"{window} modes at n_max={n_max}") as info:
+            parse_config(fock_mirror(1 / 64, window=window, n_max=n_max))
+        assert info.value.field == "window"
+
+    @pytest.mark.parametrize("window,n_max", [(9, 1), (5, 2), (11, 1), (7, 2), (5, 3)])
+    def test_budget_admits_registers_up_to_its_edge(self, window, n_max):
+        parse_config(fock_mirror(1 / (window - 1), n_max=n_max))
+        parse_config(fock_mirror(1 / 64, window=window, n_max=n_max))
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_white_registers_admitted(self, n_max):
+        parse_config(minimal(representation="full_fock", n_max=n_max))
+
+    def test_window_wider_than_the_kernel_names_dt(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(fock_mirror(1 / 64, window=100))
+        assert info.value.field == "dt"
+
+    def test_smooth_kernel_reach_counts(self):
+        smooth = {"shape": "custom", "gamma": 1.0, "deltas": [[0.0, 1.0, 0.0]],
+                  "smooth": {"form": "exponential", "kappa": 1.0, "support": 2.0}}
+        parse_config(minimal(coupling=smooth, dt=0.25, representation="full_fock"))
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal(coupling=smooth, dt=1 / 32, representation="full_fock"))
+        assert info.value.field == "dt"
+
+    def test_checked_again_against_the_kernel_table(self):
+        config = parse_config(minimal(representation="full_fock"))
+        config.check_fock_budget(10)
+        with pytest.raises(ConfigError, match=str(FOCK_BUDGET)) as info:
+            config.check_fock_budget(11)
+        assert info.value.field == "dt"
 
 
 class TestRoundTrip:

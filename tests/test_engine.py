@@ -23,7 +23,7 @@ from qcollide.engine import (
     step_single_excitation,
 )
 from qcollide.reference import solve_dde
-from qcollide.states import embed_single_excitation, init_single_excitation
+from qcollide.states import TruncatedFockState, embed_single_excitation, init_single_excitation
 
 from conftest import make_config
 
@@ -50,6 +50,55 @@ def explicit_second_order(plan, beta, n_steps):
             state.c[i] += -1j * dt * g * eps - 0.5 * dt * dt * g * overlap
         eps_out.append(state.eps)
     return np.array(eps_out), state
+
+
+def dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs):
+    """exp(-i H dt) of the whole register from kron chains: the dense builder the
+    number-block propagator replaced, kept as its reference."""
+    annihilate = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
+    excited = np.array([[0, 0], [0, 1]], dtype=complex)
+    eye = np.eye(n_max + 1, dtype=complex)
+
+    def kron_chain(ops):
+        out = ops[0]
+        for op in ops[1:]:
+            out = np.kron(out, op)
+        return out
+
+    h = omega0 * kron_chain([excited] + [eye] * n_modes)
+    for slot, g in slots_gs:
+        ops = [lower] + [eye] * n_modes
+        ops[1 + slot] = annihilate.conj().T
+        v = g * kron_chain(ops)
+        h = h + v + v.conj().T
+    return engine._expm_hermitian(h, dt)
+
+
+def scatter_blocks(order, blocks):
+    """Dense matrix, in register order, of the number blocks of ``engine._fock_blocks``."""
+    u = np.zeros((len(order),) * 2, dtype=complex)
+    for start, stop, block in blocks:
+        u[np.ix_(order[start:stop], order[start:stop])] = block
+    return u
+
+
+def excitation_numbers(n_max, n_modes):
+    shape = (2,) + (n_max + 1,) * n_modes
+    return np.indices(shape).reshape(len(shape), -1).sum(axis=0)
+
+
+@st.composite
+def fock_layouts(draw):
+    n_max = draw(st.integers(1, 3))
+    n_modes = draw(st.integers(0, 4))
+    slots = draw(st.lists(st.integers(0, max(n_modes - 1, 0)), min_size=min(1, n_modes),
+                          max_size=min(3, n_modes), unique=True))
+    slots_gs = tuple(
+        (slot, draw(st.floats(0.0, 3.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
+        for slot in slots
+    )
+    return n_max, n_modes, draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 0.5)), slots_gs
 
 
 class TestBuildPlan:
@@ -186,15 +235,62 @@ class TestFullFockStepper:
             step_full(fock, plan, 3)
 
     def test_excitation_number_conserved(self):
-        plan = make_plan(mirror_coupling(0.8, 0.6, 0.2), 0.1, 5, omega0=0.5)
-        state = init_single_excitation(5, 0.7, n_history=plan.max_lag)
-        fock = embed_single_excitation(state, 1, range(plan.min_ancilla, 6))
-        mean0, var0 = fock.excitation_moments()
-        for k in range(1, 6):
-            step_full(fock, plan, k)
-            mean, var = fock.excitation_moments()
-            assert mean == pytest.approx(mean0, abs=1e-10)
-            assert var == pytest.approx(var0, abs=1e-10)
+        for n_max, n_steps in ((1, 5), (2, 3)):
+            plan = make_plan(mirror_coupling(0.8, 0.6, 0.2), 0.1, n_steps, omega0=0.5)
+            state = init_single_excitation(n_steps, 0.7, n_history=plan.max_lag)
+            window = range(plan.min_ancilla, n_steps + 1)
+            fock = embed_single_excitation(state, n_max, window)
+            if n_max == 2:  # |e> with one, then two photons in ancilla 1: N = 2 and 3
+                photons = [0] * len(window)
+                photons[window.index(1)] = 1
+                fock.amplitudes[(1, *photons)] = 0.4
+                photons[window.index(1)] = 2
+                fock.amplitudes[(1, *photons)] = 0.3j
+                fock.amplitudes /= fock.norm()
+            mean0, var0 = fock.excitation_moments()
+            for k in range(1, n_steps + 1):
+                step_full(fock, plan, k)
+                mean, var = fock.excitation_moments()
+                assert mean == pytest.approx(mean0, abs=1e-10)
+                assert var == pytest.approx(var0, abs=1e-10)
+
+
+class TestFockNumberBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(fock_layouts())
+    def test_blocks_match_dense_builder(self, layout):
+        n_max, n_modes, omega0, dt, slots_gs = layout
+        order, blocks = engine._fock_blocks(n_max, n_modes, omega0, dt, slots_gs)
+        assert sorted(order) == list(range(2 * (n_max + 1) ** n_modes))
+        number = excitation_numbers(n_max, n_modes)[order]
+        for start, stop, _ in blocks:
+            assert np.all(number[start:stop] == number[start])
+        assert [stop - start for start, stop, _ in blocks] == list(
+            engine.fock_block_sizes(n_max, n_modes))
+        reference = dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs)
+        assert np.max(np.abs(scatter_blocks(order, blocks) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("n_modes", [3, 4])  # one dense matrix / per-block matvecs
+    def test_multi_excitation_sectors_evolve(self, n_modes):
+        n_max, dt, omega0 = 2, 0.1, 0.5
+        plan = make_plan(mirror_coupling(0.8, 0.6, 0.2), dt, 5, omega0=omega0)
+        modes = tuple(range(4 - n_modes, 4))  # collision 3 touches ancillas 3 and 1
+        number = excitation_numbers(n_max, n_modes)
+        rng = np.random.default_rng(7)
+        psi = (rng.normal(size=number.size) + 1j * rng.normal(size=number.size)) * (number >= 2)
+        psi /= np.linalg.norm(psi)
+        fock = TruncatedFockState(psi.reshape((2,) + (n_max + 1,) * n_modes), modes, n_max)
+        assert (fock.amplitudes.size > engine.FOCK_DENSE_MAX) == (n_modes == 4)
+        step_full(fock, plan, 3)
+        slots_gs = tuple((modes.index(m), g) for m, g in plan.touched(3))
+        expected = dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs) @ psi
+        out = fock.amplitudes.ravel()
+        assert np.max(np.abs(out - expected)) <= 1e-12
+        assert np.max(np.abs(out - psi)) > 1e-2  # the multi-photon sectors do evolve
+        for n in range(number.max() + 1):
+            weight = np.sum(np.abs(out[number == n]) ** 2)
+            assert weight == pytest.approx(np.sum(np.abs(psi[number == n]) ** 2), abs=1e-12)
+        assert np.sum(np.abs(out[number >= 2]) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def mirror(gamma, phi, tau):
@@ -471,6 +567,16 @@ class TestRepresentationEquivalence:
         assert np.max(np.abs(sector.eps - recursion.eps)) < 1e-10
         assert np.max(np.abs(sector.norms - recursion.norms)) < 1e-10
 
+    @pytest.mark.parametrize("window,n_max", [(9, 1), (5, 2)])
+    def test_fock_matches_sector_at_benchmark_size(self, window, n_max):
+        base = dict(dt=1 / (window - 1), t_max=3.0, omega0=0.2,
+                    coupling={"shape": "mirror", "gamma": 1.7, "phi": 2.3, "tau": 1.0})
+        sector = run(make_config(**base))
+        fock = run(make_config(**base, representation="full_fock", n_max=n_max,
+                               window=window))
+        assert np.max(np.abs(sector.eps - fock.eps)) <= 1e-9
+        assert np.max(np.abs(sector.norms - fock.norms)) <= 1e-9
+
     def test_fock_window_too_small_rejected(self):
         config = make_config(
             dt=0.1, n_steps=10, representation="full_fock", window=2,
@@ -521,3 +627,16 @@ class TestTrajectoryRecord:
         )
         traj = run(config)
         assert any("merged deltas" in note for note in traj.notes)
+
+    def test_fock_register_note(self):
+        base = dict(coupling={"shape": "mirror", "gamma": 0.5, "phi": 0.3, "tau": 0.2},
+                    dt=0.1, n_steps=10)
+        sector = run(make_config(**base))
+        fock = run(make_config(**base, representation="full_fock", n_max=2))
+        # at most three active modes at n_max = 2: 2 * 3**3 amplitudes, largest block at
+        # N = 3 or 4; two warm-up register layouts, then one that every later step reuses
+        note = ("full_fock register: peak dimension 54, largest excitation-number block 13, "
+                "cached propagators 3")
+        assert fock.notes == (note,)
+        assert run(make_config(**base, representation="full_fock", n_max=2)).notes == (note,)
+        assert sector.notes == ()
