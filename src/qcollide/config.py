@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from .coupling import CouplingSpec, custom_coupling, grid_reach, mirror_coupling, white_coupling
+import numpy as np
+
+from .coupling import (
+    QUADRATURE_CELLS,
+    CouplingSpec,
+    custom_coupling,
+    grid_reach,
+    mirror_coupling,
+    white_coupling,
+)
 from .engine import Representation, Stepper, fock_block_sizes
 
 __all__ = [
@@ -25,11 +34,25 @@ __all__ = [
     "serialize_config",
 ]
 
-# Most complex entries a full_fock propagator may hold (2**22 entries, 64 MB).
-# The propagator of a register is block diagonal in the excitation number, so
-# it holds sum_N size_N^2 entries; at n_max = 1 that admits 11 modes, at
-# n_max = 2 seven.
+# Most complex entries a full_fock register may size up to (2**22 entries,
+# 64 MB): sum_N size_N^2 over the excitation-number blocks of the qubit and
+# W modes.  That sum bounds both the register (sum_N size_N amplitudes) and
+# the local collision propagator, whose blocks are those of the qubit and
+# the T <= W touched modes, so it is a conservative bound on each.  At
+# n_max = 1 it admits 11 modes, at n_max = 2 seven.
 FOCK_BUDGET = 2**22
+
+# Most ancilla slots a run may span: n_steps plus the kernel's reach in steps.
+# The one-excitation core stores one complex amplitude per slot, and a run
+# keeps about 128 bytes per step in all (white, 2**20 steps: a 134 MB
+# tracemalloc peak), so the budget caps a run near 0.5 GB.
+RUN_BUDGET = 2**22
+
+# Most smooth-kernel evaluations the quadrature of a weight table may make:
+# 2 * QUADRATURE_CELLS per smooth lag, so at most 1,024 smooth lags.  On a
+# 2-vCPU x86-64 host 1,023 lags took 0.63 s, and the one-excitation
+# propagator on 1,025 amplitudes holds 17 MB.
+KERNEL_CALL_BUDGET = 2**20
 
 OUTPUT_KEYS = ("trajectory_csv", "summary_json", "weights_csv", "convergence_csv", "witness_json")
 
@@ -219,16 +242,61 @@ class SimulationConfig:
                 )
             if self.stepper != Stepper.SECOND_ORDER:
                 raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
+        spec = self.coupling_spec()
+        self.check_run_budget(spec)
         if self.representation == Representation.FULL_FOCK:
-            self.check_fock_budget(grid_reach(self.coupling_spec(), self.dt))
+            self.check_fock_budget(grid_reach(spec, self.dt))
+
+    def check_run_budget(self, spec: CouplingSpec) -> None:
+        """Refuse a run whose kernel table or ancilla slots would exceed their budgets.
+
+        The smooth part of a kernel costs 2 * QUADRATURE_CELLS evaluations per
+        lag over floor(support / dt) + 2 lags (KERNEL_CALL_BUDGET; the error
+        names ``coupling.smooth.support``).  A run spans n_steps plus the
+        kernel's reach in steps of ancilla slots (RUN_BUDGET): the error names
+        ``dt`` when the reach alone is over budget, else ``n_steps`` or
+        ``t_max``.  The counts are floats, so a t_max / dt or a lag / dt too
+        large for an integer is refused like any other.
+        """
+        dt = self.dt
+        reach = max((lag / dt for lag, _ in spec.deltas), default=0.0)
+        if spec.smooth is not None:
+            smooth_lags = np.floor(spec.smooth_support / dt) + 2
+            if smooth_lags * 2 * QUADRATURE_CELLS > KERNEL_CALL_BUDGET:
+                raise ConfigError(
+                    "coupling.smooth.support",
+                    f"a smooth part of support {spec.smooth_support} at dt={dt} spans "
+                    f"{smooth_lags:.0f} lags, {smooth_lags * 2 * QUADRATURE_CELLS:.0f} kernel "
+                    f"evaluations, more than {KERNEL_CALL_BUDGET}; shorten the support or use "
+                    f"a coarser dt",
+                )
+            reach = max(reach, smooth_lags - 1)
+        steps = self.n_steps if self.n_steps is not None else self.t_max / dt
+        if steps + reach <= RUN_BUDGET:
+            return
+        if reach > RUN_BUDGET:
+            raise ConfigError(
+                "dt",
+                f"the kernel reaches {reach:.0f} steps at dt={dt}, more than the {RUN_BUDGET} "
+                f"ancilla slots a run may span; use a coarser dt",
+            )
+        offender = "n_steps" if self.n_steps is not None else "t_max"
+        raise ConfigError(
+            offender,
+            f"{steps:.0f} steps plus the kernel's reach of {reach:.0f} span "
+            f"{steps + reach:.0f} ancilla slots, more than {RUN_BUDGET}; shorten the run or "
+            f"use a coarser dt",
+        )
 
     def check_fock_budget(self, max_lag: int) -> None:
-        """Refuse a full_fock run whose propagator would exceed FOCK_BUDGET entries.
+        """Refuse a full_fock run whose register would exceed FOCK_BUDGET.
 
         The register holds the qubit and up to max_lag + 1 modes, or up to
-        ``window`` modes if that is fewer.  The error names ``window`` when
-        the window sets that size and ``dt`` when the kernel's reach in steps
-        does.
+        ``window`` modes if that is fewer; sum_N size_N^2 over its
+        excitation-number blocks bounds both the register and the local
+        propagator that ``step_full`` applies to it.  The error names
+        ``window`` when the window sets that size and ``dt`` when the
+        kernel's reach in steps does.
         """
         modes, offender = max_lag + 1, "dt"
         if self.window is not None and self.window <= modes:

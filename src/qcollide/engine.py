@@ -30,10 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # the two broke even at 5 and blocks were 1.3x faster at 6.
 BLOCK_MIN_GAP = 6
 
-# Largest truncated-Fock register whose number blocks ``step_full`` joins into
-# one dense matrix: a matvec per block costs about 2.5 us of Python overhead,
-# so small registers are faster as one matvec.  On the same host the two
-# broke even at 256 amplitudes; at 128 the dense form took half the time.
+# Largest local collision space (the qubit and the touched modes) whose number
+# blocks ``step_full`` joins into one dense matrix: a product per block costs
+# about 2.5 us of Python overhead, so small propagators are faster as one.
+# On the same host the two broke even at 256 amplitudes; at 128 the dense
+# form took half the time.  A mirror's local space has 2 (n_max + 1)^2
+# amplitudes, so only kernels with three or more lags reach the blocks.
 FOCK_DENSE_MAX = 128
 
 __all__ = [
@@ -327,43 +329,50 @@ def _fock_blocks(
 def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> TruncatedFockState:
     """Advance one collision of the truncated-Fock register, in place.
 
-    Exact exponential of H on qubit x active modes, applied one
-    excitation-number block at a time; every touched ancilla must already sit
-    inside the active window.  The blocks are built once per register layout
-    and cached on the plan.
+    A collision acts on the qubit and the modes it touches only, so its
+    propagator is U_loc x 1 on the spectator modes.  U_loc, the exact
+    exponential of H on the qubit and one mode per stored lag (in lag order),
+    is built once per plan and n_max and cached on the plan; it is applied
+    one excitation-number block at a time unless it is small enough to join
+    into one matrix.  Each step moves the qubit and the touched axes to the
+    front, applies U_loc to the register reshaped to (local dimension, rest)
+    and moves the axes back.  Every touched ancilla must already sit inside
+    the active window.
     """
-    touched = plan.touched(step)
-    for m, _ in touched:
+    front = [0]
+    for m, _ in plan.touched(step):
         if m not in state.active_modes:
             raise ValueError(
                 f"collision {step} touches ancilla {m}, which is outside the active window "
                 f"{state.active_modes}"
             )
-    slots_gs = tuple((state.active_modes.index(m), g) for m, g in touched)
-    key = ("fock", state.n_max, len(state.active_modes), slots_gs)
+        front.append(state.mode_axis(m))
+    key = ("fock", state.n_max)
     prop = plan._propagators.get(key)
     if prop is None:
-        order, blocks = _fock_blocks(
-            state.n_max, len(state.active_modes), plan.omega0, plan.dt, slots_gs
-        )
-        if order.size <= FOCK_DENSE_MAX:  # one dense matrix in register order
+        slots_gs = tuple(enumerate(g for _, g in plan.couplings))  # touched() order
+        order, blocks = _fock_blocks(state.n_max, len(slots_gs), plan.omega0, plan.dt, slots_gs)
+        if order.size <= FOCK_DENSE_MAX:  # one dense matrix in local order
             prop = np.zeros((order.size,) * 2, dtype=complex)
             for start, stop, u in blocks:
                 prop[np.ix_(order[start:stop], order[start:stop])] = u
         else:
             prop = (order, blocks)
         plan._propagators[key] = prop
-    flat = state.amplitudes.reshape(-1)
+    amp = state.amplitudes
+    perm = front + [axis for axis in range(amp.ndim) if axis not in front]
+    moved = amp.transpose(perm)
+    x = moved.reshape(2 * (state.n_max + 1) ** (len(front) - 1), -1)
     if isinstance(prop, np.ndarray):
-        flat = prop @ flat
-    else:  # blocks are contiguous slices of the register permuted into number order
+        x = prop @ x
+    else:  # blocks are contiguous row slices once the local rows are in number order
         order, blocks = prop
-        x = flat[order]
+        y = x[order]
         for start, stop, u in blocks:
-            x[start:stop] = u @ x[start:stop]
-        flat = np.empty_like(x)
-        flat[order] = x
-    state.amplitudes = flat.reshape(state.amplitudes.shape)
+            y[start:stop] = u @ y[start:stop]
+        x = np.empty_like(y)
+        x[order] = y
+    state.amplitudes = x.reshape(moved.shape).transpose(np.argsort(perm))
     return state
 
 
@@ -400,7 +409,8 @@ def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.n
     return np.append(complex(config.beta), eps), np.sqrt(np.append(norm_sq, norm_sq + norm_change))
 
 
-def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
+def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """eps and norms of a full_fock run, and the peak register dimension."""
     config.check_fock_budget(plan.max_lag)
     state = init_single_excitation(0, config.beta)
     fock = TruncatedFockState(
@@ -413,10 +423,12 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
     norms = np.empty(n_steps + 1, dtype=float)
     eps[0] = fock.excited_vacuum_amplitude()
     norms[0] = fock.norm()
+    peak = fock.amplitudes.size
     for k in range(1, n_steps + 1):
         for m, _ in plan.touched(k):
             if m not in fock.active_modes:
                 fock.add_mode(m)
+        peak = max(peak, fock.amplitudes.size)
         if len(fock.active_modes) > window_cap:
             raise ValueError(
                 f"collision {k} needs {len(fock.active_modes)} active modes, more than the "
@@ -427,17 +439,17 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
             fock.retire_mode(m)
         eps[k] = fock.excited_vacuum_amplitude()
         norms[k] = fock.norm()
-    return eps, norms
+    return eps, norms, peak
 
 
-def _fock_note(plan: CollisionPlan) -> str:
-    """Register sizes of a full_fock run, read off the keys of its propagator cache."""
-    layouts = [(n_max, n_modes) for _, n_max, n_modes, _ in plan._propagators]
-    n_max, n_modes = max(layouts, key=lambda layout: layout[1])
+def _fock_note(plan: CollisionPlan, n_max: int, peak: int) -> str:
+    """Register and propagator sizes of a full_fock run; no wall-clock value."""
+    n_touched = len(plan.couplings)
     return (
-        f"full_fock register: peak dimension {2 * (n_max + 1) ** n_modes}, largest "
-        f"excitation-number block {int(fock_block_sizes(n_max, n_modes).max())}, "
-        f"cached propagators {len(layouts)}"
+        f"full_fock register: peak dimension {peak}, local propagator dimension "
+        f"{2 * (n_max + 1) ** n_touched} (largest excitation-number block "
+        f"{int(fock_block_sizes(n_max, n_touched).max())}), "
+        f"cached propagators {len(plan._propagators)}"
     )
 
 
@@ -467,8 +479,8 @@ def run(config: "SimulationConfig") -> Trajectory:
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if config.representation == Representation.FULL_FOCK:
-            eps, norms = _run_full_fock(config, plan, n_steps)
-            notes.append(_fock_note(plan))
+            eps, norms, peak = _run_full_fock(config, plan, n_steps)
+            notes.append(_fock_note(plan, config.n_max, peak))
         else:  # mirror_recursion is the single-excitation core on a two-lag kernel
             eps, norms = _run_single_excitation(config, plan, n_steps)
     wall_time = time.perf_counter() - start

@@ -140,12 +140,6 @@ class TruncatedFockState:
     def norm(self) -> float:
         return math.sqrt(float(np.sum(np.abs(self.amplitudes) ** 2)) + self.retired_weight)
 
-    def occupation(self, m: int) -> float:
-        """Expected photon number in active mode m."""
-        amp = np.moveaxis(self.amplitudes, self.mode_axis(m), -1)
-        weights = np.arange(self.n_max + 1)
-        return float(np.sum(np.abs(amp) ** 2 * weights))
-
     def excitation_moments(self) -> Tuple[float, float]:
         """Mean and variance of the total excitation number, retired modes included."""
         occ = np.zeros(self.amplitudes.shape, dtype=float)

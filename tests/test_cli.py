@@ -222,6 +222,22 @@ class TestExitCodes:
         assert "'dt'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,data,field", [
+        # a billion white-noise steps; a smooth table of about 2e8 kernel evaluations
+        ("simulate", {"coupling": {"shape": "white", "gamma": 1.0}, "dt": 1.0, "t_max": 1e9},
+         "t_max"),
+        ("kernel", {"coupling": {"shape": "custom", "gamma": 1.0, "smooth": {
+            "form": "exponential", "kappa": 1.0, "support": 2.0}}, "dt": 1e-5, "n_steps": 10},
+         "coupling.smooth.support"),
+    ])
+    def test_oversized_run_exits_two_and_writes_nothing(self, tmp_path, capsys, command,
+                                                        data, field):
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_recursion_exits_two_naming_stepper(self, tmp_path, capsys):
         config = write_config(tmp_path, mirror_data(representation="mirror_recursion",
                                                     stepper="exact"))

@@ -6,6 +6,8 @@ import pytest
 
 from qcollide.config import (
     FOCK_BUDGET,
+    KERNEL_CALL_BUDGET,
+    RUN_BUDGET,
     ConfigError,
     CouplingConfig,
     SimulationConfig,
@@ -223,6 +225,73 @@ class TestFockBudget:
         with pytest.raises(ConfigError, match=str(FOCK_BUDGET)) as info:
             config.check_fock_budget(11)
         assert info.value.field == "dt"
+
+
+def smooth_kernel(support):
+    return {"shape": "custom", "gamma": 1.0,
+            "smooth": {"form": "exponential", "kappa": 1.0, "support": support}}
+
+
+def refused_without_allocating(data):
+    """The ConfigError of parse_config(data), checked to allocate under 1 MB on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            parse_config(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    return info.value
+
+
+def timed(data, t_max):
+    data = dict(data, t_max=t_max)
+    del data["n_steps"]
+    return data
+
+
+class TestRunBudget:
+    @pytest.mark.parametrize("data,field", [
+        # a billion steps of white noise: about 16 GB of ancilla amplitudes
+        (timed(minimal(dt=1.0), 1e9), "t_max"),
+        # a mirror delay of a billion steps: the reach alone is over budget
+        (timed(minimal(coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 1.0},
+                       dt=1e-9), 4.0), "dt"),
+        (minimal(n_steps=RUN_BUDGET + 1), "n_steps"),
+        # t_max / dt overflows to inf: refused, not an OverflowError
+        (timed(minimal(dt=1e-10), 1e300), "t_max"),
+        # support 2 at dt = 1e-5: about 2e8 kernel evaluations
+        (minimal(coupling=smooth_kernel(2.0), dt=1e-5), "coupling.smooth.support"),
+        (minimal(coupling=smooth_kernel(1e300), dt=1e-10), "coupling.smooth.support"),
+    ])
+    def test_oversized_runs_are_refused_at_once(self, data, field):
+        error = refused_without_allocating(data)
+        assert error.field == field
+        assert str(KERNEL_CALL_BUDGET if field.startswith("coupling") else RUN_BUDGET) in str(
+            error)
+
+    def test_full_fock_is_sized_before_its_register(self):
+        error = refused_without_allocating(fock_mirror(1e-9))
+        assert error.field == "dt"
+        assert str(RUN_BUDGET) in str(error)
+
+    def test_budgets_admit_their_edges(self):
+        # mirror at dt = 1/64 reaches 64 steps; 1/1024 and 1022/1024 are exact in binary
+        mirror = {"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 1.0}
+        parse_config(minimal(coupling=mirror, dt=1 / 64, n_steps=RUN_BUDGET - 64))
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal(coupling=mirror, dt=1 / 64, n_steps=RUN_BUDGET - 63))
+        assert info.value.field == "n_steps"
+        parse_config(minimal(coupling=smooth_kernel(1022 / 1024), dt=1 / 1024))  # 1,024 lags
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal(coupling=smooth_kernel(1023 / 1024), dt=1 / 1024))
+        assert info.value.field == "coupling.smooth.support"
+
+    def test_direct_construction_is_sized(self):
+        with pytest.raises(ConfigError) as info:
+            SimulationConfig(coupling=CouplingConfig("white", 1.0), dt=1.0, t_max=1e9)
+        assert info.value.field == "t_max"
 
 
 class TestRoundTrip:

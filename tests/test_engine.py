@@ -12,6 +12,7 @@ from qcollide.config import ConfigError
 from qcollide.coupling import (
     collision_weights,
     coupling_strengths,
+    custom_coupling,
     mirror_coupling,
     white_coupling,
 )
@@ -270,7 +271,9 @@ class TestFockNumberBlocks:
         reference = dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs)
         assert np.max(np.abs(scatter_blocks(order, blocks) - reference)) <= 1e-12
 
-    @pytest.mark.parametrize("n_modes", [3, 4])  # one dense matrix / per-block matvecs
+    # registers of 54 and 162 amplitudes, around FOCK_DENSE_MAX; the 18-amplitude local
+    # propagator is one dense matrix in both (TestLocalPropagator covers the block branch)
+    @pytest.mark.parametrize("n_modes", [3, 4])
     def test_multi_excitation_sectors_evolve(self, n_modes):
         n_max, dt, omega0 = 2, 0.1, 0.5
         plan = make_plan(mirror_coupling(0.8, 0.6, 0.2), dt, 5, omega0=omega0)
@@ -291,6 +294,69 @@ class TestFockNumberBlocks:
             weight = np.sum(np.abs(out[number == n]) ** 2)
             assert weight == pytest.approx(np.sum(np.abs(psi[number == n]) ** 2), abs=1e-12)
         assert np.sum(np.abs(out[number >= 2]) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def delta_plan(lags, weights, gamma, omega0, dt, n_steps):
+    """Plan of a custom kernel with one delta per integer lag."""
+    spec = custom_coupling(gamma, [(lag * dt, w) for lag, w in zip(lags, weights)])
+    return make_plan(spec, dt, n_steps, omega0=omega0)
+
+
+def check_local_collision(n_max, plan, step, modes, seed):
+    """step_full on a random register over ``modes`` against the whole-register kron reference."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * (n_max + 1) ** len(modes)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    fock = TruncatedFockState(psi.reshape((2,) + (n_max + 1,) * len(modes)), modes, n_max)
+    step_full(fock, plan, step)
+    slots_gs = tuple((modes.index(m), g) for m, g in plan.touched(step))
+    expected = dense_fock_unitary(n_max, len(modes), plan.omega0, plan.dt, slots_gs) @ psi
+    assert fock.active_modes == modes
+    assert np.max(np.abs(fock.amplitudes.ravel() - expected)) <= 1e-12
+
+
+@st.composite
+def local_collisions(draw):
+    n_max = draw(st.integers(1, 3))
+    n_modes = draw(st.integers(1, 5 if n_max < 3 else 4))  # registers of at most 512 amplitudes
+    lags = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=min(4, n_modes),
+                                unique=True)))
+    weights = [draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+               for _ in lags]
+    step = draw(st.integers(1, 8))
+    touched = [step - lag for lag in lags]
+    spectators = draw(st.lists(st.integers(step - 12, step + 4).filter(
+        lambda m: m not in touched), min_size=n_modes - len(lags), max_size=n_modes - len(lags),
+        unique=True))
+    modes = tuple(draw(st.permutations(touched + spectators)))
+    plan = delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)),
+                      draw(st.floats(0.01, 0.5)), step)
+    return n_max, plan, step, modes, draw(st.integers(0, 2**32 - 1))
+
+
+class TestLocalPropagator:
+    """step_full applies one cached propagator on the qubit and the touched axes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(local_collisions())
+    def test_matches_whole_register_unitary(self, collision):
+        check_local_collision(*collision)
+
+    @pytest.mark.parametrize("n_max,lags,modes,dense", [
+        (1, (0, 3), (5, 2, 6, -1, 8), True),  # local dimension 8
+        (3, (0, 1, 4), (7, 9, 4, 8), True),  # 128, the largest joined into one matrix
+        (2, (0, 1, 3, 4), (4, 2, 8, 5, 7), False),  # 162
+        (3, (0, 1, 2, 5), (6, 3, 8, 7), False),  # 512: the whole register
+    ])
+    def test_dense_and_block_branches(self, n_max, lags, modes, dense):
+        # collision 8 touches ancillas 8 - lag, scattered over the register's axes
+        plan = delta_plan(lags, [1.0, 0.5j, -0.7, 0.3 + 0.4j][:len(lags)], 0.8, 0.4, 0.1, 8)
+        assert (2 * (n_max + 1) ** len(lags) <= engine.FOCK_DENSE_MAX) == dense
+        for seed in (1, 2):  # the propagator is built, then read from the cache
+            check_local_collision(n_max, plan, 8, modes, seed)
+        assert list(plan._propagators) == [("fock", n_max)]
+        assert isinstance(plan._propagators[("fock", n_max)], np.ndarray) == dense
 
 
 def mirror(gamma, phi, tau):
@@ -633,10 +699,11 @@ class TestTrajectoryRecord:
                     dt=0.1, n_steps=10)
         sector = run(make_config(**base))
         fock = run(make_config(**base, representation="full_fock", n_max=2))
-        # at most three active modes at n_max = 2: 2 * 3**3 amplitudes, largest block at
-        # N = 3 or 4; two warm-up register layouts, then one that every later step reuses
-        note = ("full_fock register: peak dimension 54, largest excitation-number block 13, "
-                "cached propagators 3")
+        # at most three active modes at n_max = 2: 2 * 3**3 amplitudes; each collision
+        # touches two modes, so one local propagator on 2 * 3**2 amplitudes serves every
+        # step, its largest excitation-number block at N = 2 or 3
+        note = ("full_fock register: peak dimension 54, local propagator dimension 18 "
+                "(largest excitation-number block 5), cached propagators 1")
         assert fock.notes == (note,)
         assert run(make_config(**base, representation="full_fock", n_max=2)).notes == (note,)
         assert sector.notes == ()

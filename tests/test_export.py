@@ -28,3 +28,16 @@ class TestSamplesCsv:
         assert t == times[2]
         assert complex(re, im) == values[2]
         assert mag == abs(values[2])
+
+
+class TestWriteText:
+    def test_creates_file_and_parents(self, tmp_path):
+        path = export.write_text(tmp_path / "a" / "b" / "out.csv", "x,y\n1,2\n")
+        assert path.read_bytes() == b"x,y\n1,2\n"
+
+    def test_rewrite_keeps_only_new_text(self, tmp_path):
+        path = tmp_path / "out.json"
+        export.write_text(path, "long old content\r\n" * 50)
+        for text in ("short\n", "short\n", "", "a\r\nlonger line than before\n"):
+            export.write_text(path, text)
+            assert path.read_bytes() == text.encode()
