@@ -54,6 +54,12 @@ RUN_BUDGET = 2**22
 # propagator on 1,025 amplitudes holds 17 MB.
 KERNEL_CALL_BUDGET = 2**20
 
+# Most collision work a run may take: steps * (L + 1)^2, the entries of the
+# one-excitation propagator applied per collision over the run, for L lags.
+# On a 2-vCPU x86-64 host a 1,001-lag smooth kernel took 0.5 to 0.83 ms a
+# collision, so the budget caps such a run near 34,000 steps, 17 to 28 s.
+WORK_BUDGET = 2**35
+
 OUTPUT_KEYS = ("trajectory_csv", "summary_json", "weights_csv", "convergence_csv", "witness_json")
 
 
@@ -255,8 +261,11 @@ class SimulationConfig:
         names ``coupling.smooth.support``).  A run spans n_steps plus the
         kernel's reach in steps of ancilla slots (RUN_BUDGET): the error names
         ``dt`` when the reach alone is over budget, else ``n_steps`` or
-        ``t_max``.  The counts are floats, so a t_max / dt or a lag / dt too
-        large for an integer is refused like any other.
+        ``t_max``.  A collision costs about (L + 1)^2 for L stored lags, at
+        most the number of deltas plus the smooth lags, so steps * (L + 1)^2
+        is held to WORK_BUDGET, again naming ``n_steps`` or ``t_max``.  The
+        counts are floats, so a t_max / dt or a lag / dt too large for an
+        integer is refused like any other.
         """
         dt = self.dt
         reach = max((lag / dt for lag, _ in spec.deltas), default=0.0)
@@ -272,8 +281,6 @@ class SimulationConfig:
                 )
             reach = max(reach, smooth_lags - 1)
         steps = self.n_steps if self.n_steps is not None else self.t_max / dt
-        if steps + reach <= RUN_BUDGET:
-            return
         if reach > RUN_BUDGET:
             raise ConfigError(
                 "dt",
@@ -281,12 +288,21 @@ class SimulationConfig:
                 f"ancilla slots a run may span; use a coarser dt",
             )
         offender = "n_steps" if self.n_steps is not None else "t_max"
-        raise ConfigError(
-            offender,
-            f"{steps:.0f} steps plus the kernel's reach of {reach:.0f} span "
-            f"{steps + reach:.0f} ancilla slots, more than {RUN_BUDGET}; shorten the run or "
-            f"use a coarser dt",
-        )
+        if steps + reach > RUN_BUDGET:
+            raise ConfigError(
+                offender,
+                f"{steps:.0f} steps plus the kernel's reach of {reach:.0f} span "
+                f"{steps + reach:.0f} ancilla slots, more than {RUN_BUDGET}; shorten the run or "
+                f"use a coarser dt",
+            )
+        lags = len(spec.deltas) + (smooth_lags if spec.smooth is not None else 0)
+        work = steps * (lags + 1) ** 2
+        if work > WORK_BUDGET:
+            raise ConfigError(
+                offender,
+                f"{steps:.0f} collisions over up to {lags:.0f} lags cost {work:.3g} "
+                f"multiply-adds, more than {WORK_BUDGET}; shorten the run or use a coarser dt",
+            )
 
     def check_fock_budget(self, max_lag: int) -> None:
         """Refuse a full_fock run whose register would exceed FOCK_BUDGET.

@@ -19,7 +19,9 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from .coupling import WeightMatrix, collision_weights, coupling_strengths
-from .states import SingleExcitationState, TruncatedFockState, init_single_excitation
+from .states import (
+    SingleExcitationState, TruncatedFockState, embed_single_excitation, init_single_excitation,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
@@ -410,43 +412,42 @@ def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.n
 
 
 def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """eps and norms of a full_fock run, and the peak register dimension."""
+    """eps and norms of a full_fock run, and the register dimension.
+
+    The register holds one axis per ancilla the kernel can still reach,
+    1 - max_lag .. 1 - min_lag at the start.  After collision k, ancilla
+    k - max_lag is out of reach and its axis is recycled for k + 1 - min_lag.
+    """
+    lags = plan.lags
+    width = int(lags[-1] - lags[0]) + 1 if len(lags) else 0
+    if config.window is not None and config.window < width:
+        raise ValueError(
+            f"the kernel spans {width} ancillas (lags {lags[0]}..{lags[-1]}), more than "
+            f"the window of {config.window}"
+        )
     config.check_fock_budget(plan.max_lag)
-    state = init_single_excitation(0, config.beta)
-    fock = TruncatedFockState(
-        amplitudes=np.array([state.a_vac, state.eps], dtype=complex),
-        active_modes=(),
-        n_max=config.n_max,
+    fock = embed_single_excitation(
+        init_single_excitation(0, config.beta), config.n_max,
+        range(1 - plan.max_lag, 1 - plan.max_lag + width),
     )
-    window_cap = config.window if config.window is not None else plan.max_lag + 1
     eps = np.empty(n_steps + 1, dtype=complex)
     norms = np.empty(n_steps + 1, dtype=float)
     eps[0] = fock.excited_vacuum_amplitude()
     norms[0] = fock.norm()
-    peak = fock.amplitudes.size
     for k in range(1, n_steps + 1):
-        for m, _ in plan.touched(k):
-            if m not in fock.active_modes:
-                fock.add_mode(m)
-        peak = max(peak, fock.amplitudes.size)
-        if len(fock.active_modes) > window_cap:
-            raise ValueError(
-                f"collision {k} needs {len(fock.active_modes)} active modes, more than the "
-                f"window of {window_cap}"
-            )
         step_full(fock, plan, k)
-        for m in [m for m in fock.active_modes if m + plan.max_lag <= k]:
-            fock.retire_mode(m)
+        if width:
+            fock.recycle_mode(k - plan.max_lag, k + width - plan.max_lag)
         eps[k] = fock.excited_vacuum_amplitude()
         norms[k] = fock.norm()
-    return eps, norms, peak
+    return eps, norms, fock.amplitudes.size
 
 
-def _fock_note(plan: CollisionPlan, n_max: int, peak: int) -> str:
+def _fock_note(plan: CollisionPlan, n_max: int, dim: int) -> str:
     """Register and propagator sizes of a full_fock run; no wall-clock value."""
     n_touched = len(plan.couplings)
     return (
-        f"full_fock register: peak dimension {peak}, local propagator dimension "
+        f"full_fock register: peak dimension {dim}, local propagator dimension "
         f"{2 * (n_max + 1) ** n_touched} (largest excitation-number block "
         f"{int(fock_block_sizes(n_max, n_touched).max())}), "
         f"cached propagators {len(plan._propagators)}"
@@ -479,8 +480,8 @@ def run(config: "SimulationConfig") -> Trajectory:
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if config.representation == Representation.FULL_FOCK:
-            eps, norms, peak = _run_full_fock(config, plan, n_steps)
-            notes.append(_fock_note(plan, config.n_max, peak))
+            eps, norms, dim = _run_full_fock(config, plan, n_steps)
+            notes.append(_fock_note(plan, config.n_max, dim))
         else:  # mirror_recursion is the single-excitation core on a two-lag kernel
             eps, norms = _run_single_excitation(config, plan, n_steps)
     wall_time = time.perf_counter() - start

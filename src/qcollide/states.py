@@ -3,8 +3,9 @@
 ``SingleExcitationState`` spans the number-conserving one-excitation sector
 exactly (plus the invariant vacuum amplitude, which allows superposition
 initial states and nonzero reduced coherences).  ``TruncatedFockState`` is a
-brute-force dense vector over the qubit and a sliding window of bosonic modes
-truncated at ``n_max`` photons, used as an independent oracle.
+brute-force dense vector over the qubit and a fixed number of bosonic modes
+truncated at ``n_max`` photons, used as an independent oracle; a mode that
+can no longer couple hands its axis to the next ancilla.
 """
 
 from __future__ import annotations
@@ -115,14 +116,16 @@ def reduced_qubit_state(state: SingleExcitationState) -> QubitDensityMatrix:
 
 @dataclass
 class TruncatedFockState:
-    """Dense joint state over the qubit and a window of truncated modes.
+    """Dense joint state over the qubit and a fixed number of truncated modes.
 
     ``amplitudes`` has the qubit on axis 0 (index 0 = ground, 1 = excited) and
     one axis of size ``n_max + 1`` per entry of ``active_modes``, in order.
-    Modes that can no longer couple are retired: in the one-excitation sector
-    their occupied branch is exactly dark (qubit down, everything else in
-    vacuum), so only its squared weight needs to be kept.  ``norm`` includes
-    that retired weight, which keeps the total conserved.
+    The register never changes shape: a mode that can no longer couple is
+    recycled.  In the one-excitation sector its occupied branch is exactly
+    dark (qubit down, everything else in vacuum), so only its squared weight
+    needs to be kept; the axis is reset to vacuum and relabelled with the
+    next ancilla.  ``norm`` includes the retired weight, which keeps the
+    total conserved.
     """
 
     amplitudes: np.ndarray
@@ -155,37 +158,29 @@ class TruncatedFockState:
         second = float(np.sum(p * occ**2)) + self.retired_weight
         return mean, second - mean**2
 
-    def add_mode(self, m: int) -> None:
-        """Append a fresh vacuum mode to the window."""
-        if m in self.active_modes:
-            raise ValueError(f"mode {m} is already active")
-        new = np.zeros(self.amplitudes.shape + (self.n_max + 1,), dtype=complex)
-        new[..., 0] = self.amplitudes
-        self.amplitudes = new
-        self.active_modes = self.active_modes + (m,)
+    def recycle_mode(self, old: int, new: int) -> None:
+        """Retire mode ``old``, which can no longer couple, and reuse its axis as ``new``.
 
-    def retire_mode(self, m: int) -> None:
-        """Drop a mode that can no longer couple.
-
-        The vacuum branch is kept; the occupied branch must be dark (all of
-        its weight on the qubit ground state with the remaining modes in
-        vacuum), otherwise retiring it would not be exact and a RuntimeError
-        is raised.
+        The occupied branch must be dark (all of its weight on the qubit
+        ground state with the other modes in vacuum), otherwise retiring it
+        would not be exact and a RuntimeError is raised.  Its weight moves to
+        ``retired_weight`` and the branch is zeroed in place, which leaves the
+        axis in vacuum for the fresh mode ``new``.
         """
-        axis = self.mode_axis(m)
-        amp = np.moveaxis(self.amplitudes, axis, -1)
-        keep = np.ascontiguousarray(amp[..., 0])
-        occupied = amp[..., 1:]
+        axis = self.mode_axis(old)
+        occupied = self.amplitudes.swapaxes(axis, -1)[..., 1:]  # a view; the qubit stays first
         weight = float(np.sum(np.abs(occupied) ** 2))
         dark = float(np.sum(np.abs(occupied[(0,) + (0,) * (occupied.ndim - 2)]) ** 2))
         if abs(weight - dark) > _DARK_BRANCH_TOL:
             raise RuntimeError(
-                f"mode {m} is still entangled with the active dynamics; retiring it would "
+                f"mode {old} is still entangled with the active dynamics; retiring it would "
                 f"lose {abs(weight - dark):.3e} of coherent weight"
             )
         self.retired_weight += weight
-        self.amplitudes = keep
-        self.active_modes = tuple(i for i in self.active_modes if i != m)
+        occupied[...] = 0
+        modes = list(self.active_modes)
+        modes[axis - 1] = new
+        self.active_modes = tuple(modes)
 
     def project_single_excitation(self) -> Tuple[complex, complex, Dict[int, complex]]:
         """Read back (a_vac, eps, {m: c_m}); multi-photon weight must be negligible."""

@@ -229,6 +229,10 @@ class TestExitCodes:
         ("kernel", {"coupling": {"shape": "custom", "gamma": 1.0, "smooth": {
             "form": "exponential", "kappa": 1.0, "support": 2.0}}, "dt": 1e-5, "n_steps": 10},
          "coupling.smooth.support"),
+        # 1,002 smooth lags for 4M collisions: about 4e12 multiply-adds of work
+        ("simulate", {"coupling": {"shape": "custom", "gamma": 1.0, "smooth": {
+            "form": "exponential", "kappa": 1.0, "support": 2.0}}, "dt": 0.002,
+            "n_steps": 4_000_000}, "n_steps"),
     ])
     def test_oversized_run_exits_two_and_writes_nothing(self, tmp_path, capsys, command,
                                                         data, field):

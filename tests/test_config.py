@@ -8,6 +8,7 @@ from qcollide.config import (
     FOCK_BUDGET,
     KERNEL_CALL_BUDGET,
     RUN_BUDGET,
+    WORK_BUDGET,
     ConfigError,
     CouplingConfig,
     SimulationConfig,
@@ -271,6 +272,16 @@ class TestRunBudget:
         assert str(KERNEL_CALL_BUDGET if field.startswith("coupling") else RUN_BUDGET) in str(
             error)
 
+    @pytest.mark.parametrize("data,field", [
+        # 1,002 smooth lags at dt = 2/1000 cost about 1e6 multiply-adds a collision
+        (minimal(coupling=smooth_kernel(2.0), dt=2 / 1000, n_steps=4_000_000), "n_steps"),
+        (timed(minimal(coupling=smooth_kernel(2.0), dt=2 / 1000), 100.0), "t_max"),
+    ])
+    def test_collision_work_is_refused_at_once(self, data, field):
+        error = refused_without_allocating(data)
+        assert error.field == field
+        assert str(WORK_BUDGET) in str(error)
+
     def test_full_fock_is_sized_before_its_register(self):
         error = refused_without_allocating(fock_mirror(1e-9))
         assert error.field == "dt"
@@ -287,6 +298,11 @@ class TestRunBudget:
         with pytest.raises(ConfigError) as info:
             parse_config(minimal(coupling=smooth_kernel(1023 / 1024), dt=1 / 1024))
         assert info.value.field == "coupling.smooth.support"
+        # 2^35 / 1,003^2 = 34,154.5 collisions of 1,002 smooth lags
+        parse_config(minimal(coupling=smooth_kernel(2.0), dt=2 / 1000, n_steps=34_154))
+        with pytest.raises(ConfigError, match=str(WORK_BUDGET)) as info:
+            parse_config(minimal(coupling=smooth_kernel(2.0), dt=2 / 1000, n_steps=34_155))
+        assert info.value.field == "n_steps"
 
     def test_direct_construction_is_sized(self):
         with pytest.raises(ConfigError) as info:

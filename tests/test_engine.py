@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,13 @@ class TestCoreAgainstOracles:
         fock = run(make_config(**base, representation="full_fock", n_max=1))
         assert np.max(np.abs(sector.eps - fock.eps)) < 1e-9
         assert np.max(np.abs(sector.norms - fock.norms)) < 1e-9
+        # a window of exactly the kernel span holds the same register
+        lags = [round(lag / base["dt"]) for lag, _, _ in base["coupling"]["deltas"]]
+        narrow = run(make_config(**base, representation="full_fock", n_max=1,
+                                 window=max(lags) - min(lags) + 1))
+        assert np.max(np.abs(sector.eps - narrow.eps)) < 1e-9
+        assert np.max(np.abs(sector.norms - narrow.norms)) < 1e-9
+        assert np.array_equal(narrow.eps, fock.eps)
 
     @settings(max_examples=25, deadline=None)
     @given(delta_kernel_configs())
@@ -651,6 +659,23 @@ class TestRepresentationEquivalence:
         with pytest.raises(ValueError, match="window"):
             run(config)
 
+    @pytest.mark.parametrize("dt,n_steps,window", [
+        (1 / 8, 2, 8),  # span 9; the run ends before the register would fill
+        (1 / 8, 2, 3),
+        (1 / 64, 192, 5),  # span 65: a register of 2 * 2**65 amplitudes
+    ])
+    def test_fock_window_below_the_span_refused_before_allocating(self, dt, n_steps, window):
+        config = make_config(dt=dt, n_steps=n_steps, representation="full_fock",
+                             window=window)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="window"):
+                run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestTrajectoryRecord:
     def test_grid_and_lengths(self):
@@ -707,3 +732,14 @@ class TestTrajectoryRecord:
         assert fock.notes == (note,)
         assert run(make_config(**base, representation="full_fock", n_max=2)).notes == (note,)
         assert sector.notes == ()
+
+    @pytest.mark.parametrize("coupling,window,dim", [
+        # lags 2 and 5 span four ancillas: 2 * 2**4 amplitudes
+        ({"shape": "custom", "gamma": 0.8, "deltas": [[0.2, 0.7, 0.0], [0.5, -0.4, 0.3]]},
+         4, 32),
+        ({"shape": "white", "gamma": 0.0}, 1, 2),  # no stored lag: the qubit alone
+    ])
+    def test_fock_register_dimension_is_the_span(self, coupling, window, dim):
+        fock = run(make_config(coupling=coupling, dt=0.1, n_steps=12,
+                               representation="full_fock", window=window))
+        assert fock.notes[-1].startswith(f"full_fock register: peak dimension {dim},")

@@ -136,16 +136,23 @@ class TestEmbedding:
 
 
 class TestWindowManagement:
-    def test_add_mode_keeps_vacuum_factor(self):
-        fock = embed_single_excitation(init_single_excitation(1, 0.8), 1, (1,))
-        fock.add_mode(2)
-        assert fock.active_modes == (1, 2)
+    def test_recycled_axis_is_vacuum(self):
+        # a photon in mode 1 on the ground branch: recycling keeps the register's
+        # shape and hands the emptied axis to mode 3
+        state = init_single_excitation(2, 0.6)
+        state.a_vac = 0.0
+        state.c[0] = 0.8
+        fock = embed_single_excitation(state, 1, (1, 2))
+        fock.recycle_mode(1, 3)
+        assert fock.active_modes == (3, 2)
+        assert fock.amplitudes.shape == (2, 2, 2)
+        assert not np.any(fock.amplitudes[:, 1, :])
         assert fock.norm() == pytest.approx(1.0, abs=1e-15)
 
     def test_retire_unoccupied_mode_is_lossless(self):
         fock = embed_single_excitation(init_single_excitation(2, 0.6), 1, (1, 2))
-        fock.retire_mode(1)
-        assert fock.active_modes == (2,)
+        fock.recycle_mode(1, 3)
+        assert fock.active_modes == (3, 2)
         assert fock.retired_weight == 0.0
         assert fock.norm() == pytest.approx(1.0, abs=1e-15)
 
@@ -154,7 +161,7 @@ class TestWindowManagement:
         state.a_vac = math.sqrt(0.75)
         state.c[0] = 0.5
         fock = embed_single_excitation(state, 1, (1, 2))
-        fock.retire_mode(1)
+        fock.recycle_mode(1, 3)
         assert fock.retired_weight == pytest.approx(0.25)
         assert fock.norm() == pytest.approx(1.0, abs=1e-15)
 
@@ -165,7 +172,7 @@ class TestWindowManagement:
         amp[0, 0, 0] = math.sqrt(0.5)
         fock = TruncatedFockState(amplitudes=amp, active_modes=(1, 2), n_max=1)
         with pytest.raises(RuntimeError, match="entangled"):
-            fock.retire_mode(1)
+            fock.recycle_mode(1, 3)
 
     def test_excitation_moments_include_retired(self):
         state = init_single_excitation(2, 0.0)
@@ -173,7 +180,7 @@ class TestWindowManagement:
         state.c[0] = math.sqrt(0.5)
         fock = embed_single_excitation(state, 1, (1, 2))
         before = fock.excitation_moments()
-        fock.retire_mode(1)
+        fock.recycle_mode(1, 3)
         after = fock.excitation_moments()
         assert after[0] == pytest.approx(before[0], abs=1e-14)
         assert after[1] == pytest.approx(before[1], abs=1e-14)
