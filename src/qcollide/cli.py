@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -94,12 +95,7 @@ def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, q
     rows = []
     errors = []
     for dt in sorted(dt_list, reverse=True):
-        cfg = SimulationConfig(
-            coupling=config.coupling, dt=dt, omega0=config.omega0, t_max=config.t_max,
-            stepper=config.stepper, representation=config.representation,
-            n_max=config.n_max, window=config.window, beta=config.beta,
-            rotating_frame=config.rotating_frame,
-        )
+        cfg = dataclasses.replace(config, dt=dt)  # __post_init__ checks it again
         traj = run(cfg)
         ref = _reference_on_grid(cfg, traj.times)
         err = float(np.max(np.abs(traj.eps - ref)))

@@ -19,7 +19,7 @@ from .coupling import (
     QUADRATURE_CELLS,
     CouplingSpec,
     custom_coupling,
-    grid_reach,
+    grid_span,
     mirror_coupling,
     white_coupling,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "SimulationConfig",
     "load_config",
     "parse_config",
-    "serialize_config",
 ]
 
 # Most complex entries a full_fock register may size up to (2**22 entries,
@@ -251,7 +250,7 @@ class SimulationConfig:
         spec = self.coupling_spec()
         self.check_run_budget(spec)
         if self.representation == Representation.FULL_FOCK:
-            self.check_fock_budget(grid_reach(spec, self.dt))
+            self.check_fock_budget(grid_span(spec, self.dt))
 
     def check_run_budget(self, spec: CouplingSpec) -> None:
         """Refuse a run whose kernel table or ancilla slots would exceed their budgets.
@@ -304,17 +303,17 @@ class SimulationConfig:
                 f"multiply-adds, more than {WORK_BUDGET}; shorten the run or use a coarser dt",
             )
 
-    def check_fock_budget(self, max_lag: int) -> None:
+    def check_fock_budget(self, span: int) -> None:
         """Refuse a full_fock run whose register would exceed FOCK_BUDGET.
 
-        The register holds the qubit and up to max_lag + 1 modes, or up to
-        ``window`` modes if that is fewer; sum_N size_N^2 over its
-        excitation-number blocks bounds both the register and the local
-        propagator that ``step_full`` applies to it.  The error names
-        ``window`` when the window sets that size and ``dt`` when the
-        kernel's reach in steps does.
+        The register holds the qubit and one mode per ancilla of the kernel's
+        span, max_lag - min_lag + 1 in steps, or ``window`` modes if that is
+        fewer; sum_N size_N^2 over its excitation-number blocks bounds both
+        the register and the local propagator that ``step_full`` applies to
+        it.  The error names ``window`` when the window sets that size and
+        ``dt`` when the kernel's span in steps does.
         """
-        modes, offender = max_lag + 1, "dt"
+        modes, offender = span, "dt"
         if self.window is not None and self.window <= modes:
             modes, offender = self.window, "window"
         dim = 2
@@ -332,7 +331,7 @@ class SimulationConfig:
             f"a full_fock register of {modes} modes at n_max={self.n_max} needs a propagator "
             f"of more than {FOCK_BUDGET} complex entries (64 MB); "
             + ("lower the window or n_max" if offender == "window" else
-               f"the kernel reaches {max_lag} steps at dt={self.dt}; use a coarser dt or a "
+               f"the kernel spans {span} ancillas at dt={self.dt}; use a coarser dt or a "
                f"lower n_max"),
         )
 
@@ -477,8 +476,3 @@ def load_config(path: Union[str, Path]) -> SimulationConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from exc
     return parse_config(data)
-
-
-def serialize_config(config: SimulationConfig) -> str:
-    """Canonical JSON text; parse(serialize(parse(x))) == parse(x)."""
-    return json.dumps(config.to_dict(), indent=2) + "\n"

@@ -23,7 +23,7 @@ __all__ = [
     "mirror_coupling",
     "custom_coupling",
     "collision_weights",
-    "grid_reach",
+    "grid_span",
     "coupling_strengths",
     "GRID_MATCH_RTOL",
     "QUADRATURE_CELLS",
@@ -117,7 +117,7 @@ def custom_coupling(
     )
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class WeightMatrix:
     """Stationary banded weight table W(n, m) = W(n - m).
 
@@ -130,9 +130,6 @@ class WeightMatrix:
     n_steps: int
     lags: Mapping[int, complex] = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
-
-    def __hash__(self):  # lags mapping is mutable storage
-        return hash((self.dt, self.n_steps, tuple(sorted(self.lags.items(), key=lambda kv: kv[0]))))
 
     def w(self, lag: int) -> complex:
         """Weight at integer lag; zero where the kernel has no support."""
@@ -228,16 +225,17 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
     return WeightMatrix(dt=dt, n_steps=n_steps, lags=lags, warnings=tuple(warnings))
 
 
-def grid_reach(spec: CouplingSpec, dt: float) -> int:
-    """Largest integer lag ``collision_weights(spec, dt, ...)`` can store.
+def grid_span(spec: CouplingSpec, dt: float) -> int:
+    """Upper bound on the span max_lag - min_lag + 1 of ``collision_weights(spec, dt, ...)``.
 
-    An upper bound on the table's ``max_lag`` found without the quadrature:
-    deltas may cancel and the last smooth cell average may vanish.
+    Found without the quadrature: deltas may cancel, and the first and last
+    smooth cell averages may vanish.  A smooth part reaches from lag 0 to
+    floor(support / dt) + 1.  A kernel with no lag spans 0.
     """
-    reach = max((int(round(lag / dt)) for lag, _ in spec.deltas), default=0)
+    grid = [int(round(lag / dt)) for lag, _ in spec.deltas]
     if spec.smooth is not None:
-        reach = max(reach, int(math.floor(spec.smooth_support / dt)) + 1)
-    return reach
+        grid += [0, int(math.floor(spec.smooth_support / dt)) + 1]
+    return max(grid) - min(grid) + 1 if grid else 0
 
 
 def coupling_strengths(weights: WeightMatrix, gamma: float) -> WeightMatrix:

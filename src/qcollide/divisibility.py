@@ -5,7 +5,9 @@ one-parameter channel family labelled by the decoherence factor G:
 populations scale by |G|^2, coherences by conj(G).  Between two times the
 intermediate map has factor G_to/G_from and is completely positive exactly
 when that ratio does not exceed 1 in magnitude, so any growth of the excited
-population flags a non-CP intermediate step (information backflow).
+population flags a non-CP intermediate step (information backflow).  The
+test suite checks these flags against the sign of the intermediate map's
+Choi-matrix spectrum.
 """
 
 from __future__ import annotations
@@ -15,105 +17,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "QubitChannel",
-    "IntermediateMap",
-    "DivisibilityReport",
-    "choi_matrix",
-    "channel_from_amplitude",
-    "intermediate_map",
-    "analyze",
-    "CP_RTOL",
-]
+__all__ = ["DivisibilityReport", "analyze", "CP_RTOL"]
 
 # relative tolerance on the population ratio used both for CP flags and for
 # counting revival gains, so the witness vanishes exactly when every step is CP
 CP_RTOL = 1e-12
-
-
-def _apply_factor(g: complex, rho: np.ndarray) -> np.ndarray:
-    """Act with the decoherence-factor map on a 2x2 state, basis (excited, ground)."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.empty((2, 2), dtype=complex)
-    out[0, 0] = abs(g) ** 2 * rho[0, 0]
-    out[0, 1] = g * rho[0, 1]
-    out[1, 0] = np.conj(g) * rho[1, 0]
-    out[1, 1] = rho[1, 1] + (1 - abs(g) ** 2) * rho[0, 0]
-    return out
-
-
-def choi_matrix(g: complex) -> np.ndarray:
-    """4x4 Choi matrix sum_ij E(|i><j|) (x) |i><j| of the factor-g map.
-
-    Eigenvalues are {1 + |g|^2, 1 - |g|^2, 0, 0}: positive semidefinite
-    exactly when |g| <= 1.
-    """
-    basis = np.eye(2, dtype=complex)
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e_ij = np.outer(basis[i], basis[j].conj())
-            choi += np.kron(_apply_factor(g, e_ij), e_ij)
-    return choi
-
-
-@dataclass(frozen=True)
-class QubitChannel:
-    """CPT channel of the amplitude-damping family, parameterized by factor g."""
-
-    g: complex
-
-    def __post_init__(self) -> None:
-        if abs(self.g) > 1 + 1e-9:
-            raise ValueError(f"|g| must not exceed 1 for a channel, got {abs(self.g)}")
-        object.__setattr__(self, "g", complex(self.g))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return _apply_factor(self.g, rho)
-
-    def choi(self) -> np.ndarray:
-        return choi_matrix(self.g)
-
-    def superoperator(self) -> np.ndarray:
-        """4x4 matrix acting on column-stacked 2x2 states."""
-        basis = np.eye(2, dtype=complex)
-        cols = []
-        for j in range(2):
-            for i in range(2):
-                e = np.outer(basis[i], basis[j].conj())
-                cols.append(self.apply(e).T.reshape(-1))
-        return np.column_stack(cols)
-
-
-def channel_from_amplitude(g: complex) -> QubitChannel:
-    """Channel with decoherence factor g (typically eps(t)/eps(0))."""
-    return QubitChannel(g=g)
-
-
-@dataclass(frozen=True)
-class IntermediateMap:
-    """Map connecting two points of a trajectory, CP or not."""
-
-    ratio: complex
-    is_cp: bool
-    choi_min_eigenvalue: float
-    channel: Optional[QubitChannel]
-
-
-def intermediate_map(g_from: complex, g_to: complex) -> IntermediateMap:
-    """Map taking the factor-g_from state to the factor-g_to state.
-
-    Its factor is g_to/g_from; the map fails complete positivity exactly when
-    that ratio exceeds 1 in magnitude (negative Choi eigenvalue).  Undefined
-    for g_from = 0.
-    """
-    if g_from == 0:
-        raise ValueError("intermediate map undefined: g_from = 0 (singular map)")
-    ratio = complex(g_to) / complex(g_from)
-    is_cp = abs(ratio) ** 2 <= 1 + CP_RTOL
-    min_eig = float(np.min(np.linalg.eigvalsh(choi_matrix(ratio))))
-    channel = QubitChannel(ratio) if is_cp else None
-    return IntermediateMap(ratio=ratio, is_cp=is_cp, choi_min_eigenvalue=min_eig, channel=channel)
 
 
 @dataclass(frozen=True)

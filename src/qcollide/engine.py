@@ -107,10 +107,6 @@ class CollisionPlan:
     def max_lag(self) -> int:
         return self.strengths.max_lag
 
-    @property
-    def min_ancilla(self) -> int:
-        return 1 - self.max_lag
-
     def touched(self, step: int) -> List[Tuple[int, complex]]:
         """Ancillas hit during collision ``step`` (1-based) with their strengths.
 
@@ -425,7 +421,7 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
             f"the kernel spans {width} ancillas (lags {lags[0]}..{lags[-1]}), more than "
             f"the window of {config.window}"
         )
-    config.check_fock_budget(plan.max_lag)
+    config.check_fock_budget(width)
     fock = embed_single_excitation(
         init_single_excitation(0, config.beta), config.n_max,
         range(1 - plan.max_lag, 1 - plan.max_lag + width),

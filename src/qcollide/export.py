@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from .coupling import WeightMatrix
 from .divisibility import DivisibilityReport
@@ -21,7 +21,6 @@ __all__ = [
     "trajectory_csv",
     "trajectory_summary",
     "convergence_csv",
-    "samples_csv",
     "report_json",
     "summary_json",
     "write_text",
@@ -94,15 +93,6 @@ def convergence_csv(rows: Iterable[Tuple[float, float, float]]) -> str:
     lines = ["dt,max_abs_error,observed_order"]
     for dt, err, order in rows:
         lines.append(f"{fmt(dt)},{fmt(err)},{fmt(order)}")
-    return "\n".join(lines) + "\n"
-
-
-def samples_csv(times: Sequence[float], eps: Sequence[complex]) -> str:
-    """Sampled reference amplitudes, for overlay with trajectory exports."""
-    lines = ["t,re_eps,im_eps,abs_eps"]
-    for t, e in zip(times, eps):
-        e = complex(e)
-        lines.append(f"{fmt(t)},{fmt(e.real)},{fmt(e.imag)},{fmt(abs(e))}")
     return "\n".join(lines) + "\n"
 
 

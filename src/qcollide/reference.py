@@ -12,14 +12,13 @@ exponential times a polynomial.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["DdeSolution", "solve_dde", "white_amplitude", "dde_numeric_oracle"]
+__all__ = ["DdeSolution", "solve_dde", "white_amplitude"]
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -105,53 +104,3 @@ def white_amplitude(omega0: float, gamma: float, t: ArrayLike) -> Union[complex,
     if ts.ndim == 0:
         return complex(out)
     return out
-
-
-def dde_numeric_oracle(
-    omega0: float, gamma: float, phi: float, tau: float, dt_fine: float, t_max: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Brute-force check of ``solve_dde``: classical RK4 with linear history interpolation.
-
-    The step is snapped so that tau is a grid point and the feedback term is
-    switched per step interval (off up to the step ending at tau, on from the
-    step starting at tau).  Requires dt_fine <= tau/1000.  Returns the time
-    grid and the integrated amplitudes.
-    """
-    if tau <= 0:
-        raise ValueError("the oracle needs tau > 0")
-    if dt_fine > tau / 1000:
-        raise ValueError(f"dt_fine must be at most tau/1000, got {dt_fine}")
-    cells = int(math.ceil(tau / dt_fine - 1e-12))
-    h = tau / cells
-    a = 1j * omega0 + gamma
-    g = gamma * cmath.exp(1j * phi)
-    n = int(math.ceil(t_max / h - 1e-9))
-    eps = np.empty(n + 1, dtype=complex)
-    eps[0] = 1.0
-
-    def history(t: float) -> complex:
-        x = t / h
-        i = int(math.floor(x))
-        if i < 0:
-            return 1.0 + 0j
-        if i >= n:
-            i = n - 1
-        w = x - i
-        return eps[i] * (1 - w) + eps[i + 1] * w
-
-    for i in range(n):
-        t = i * h
-        y = eps[i]
-        on = i >= cells  # feedback active from the step starting at t = tau
-
-        def rhs(tt: float, yy: complex) -> complex:
-            fb = g * history(tt - tau) if on else 0j
-            return -a * yy + fb
-
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h * k1 / 2)
-        k3 = rhs(t + h / 2, y + h * k2 / 2)
-        k4 = rhs(t + h, y + h * k3)
-        eps[i + 1] = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-
-    return np.arange(n + 1) * h, eps

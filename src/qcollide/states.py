@@ -19,9 +19,7 @@ import numpy as np
 __all__ = [
     "SingleExcitationState",
     "TruncatedFockState",
-    "QubitDensityMatrix",
     "init_single_excitation",
-    "reduced_qubit_state",
     "embed_single_excitation",
 ]
 
@@ -76,42 +74,6 @@ def init_single_excitation(
     a_vac = math.sqrt(max(0.0, 1.0 - abs(beta) ** 2))
     c = np.zeros(n_steps + n_history, dtype=complex)
     return SingleExcitationState(a_vac=a_vac, eps=beta, c=c, min_index=1 - n_history)
-
-
-@dataclass(frozen=True)
-class QubitDensityMatrix:
-    """2x2 reduced state of the emitter, basis order (excited, ground)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.matrix, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(rho) - 1) > 1e-12:
-            raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
-        if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
-        object.__setattr__(self, "matrix", rho)
-
-    @property
-    def excited_population(self) -> float:
-        return float(self.matrix[0, 0].real)
-
-    @property
-    def coherence(self) -> complex:
-        """The <g|rho|e> entry."""
-        return complex(self.matrix[1, 0])
-
-
-def reduced_qubit_state(state: SingleExcitationState) -> QubitDensityMatrix:
-    """Trace out all field modes: populations from |eps|^2, coherence a_vac*conj(eps)."""
-    pop = abs(state.eps) ** 2
-    rho_ge = state.a_vac * np.conj(state.eps)
-    rho = np.array([[pop, np.conj(rho_ge)], [rho_ge, 1.0 - pop]], dtype=complex)
-    return QubitDensityMatrix(rho)
 
 
 @dataclass

@@ -1,8 +1,21 @@
-"""Shared helpers: config builders and the brute-force quadrature oracle."""
+"""Shared helpers: config builders and the oracles that library code is checked against.
+
+The oracles are independent of the code under test: the brute-force kernel
+quadrature, the Choi-matrix channel family of the single-excitation
+reduced dynamics, the partially traced qubit state and an RK4 integrator of
+the delayed-feedback equation.
+"""
+
+import cmath
+import math
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from qcollide.config import parse_config
+from qcollide.divisibility import CP_RTOL
+from qcollide.states import SingleExcitationState
 
 
 def make_config(**overrides):
@@ -41,3 +54,183 @@ def brute_force_lag_weight(kernel, support, lag, dt, nodes=320):
         vals = np.array([kernel(s - tp) for s in ss], dtype=complex)
         outer[j] = np.trapezoid(vals, ss)
     return complex(np.trapezoid(outer, t_primes) / dt)
+
+
+# ---- Choi-matrix channel family: checks the CP flags of ``analyze``
+
+
+def _apply_factor(g: complex, rho: np.ndarray) -> np.ndarray:
+    """Act with the decoherence-factor map on a 2x2 state, basis (excited, ground)."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.empty((2, 2), dtype=complex)
+    out[0, 0] = abs(g) ** 2 * rho[0, 0]
+    out[0, 1] = g * rho[0, 1]
+    out[1, 0] = np.conj(g) * rho[1, 0]
+    out[1, 1] = rho[1, 1] + (1 - abs(g) ** 2) * rho[0, 0]
+    return out
+
+
+def choi_matrix(g: complex) -> np.ndarray:
+    """4x4 Choi matrix sum_ij E(|i><j|) (x) |i><j| of the factor-g map.
+
+    Eigenvalues are {1 + |g|^2, 1 - |g|^2, 0, 0}: positive semidefinite
+    exactly when |g| <= 1.
+    """
+    basis = np.eye(2, dtype=complex)
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e_ij = np.outer(basis[i], basis[j].conj())
+            choi += np.kron(_apply_factor(g, e_ij), e_ij)
+    return choi
+
+
+@dataclass(frozen=True)
+class QubitChannel:
+    """CPT channel of the amplitude-damping family, parameterized by factor g."""
+
+    g: complex
+
+    def __post_init__(self) -> None:
+        if abs(self.g) > 1 + 1e-9:
+            raise ValueError(f"|g| must not exceed 1 for a channel, got {abs(self.g)}")
+        object.__setattr__(self, "g", complex(self.g))
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        return _apply_factor(self.g, rho)
+
+    def choi(self) -> np.ndarray:
+        return choi_matrix(self.g)
+
+    def superoperator(self) -> np.ndarray:
+        """4x4 matrix acting on column-stacked 2x2 states."""
+        basis = np.eye(2, dtype=complex)
+        cols = []
+        for j in range(2):
+            for i in range(2):
+                e = np.outer(basis[i], basis[j].conj())
+                cols.append(self.apply(e).T.reshape(-1))
+        return np.column_stack(cols)
+
+
+def channel_from_amplitude(g: complex) -> QubitChannel:
+    """Channel with decoherence factor g (typically eps(t)/eps(0))."""
+    return QubitChannel(g=g)
+
+
+@dataclass(frozen=True)
+class IntermediateMap:
+    """Map connecting two points of a trajectory, CP or not."""
+
+    ratio: complex
+    is_cp: bool
+    choi_min_eigenvalue: float
+    channel: Optional[QubitChannel]
+
+
+def intermediate_map(g_from: complex, g_to: complex) -> IntermediateMap:
+    """Map taking the factor-g_from state to the factor-g_to state.
+
+    Its factor is g_to/g_from; the map fails complete positivity exactly when
+    that ratio exceeds 1 in magnitude (negative Choi eigenvalue).  Undefined
+    for g_from = 0.
+    """
+    if g_from == 0:
+        raise ValueError("intermediate map undefined: g_from = 0 (singular map)")
+    ratio = complex(g_to) / complex(g_from)
+    is_cp = abs(ratio) ** 2 <= 1 + CP_RTOL
+    min_eig = float(np.min(np.linalg.eigvalsh(choi_matrix(ratio))))
+    channel = QubitChannel(ratio) if is_cp else None
+    return IntermediateMap(ratio=ratio, is_cp=is_cp, choi_min_eigenvalue=min_eig, channel=channel)
+
+
+# ---- reduced qubit state: checks ``embed_single_excitation`` by partial trace
+
+
+@dataclass(frozen=True)
+class QubitDensityMatrix:
+    """2x2 reduced state of the emitter, basis order (excited, ground)."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        rho = np.asarray(self.matrix, dtype=complex)
+        if rho.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+            raise ValueError("density matrix must be Hermitian")
+        if abs(np.trace(rho) - 1) > 1e-12:
+            raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
+        if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+            raise ValueError("density matrix must be positive semidefinite")
+        object.__setattr__(self, "matrix", rho)
+
+    @property
+    def excited_population(self) -> float:
+        return float(self.matrix[0, 0].real)
+
+    @property
+    def coherence(self) -> complex:
+        """The <g|rho|e> entry."""
+        return complex(self.matrix[1, 0])
+
+
+def reduced_qubit_state(state: SingleExcitationState) -> QubitDensityMatrix:
+    """Trace out all field modes: populations from |eps|^2, coherence a_vac*conj(eps)."""
+    pop = abs(state.eps) ** 2
+    rho_ge = state.a_vac * np.conj(state.eps)
+    rho = np.array([[pop, np.conj(rho_ge)], [rho_ge, 1.0 - pop]], dtype=complex)
+    return QubitDensityMatrix(rho)
+
+
+# ---- RK4 integrator: checks ``solve_dde``
+
+
+def dde_numeric_oracle(
+    omega0: float, gamma: float, phi: float, tau: float, dt_fine: float, t_max: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Brute-force check of ``solve_dde``: classical RK4 with linear history interpolation.
+
+    The step is snapped so that tau is a grid point and the feedback term is
+    switched per step interval (off up to the step ending at tau, on from the
+    step starting at tau).  Requires dt_fine <= tau/1000.  Returns the time
+    grid and the integrated amplitudes.
+    """
+    if tau <= 0:
+        raise ValueError("the oracle needs tau > 0")
+    if dt_fine > tau / 1000:
+        raise ValueError(f"dt_fine must be at most tau/1000, got {dt_fine}")
+    cells = int(math.ceil(tau / dt_fine - 1e-12))
+    h = tau / cells
+    a = 1j * omega0 + gamma
+    g = gamma * cmath.exp(1j * phi)
+    n = int(math.ceil(t_max / h - 1e-9))
+    eps = np.empty(n + 1, dtype=complex)
+    eps[0] = 1.0
+
+    def history(t: float) -> complex:
+        x = t / h
+        i = int(math.floor(x))
+        if i < 0:
+            return 1.0 + 0j
+        if i >= n:
+            i = n - 1
+        w = x - i
+        return eps[i] * (1 - w) + eps[i + 1] * w
+
+    for i in range(n):
+        t = i * h
+        y = eps[i]
+        on = i >= cells  # feedback active from the step starting at t = tau
+
+        def rhs(tt: float, yy: complex) -> complex:
+            fb = g * history(tt - tau) if on else 0j
+            return -a * yy + fb
+
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h * k1 / 2)
+        k3 = rhs(t + h / 2, y + h * k2 / 2)
+        k4 = rhs(t + h, y + h * k3)
+        eps[i + 1] = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+
+    return np.arange(n + 1) * h, eps

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qcollide.config import (
@@ -14,10 +15,9 @@ from qcollide.config import (
     SimulationConfig,
     load_config,
     parse_config,
-    serialize_config,
 )
 from qcollide.coupling import mirror_coupling, white_coupling
-from qcollide.engine import Representation, Stepper
+from qcollide.engine import Representation, Stepper, run
 
 
 def minimal(**overrides):
@@ -220,11 +220,18 @@ class TestFockBudget:
             parse_config(minimal(coupling=smooth, dt=1 / 32, representation="full_fock"))
         assert info.value.field == "dt"
 
+    def test_budget_counts_the_span_not_the_reach(self):
+        # deltas at lags 20 and 25: a register of the 6-mode span, not of 26 modes
+        kernel = {"shape": "custom", "gamma": 1.0, "deltas": [[2.0, 1.0, 0.0], [2.5, 0.5, 0.0]]}
+        fock = run(parse_config(minimal(coupling=kernel, dt=0.1, representation="full_fock")))
+        sector = run(parse_config(minimal(coupling=kernel, dt=0.1)))
+        assert np.max(np.abs(fock.eps - sector.eps)) <= 1e-13
+
     def test_checked_again_against_the_kernel_table(self):
         config = parse_config(minimal(representation="full_fock"))
-        config.check_fock_budget(10)
+        config.check_fock_budget(11)
         with pytest.raises(ConfigError, match=str(FOCK_BUDGET)) as info:
-            config.check_fock_budget(11)
+            config.check_fock_budget(12)
         assert info.value.field == "dt"
 
 
@@ -325,7 +332,7 @@ class TestRoundTrip:
     ])
     def test_parse_serialize_parse_identity(self, data):
         first = parse_config(data)
-        second = parse_config(json.loads(serialize_config(first)))
+        second = parse_config(json.loads(json.dumps(first.to_dict())))
         assert first == second
 
     def test_snapshot_in_trajectory_is_reparsable(self):

@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcollide.divisibility import (
-    analyze,
-    channel_from_amplitude,
-    choi_matrix,
-    intermediate_map,
-)
+from qcollide.divisibility import analyze
 from qcollide.engine import run
 from qcollide.reference import solve_dde
 
-from conftest import make_config
+from conftest import channel_from_amplitude, choi_matrix, intermediate_map, make_config
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 

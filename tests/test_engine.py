@@ -118,7 +118,7 @@ class TestBuildPlan:
         # dropping them would halve the initial decay rate
         plan = make_plan(mirror_coupling(1.0, 0.0, 0.3), 0.1, 10)
         assert [m for m, _ in plan.touched(2)] == [2, -1]
-        assert plan.min_ancilla == -2
+        assert 1 - plan.max_lag == -2
 
     def test_step_bounds_checked(self):
         plan = make_plan(white_coupling(1.0), 0.1, 10)
@@ -209,7 +209,7 @@ class TestFullFockStepper:
         n_steps = 5
         plan = make_plan(mirror_coupling(gamma, phi, d * dt), dt, n_steps, omega0=0.3)
         sector = init_single_excitation(n_steps, 0.8, n_history=plan.max_lag)
-        window = range(plan.min_ancilla, n_steps + 1)
+        window = range(1 - plan.max_lag, n_steps + 1)
         fock = embed_single_excitation(sector, 1, window)
         for k in range(1, n_steps + 1):
             step_single_excitation(sector, plan, k, Stepper.EXACT)
@@ -224,7 +224,7 @@ class TestFullFockStepper:
     def test_vacuum_invariant(self):
         plan = make_plan(mirror_coupling(0.5, 0.0, 0.2), 0.1, 4)
         state = init_single_excitation(4, 0.0, n_history=plan.max_lag)
-        fock = embed_single_excitation(state, 1, range(plan.min_ancilla, 5))
+        fock = embed_single_excitation(state, 1, range(1 - plan.max_lag, 5))
         before = fock.amplitudes.copy()
         step_full(fock, plan, 1)
         assert np.allclose(fock.amplitudes, before, atol=1e-14)
@@ -240,7 +240,7 @@ class TestFullFockStepper:
         for n_max, n_steps in ((1, 5), (2, 3)):
             plan = make_plan(mirror_coupling(0.8, 0.6, 0.2), 0.1, n_steps, omega0=0.5)
             state = init_single_excitation(n_steps, 0.7, n_history=plan.max_lag)
-            window = range(plan.min_ancilla, n_steps + 1)
+            window = range(1 - plan.max_lag, n_steps + 1)
             fock = embed_single_excitation(state, n_max, window)
             if n_max == 2:  # |e> with one, then two photons in ancilla 1: N = 2 and 3
                 photons = [0] * len(window)

@@ -1,7 +1,6 @@
 import numpy as np
 
 from qcollide import export
-from qcollide.reference import solve_dde
 
 
 class TestFloatFormat:
@@ -13,21 +12,6 @@ class TestFloatFormat:
     def test_plain_values(self):
         assert export.fmt(1.0) == "1"
         assert export.fmt(0.5) == "0.5"
-
-
-class TestSamplesCsv:
-    def test_reference_overlay_export(self):
-        sol = solve_dde(0.3, 0.5, 0.2, 1.0, 4.0)
-        times = np.linspace(0.0, 4.0, 9)
-        values = sol(times)
-        text = export.samples_csv(times, values)
-        rows = text.splitlines()
-        assert rows[0] == "t,re_eps,im_eps,abs_eps"
-        assert len(rows) == 10
-        t, re, im, mag = (float(x) for x in rows[3].split(","))
-        assert t == times[2]
-        assert complex(re, im) == values[2]
-        assert mag == abs(values[2])
 
 
 class TestWriteText:

@@ -1,0 +1,53 @@
+"""The package surface: the user-facing names, and none of the test oracles."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import qcollide
+from qcollide.engine import CollisionPlan
+
+PUBLIC = {
+    "ConfigError", "CouplingConfig", "SimulationConfig", "load_config", "parse_config",
+    "CouplingSpec", "WeightMatrix", "collision_weights", "coupling_strengths",
+    "custom_coupling", "mirror_coupling", "white_coupling",
+    "DivisibilityReport", "analyze",
+    "Representation", "Stepper", "Trajectory", "run",
+    "DdeSolution", "solve_dde", "white_amplitude",
+}
+
+# oracles that live in tests/conftest.py, and code that no longer exists
+NOT_IN_PACKAGE = (
+    "_apply_factor", "choi_matrix", "QubitChannel", "channel_from_amplitude",
+    "IntermediateMap", "intermediate_map", "QubitDensityMatrix", "reduced_qubit_state",
+    "dde_numeric_oracle", "serialize_config", "samples_csv",
+)
+
+MODULES = [
+    importlib.import_module(f"qcollide.{info.name}")
+    for info in pkgutil.iter_modules(qcollide.__path__)
+]
+
+
+def test_top_level_exports_are_the_public_api():
+    assert len(qcollide.__all__) == len(PUBLIC) == 21
+    assert set(qcollide.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(qcollide, name) is not None
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
+
+
+@pytest.mark.parametrize("module", [qcollide, *MODULES], ids=lambda m: m.__name__)
+def test_test_oracles_are_not_in_the_package(module):
+    for name in NOT_IN_PACKAGE:
+        assert not hasattr(module, name), f"{module.__name__} still defines {name!r}"
+
+
+def test_deleted_plan_property():
+    assert not hasattr(CollisionPlan, "min_ancilla")

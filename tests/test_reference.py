@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qcollide.reference import dde_numeric_oracle, solve_dde, white_amplitude
+from qcollide.reference import solve_dde, white_amplitude
+
+from conftest import dde_numeric_oracle
 
 
 class TestSolveDde:

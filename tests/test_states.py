@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.states import (
-    QubitDensityMatrix,
     SingleExcitationState,
     TruncatedFockState,
     embed_single_excitation,
     init_single_excitation,
-    reduced_qubit_state,
 )
+
+from conftest import QubitDensityMatrix, reduced_qubit_state
 
 
 def partial_trace_qubit(fock: TruncatedFockState) -> np.ndarray:
