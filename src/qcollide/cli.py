@@ -17,7 +17,7 @@ import numpy as np
 
 from . import export
 from .config import ConfigError, SimulationConfig, load_config
-from .coupling import collision_weights
+from .coupling import GRID_MATCH_RTOL, collision_weights
 from .divisibility import analyze
 from .engine import run
 from .reference import solve_dde, white_amplitude
@@ -83,11 +83,11 @@ def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, q
         raise ConfigError("dt_list", "no step sizes given")
     coupling = config.coupling
     for dt in dt_list:
-        if dt <= 0:
-            raise ConfigError("dt_list", f"step sizes must be positive, got {dt}")
+        if not (dt > 0 and math.isfinite(dt)):
+            raise ConfigError("dt_list", f"step sizes must be finite and positive, got {dt}")
         if coupling.shape == "mirror" and coupling.tau > 0:
             ratio = coupling.tau / dt
-            if abs(ratio - round(ratio)) > 1e-9:
+            if abs(ratio - round(ratio)) > GRID_MATCH_RTOL:
                 raise ConfigError(
                     "dt_list", f"dt={dt!r} does not divide the delay tau={coupling.tau!r} exactly"
                 )

@@ -1,17 +1,21 @@
-"""Simulation configuration: strict JSON parsing, validation and round-trips.
+"""Simulation configuration: validated dataclasses, JSON parsing and round-trips.
 
-The config file is a single JSON document.  Unknown keys are hard errors and
-every validation failure names the offending field; silent typos in physics
+``CouplingConfig`` and ``SimulationConfig`` hold every value rule, so a config
+built in code is checked as a parsed file is; ``parse_config`` only decodes
+JSON.  Every failure names the offending field: silent typos in physics
 parameters are the main user hazard this guards against.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +63,17 @@ KERNEL_CALL_BUDGET = 2**20
 # collision, so the budget caps such a run near 34,000 steps, 17 to 28 s.
 WORK_BUDGET = 2**35
 
+# Interpreter floor of one full_fock collision, in the multiply-adds of
+# WORK_BUDGET: a white register of 4 amplitudes took 29 to 49 us a collision
+# on the same host.  A full_fock collision costs this plus R * D for a
+# register of R amplitudes and a local propagator of dimension D.
+FOCK_COLLISION_FLOOR = 2**17
+
 OUTPUT_KEYS = ("trajectory_csv", "summary_json", "weights_csv", "convergence_csv", "witness_json")
+
+# JSON keys of each coupling shape besides shape and gamma; every
+# CouplingConfig field outside them keeps its default
+SHAPE_KEYS = {"white": (), "mirror": ("phi", "tau"), "custom": ("deltas", "smooth")}
 
 
 class ConfigError(ValueError):
@@ -70,12 +84,25 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
-def _require_number(value: Any, field_name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(field_name, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+_set = object.__setattr__  # normalise a field of a frozen dataclass in place
+_KINDS = {  # the built-in types first: isinstance tries them before the slower ABCs
+    float: (float, int, numbers.Real), int: (int, numbers.Integral),
+    complex: (complex, float, int, numbers.Complex),
+}
+
+
+def _require_number(value: Any, field_name: str, sign: str = "", cast: type = float) -> Any:
+    """``value`` as a finite float, int or complex (``cast``), bounded by ``sign``."""
+    if value is None:
+        raise ConfigError(field_name, "missing")
+    if isinstance(value, bool) or not isinstance(value, _KINDS[cast]):
+        noun = "an integer" if cast is int else "a number"
+        raise ConfigError(field_name, f"expected {noun}, got {value!r}")
+    if not cmath.isfinite(value):
         raise ConfigError(field_name, f"must be finite, got {value!r}")
-    return float(value)
+    if sign and (value < 0 or value == 0 and sign == "positive"):
+        raise ConfigError(field_name, f"must be {sign}, got {value}")
+    return cast(value)
 
 
 def _require_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], where: str) -> None:
@@ -84,24 +111,14 @@ def _require_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], where: str)
         raise ConfigError(f"{where}.{unknown[0]}" if where else unknown[0], "unknown key")
 
 
-def _parse_complex(value: Any, field_name: str) -> complex:
-    """Accept a plain number or an [re, im] pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(
-            _require_number(value[0], field_name), _require_number(value[1], field_name)
-        )
-    raise ConfigError(field_name, f"expected a number or an [re, im] pair, got {value!r}")
-
-
-def _complex_to_json(z: complex) -> list:
-    return [z.real, z.imag]
-
-
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Declarative form of a coupling, as written in config files."""
+    """Declarative form of a coupling, as written in config files.
+
+    Construction checks every value and normalises it in place.  A field the
+    shape does not read (see ``SHAPE_KEYS``; kappa and support without a
+    smooth form) must keep its default, as a config file may not name it.
+    """
 
     shape: str
     gamma: float
@@ -112,96 +129,56 @@ class CouplingConfig:
     smooth_kappa: float = 0.0
     smooth_support: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.shape, str) and self.shape in SHAPE_KEYS):
+            raise ConfigError("coupling.shape",
+                              f"expected white, mirror or custom, got {self.shape!r}")
+        _set(self, "gamma", _require_number(self.gamma, "coupling.gamma", "nonnegative"))
+        for f in fields(self)[2:]:  # the fields after shape and gamma
+            read = f.name.split("_")[0] in SHAPE_KEYS[self.shape] and (
+                self.smooth_form is not None or f.name not in ("smooth_kappa", "smooth_support"))
+            if not read and getattr(self, f.name) != f.default:
+                raise ConfigError("coupling." + f.name.replace("_", "."),
+                                  f"unused by this {self.shape} coupling, must stay {f.default!r}")
+        _set(self, "phi", _require_number(self.phi, "coupling.phi"))
+        _set(self, "tau", _require_number(self.tau, "coupling.tau", "nonnegative"))
+        deltas = []
+        for i, (lag, weight) in enumerate(self.deltas):
+            where = f"coupling.deltas[{i}]"
+            lag = _require_number(lag, where)
+            if lag < 0:
+                raise ConfigError(where, f"lag must be nonnegative, got {lag}")
+            deltas.append((lag, _require_number(weight, where, cast=complex)))
+        _set(self, "deltas", tuple(deltas))
+        if self.smooth_form is not None:
+            if self.smooth_form != "exponential":
+                raise ConfigError("coupling.smooth.form",
+                                  f"only 'exponential' is supported, got {self.smooth_form!r}")
+            for name in ("smooth_kappa", "smooth_support"):
+                field_name = "coupling." + name.replace("_", ".")
+                _set(self, name, _require_number(getattr(self, name), field_name, "positive"))
+        if self.shape == "custom" and not self.deltas and self.smooth_form is None:
+            raise ConfigError("coupling.deltas", "custom coupling needs deltas and/or a smooth part")
+
     def to_spec(self) -> CouplingSpec:
         if self.shape == "white":
             return white_coupling(self.gamma)
         if self.shape == "mirror":
             return mirror_coupling(self.gamma, self.phi, self.tau)
-        smooth = None
-        support = 0.0
-        if self.smooth_form == "exponential":
-            kappa = self.smooth_kappa
-            smooth = lambda u, k=kappa: k * math.exp(-k * u)  # noqa: E731
-            support = self.smooth_support
-        return custom_coupling(self.gamma, self.deltas, smooth=smooth, smooth_support=support)
+        kappa = self.smooth_kappa
+        smooth = (lambda u: kappa * math.exp(-kappa * u)) if self.smooth_form else None
+        return custom_coupling(self.gamma, self.deltas, smooth, self.smooth_support)
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"shape": self.shape, "gamma": self.gamma}
         if self.shape == "mirror":
-            out["phi"] = self.phi
-            out["tau"] = self.tau
+            out.update(phi=self.phi, tau=self.tau)
         if self.shape == "custom":
             out["deltas"] = [[lag, w.real, w.imag] for lag, w in self.deltas]
             if self.smooth_form is not None:
-                out["smooth"] = {
-                    "form": self.smooth_form,
-                    "kappa": self.smooth_kappa,
-                    "support": self.smooth_support,
-                }
+                out["smooth"] = {"form": self.smooth_form, "kappa": self.smooth_kappa,
+                                 "support": self.smooth_support}
         return out
-
-
-def _parse_coupling(data: Any) -> CouplingConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError("coupling", f"expected an object, got {data!r}")
-    shape = data.get("shape")
-    if shape not in ("white", "mirror", "custom"):
-        raise ConfigError("coupling.shape", f"expected white, mirror or custom, got {shape!r}")
-    if "gamma" not in data:
-        raise ConfigError("coupling.gamma", "missing")
-    gamma = _require_number(data["gamma"], "coupling.gamma")
-    if gamma < 0:
-        raise ConfigError("coupling.gamma", f"must be nonnegative, got {gamma}")
-
-    if shape == "white":
-        _require_keys(data, ("shape", "gamma"), "coupling")
-        return CouplingConfig(shape="white", gamma=gamma)
-
-    if shape == "mirror":
-        _require_keys(data, ("shape", "gamma", "phi", "tau"), "coupling")
-        phi = _require_number(data.get("phi", 0.0), "coupling.phi")
-        tau = _require_number(data.get("tau", 0.0), "coupling.tau")
-        if tau < 0:
-            raise ConfigError("coupling.tau", f"must be nonnegative, got {tau}")
-        return CouplingConfig(shape="mirror", gamma=gamma, phi=phi, tau=tau)
-
-    _require_keys(data, ("shape", "gamma", "deltas", "smooth"), "coupling")
-    deltas = []
-    for i, entry in enumerate(data.get("deltas", [])):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ConfigError(f"coupling.deltas[{i}]", f"expected [lag, re, im], got {entry!r}")
-        lag = _require_number(entry[0], f"coupling.deltas[{i}]")
-        if lag < 0:
-            raise ConfigError(f"coupling.deltas[{i}]", f"lag must be nonnegative, got {lag}")
-        deltas.append(
-            (lag, complex(_require_number(entry[1], f"coupling.deltas[{i}]"),
-                          _require_number(entry[2], f"coupling.deltas[{i}]")))
-        )
-    smooth_form = None
-    kappa = 0.0
-    support = 0.0
-    if "smooth" in data and data["smooth"] is not None:
-        smooth = data["smooth"]
-        if not isinstance(smooth, Mapping):
-            raise ConfigError("coupling.smooth", f"expected an object, got {smooth!r}")
-        _require_keys(smooth, ("form", "kappa", "support"), "coupling.smooth")
-        if smooth.get("form") != "exponential":
-            raise ConfigError(
-                "coupling.smooth.form", f"only 'exponential' is supported, got {smooth.get('form')!r}"
-            )
-        smooth_form = "exponential"
-        kappa = _require_number(smooth.get("kappa"), "coupling.smooth.kappa")
-        if kappa <= 0:
-            raise ConfigError("coupling.smooth.kappa", f"must be positive, got {kappa}")
-        support = _require_number(smooth.get("support"), "coupling.smooth.support")
-        if support <= 0:
-            raise ConfigError("coupling.smooth.support", f"must be positive, got {support}")
-    if not deltas and smooth_form is None:
-        raise ConfigError("coupling.deltas", "custom coupling needs deltas and/or a smooth part")
-    return CouplingConfig(
-        shape="custom", gamma=gamma, deltas=tuple(deltas),
-        smooth_form=smooth_form, smooth_kappa=kappa, smooth_support=support,
-    )
 
 
 @dataclass(frozen=True)
@@ -222,7 +199,42 @@ class SimulationConfig:
     output: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        """Cross-field rules, shared by ``parse_config`` and direct construction."""
+        """Every value rule of a run, shared by ``parse_config`` and direct construction.
+
+        Each field is checked and normalised in place first (``stepper`` and
+        ``representation`` to their enums, ``output`` to sorted pairs), then
+        the rules that tie fields together, then the size budgets.
+        """
+        if not isinstance(self.coupling, CouplingConfig):
+            raise ConfigError("coupling", f"expected a CouplingConfig, got {self.coupling!r}")
+        _set(self, "dt", _require_number(self.dt, "dt"))
+        _set(self, "omega0", _require_number(self.omega0, "omega0"))
+        if self.n_steps is not None:
+            _set(self, "n_steps", _require_number(self.n_steps, "n_steps", "positive", int))
+        if self.t_max is not None:
+            _set(self, "t_max", _require_number(self.t_max, "t_max"))
+        for name, kind in (("representation", Representation), ("stepper", Stepper)):
+            try:
+                _set(self, name, kind(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ConfigError(name, f"expected one of {[m.value for m in kind]}, "
+                                        f"got {getattr(self, name)!r}") from None
+        _set(self, "n_max", _require_number(self.n_max, "n_max", "positive", int))
+        if self.window is not None:
+            _set(self, "window", _require_number(self.window, "window", "positive", int))
+        _set(self, "beta", _require_number(self.beta, "beta", cast=complex))
+        if abs(self.beta) > 1 + 1e-12:
+            raise ConfigError("beta", f"must satisfy |beta| <= 1, got |beta| = {abs(self.beta)}")
+        if not isinstance(self.rotating_frame, bool):
+            raise ConfigError(
+                "rotating_frame", f"expected true or false, got {self.rotating_frame!r}")
+        output = dict(self.output)
+        _require_keys(output, OUTPUT_KEYS, "output")
+        for key, name in output.items():
+            if not isinstance(name, str):
+                raise ConfigError(f"output.{key}", f"expected a file name, got {name!r}")
+        _set(self, "output", tuple(sorted(output.items())))
+
         if not self.dt > 0:
             raise ConfigError("dt", f"must be positive, got {self.dt}")
         if (self.n_steps is None) == (self.t_max is None):
@@ -247,13 +259,10 @@ class SimulationConfig:
                 )
             if self.stepper != Stepper.SECOND_ORDER:
                 raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
-        spec = self.coupling_spec()
-        self.check_run_budget(spec)
-        if self.representation == Representation.FULL_FOCK:
-            self.check_fock_budget(grid_span(spec, self.dt))
+        self.check_run_budget(self.coupling_spec())
 
     def check_run_budget(self, spec: CouplingSpec) -> None:
-        """Refuse a run whose kernel table or ancilla slots would exceed their budgets.
+        """Refuse a run whose kernel table, ancilla slots, register or work exceed a budget.
 
         The smooth part of a kernel costs 2 * QUADRATURE_CELLS evaluations per
         lag over floor(support / dt) + 2 lags (KERNEL_CALL_BUDGET; the error
@@ -262,9 +271,12 @@ class SimulationConfig:
         ``dt`` when the reach alone is over budget, else ``n_steps`` or
         ``t_max``.  A collision costs about (L + 1)^2 for L stored lags, at
         most the number of deltas plus the smooth lags, so steps * (L + 1)^2
-        is held to WORK_BUDGET, again naming ``n_steps`` or ``t_max``.  The
-        counts are floats, so a t_max / dt or a lag / dt too large for an
-        integer is refused like any other.
+        is held to WORK_BUDGET, again naming ``n_steps`` or ``t_max``.  A
+        full_fock run must then pass ``check_fock_budget`` over B modes, and
+        each collision is charged FOCK_COLLISION_FLOOR + R * D, for a register
+        of R = 2 (n_max + 1)^B amplitudes and a local propagator of dimension
+        D = 2 (n_max + 1)^min(B, L).  The counts are floats, so a t_max / dt
+        or a lag / dt too large for an integer is refused like any other.
         """
         dt = self.dt
         reach = max((lag / dt for lag, _ in spec.deltas), default=0.0)
@@ -294,17 +306,26 @@ class SimulationConfig:
                 f"{steps + reach:.0f} ancilla slots, more than {RUN_BUDGET}; shorten the run or "
                 f"use a coarser dt",
             )
-        lags = len(spec.deltas) + (smooth_lags if spec.smooth is not None else 0)
-        work = steps * (lags + 1) ** 2
-        if work > WORK_BUDGET:
-            raise ConfigError(
-                offender,
-                f"{steps:.0f} collisions over up to {lags:.0f} lags cost {work:.3g} "
-                f"multiply-adds, more than {WORK_BUDGET}; shorten the run or use a coarser dt",
-            )
 
-    def check_fock_budget(self, span: int) -> None:
-        """Refuse a full_fock run whose register would exceed FOCK_BUDGET.
+        def check_work(per_collision: float, what: str) -> None:
+            work = steps * per_collision
+            if work > WORK_BUDGET:
+                raise ConfigError(
+                    offender,
+                    f"{steps:.0f} collisions {what} cost {work:.3g} multiply-adds, more than "
+                    f"{WORK_BUDGET}; shorten the run or use a coarser dt",
+                )
+
+        lags = len(spec.deltas) + (smooth_lags if spec.smooth is not None else 0)
+        check_work((lags + 1) ** 2, f"over up to {lags:.0f} lags")
+        if self.representation == Representation.FULL_FOCK:
+            modes = self.check_fock_budget(grid_span(spec, dt))
+            register, local = (2 * (self.n_max + 1) ** b for b in (modes, min(modes, int(lags))))
+            check_work(FOCK_COLLISION_FLOOR + register * local,
+                       f"on a full_fock register of up to {register} amplitudes")
+
+    def check_fock_budget(self, span: int) -> int:
+        """Refuse a full_fock run whose register would exceed FOCK_BUDGET; return its modes.
 
         The register holds the qubit and one mode per ancilla of the kernel's
         span, max_lag - min_lag + 1 in steps, or ``window`` modes if that is
@@ -323,9 +344,9 @@ class SimulationConfig:
                 break
         else:
             if dim**2 <= FOCK_BUDGET:
-                return
+                return modes
             if int((fock_block_sizes(self.n_max, modes) ** 2).sum()) <= FOCK_BUDGET:
-                return
+                return modes
         raise ConfigError(
             offender,
             f"a full_fock register of {modes} modes at n_max={self.n_max} needs a propagator "
@@ -367,101 +388,79 @@ class SimulationConfig:
             out["n_max"] = self.n_max
             if self.window is not None:
                 out["window"] = self.window
-        out["beta"] = _complex_to_json(self.beta)
+        out["beta"] = [self.beta.real, self.beta.imag]
         out["rotating_frame"] = self.rotating_frame
         if self.output:
             out["output"] = dict(self.output)
         return out
 
 
-_TOP_KEYS = (
-    "coupling", "omega0", "dt", "n_steps", "t_max", "stepper", "representation",
-    "n_max", "window", "beta", "rotating_frame", "output",
-)
+_TOP_KEYS = tuple(f.name for f in fields(SimulationConfig))
+
+
+def _decode_complex(value: Any) -> Any:
+    """An [re, im] pair of numbers as a complex; any other value as it is."""
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value):
+        return complex(*value)
+    return value
+
+
+def _parse_coupling(data: Any) -> CouplingConfig:
+    if not isinstance(data, Mapping):
+        raise ConfigError("coupling", f"expected an object, got {data!r}")
+    shape = data.get("shape")
+    if isinstance(shape, str) and shape in SHAPE_KEYS:  # else CouplingConfig names the shape
+        _require_keys(data, ("shape", "gamma") + SHAPE_KEYS[shape], "coupling")
+    named = {key: data[key] for key in ("phi", "tau") if key in data}
+    if shape == "custom":
+        deltas = []
+        for i, entry in enumerate(data.get("deltas", [])):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+                raise ConfigError(f"coupling.deltas[{i}]", f"expected [lag, re, im], got {entry!r}")
+            deltas.append((entry[0], _decode_complex(entry[1:])))
+        named["deltas"] = tuple(deltas)
+        smooth = data.get("smooth")
+        if smooth is not None:
+            if not isinstance(smooth, Mapping):
+                raise ConfigError("coupling.smooth", f"expected an object, got {smooth!r}")
+            _require_keys(smooth, ("form", "kappa", "support"), "coupling.smooth")
+            if smooth.get("form") is None:
+                raise ConfigError("coupling.smooth.form", "missing")
+            named.update(smooth_form=smooth["form"], smooth_kappa=smooth.get("kappa"),
+                         smooth_support=smooth.get("support"))
+    return CouplingConfig(shape, data.get("gamma"), **named)
 
 
 def parse_config(data: Any) -> SimulationConfig:
-    """Build and validate a SimulationConfig from parsed JSON data."""
+    """Decode parsed JSON data into a SimulationConfig, which checks every value.
+
+    JSON adds only its own rules: unknown keys are errors, null never stands
+    for an absent key, ``n_max`` and ``window`` may be written for
+    ``full_fock`` only, ``beta`` may be an [re, im] pair, and a
+    ``mirror_recursion`` config without ``stepper`` runs ``second_order``.
+    """
     if not isinstance(data, Mapping):
         raise ConfigError("<root>", f"expected a JSON object, got {data!r}")
     _require_keys(data, _TOP_KEYS, "")
     if "coupling" not in data:
         raise ConfigError("coupling", "missing")
     coupling = _parse_coupling(data["coupling"])
-
-    if "dt" not in data:
-        raise ConfigError("dt", "missing")
-    dt = _require_number(data["dt"], "dt")
-
-    omega0 = _require_number(data.get("omega0", 0.0), "omega0")
-
-    n_steps = None
-    t_max = None
-    if "n_steps" in data:
-        raw = data["n_steps"]
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError("n_steps", f"expected an integer, got {raw!r}")
-        if raw < 1:
-            raise ConfigError("n_steps", f"must be at least 1, got {raw}")
-        n_steps = raw
-    if "t_max" in data:
-        t_max = _require_number(data["t_max"], "t_max")
-
-    try:
-        representation = Representation(data.get("representation", "single_excitation"))
-    except ValueError:
-        raise ConfigError(
-            "representation",
-            f"expected one of {[r.value for r in Representation]}, got {data.get('representation')!r}",
-        ) from None
-    recursion = representation == Representation.MIRROR_RECURSION
-    try:
-        stepper = Stepper(data.get("stepper", "second_order" if recursion else "exact"))
-    except ValueError:
-        raise ConfigError(
-            "stepper", f"expected one of {[s.value for s in Stepper]}, got {data.get('stepper')!r}"
-        ) from None
-
-    if representation != Representation.FULL_FOCK and ("n_max" in data or "window" in data):
-        offender = "n_max" if "n_max" in data else "window"
-        raise ConfigError(offender, "only meaningful for the full_fock representation")
-    n_max = 1
-    window = None
-    if representation == Representation.FULL_FOCK:
-        raw = data.get("n_max", 1)
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-            raise ConfigError("n_max", f"expected an integer >= 1, got {raw!r}")
-        n_max = raw
-        if "window" in data:
-            raw = data["window"]
-            if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-                raise ConfigError("window", f"expected an integer >= 1, got {raw!r}")
-            window = raw
-
-    beta = _parse_complex(data.get("beta", 1.0), "beta")
-    if abs(beta) > 1 + 1e-12:
-        raise ConfigError("beta", f"must satisfy |beta| <= 1, got |beta| = {abs(beta)}")
-
-    rotating = data.get("rotating_frame", False)
-    if not isinstance(rotating, bool):
-        raise ConfigError("rotating_frame", f"expected true or false, got {rotating!r}")
-
-    output: Tuple[Tuple[str, str], ...] = ()
-    if "output" in data:
-        raw = data["output"]
-        if not isinstance(raw, Mapping):
-            raise ConfigError("output", f"expected an object, got {raw!r}")
-        _require_keys(raw, OUTPUT_KEYS, "output")
-        for key, value in raw.items():
-            if not isinstance(value, str):
-                raise ConfigError(f"output.{key}", f"expected a file name, got {value!r}")
-        output = tuple(sorted(raw.items()))
-
-    return SimulationConfig(
-        coupling=coupling, dt=dt, omega0=omega0, n_steps=n_steps, t_max=t_max,
-        stepper=stepper, representation=representation, n_max=n_max, window=window,
-        beta=beta, rotating_frame=rotating, output=output,
-    )
+    named = {key: value for key, value in data.items() if key != "coupling"}
+    for key, value in named.items():
+        if value is None:
+            raise ConfigError(key, "expected a value, got null")
+    representation = data.get("representation", "single_excitation")
+    for key in ("n_max", "window"):
+        if key in data and representation in ("single_excitation", "mirror_recursion"):
+            raise ConfigError(key, "only meaningful for the full_fock representation")
+    if representation == "mirror_recursion":
+        named.setdefault("stepper", "second_order")
+    if "beta" in named:
+        named["beta"] = _decode_complex(named["beta"])
+    if not isinstance(named.get("output", {}), Mapping):
+        raise ConfigError("output", f"expected an object, got {named['output']!r}")
+    return SimulationConfig(coupling, named.pop("dt", None), **named)
 
 
 def load_config(path: Union[str, Path]) -> SimulationConfig:

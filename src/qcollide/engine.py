@@ -421,7 +421,6 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
             f"the kernel spans {width} ancillas (lags {lags[0]}..{lags[-1]}), more than "
             f"the window of {config.window}"
         )
-    config.check_fock_budget(width)
     fock = embed_single_excitation(
         init_single_excitation(0, config.beta), config.n_max,
         range(1 - plan.max_lag, 1 - plan.max_lag + width),

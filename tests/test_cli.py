@@ -157,6 +157,15 @@ class TestConvergeCommand:
                      "--dt-list", "0.3", "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("dts", ["nan", "0.125,inf", "0.25,nan"])
+    def test_non_finite_dt_exits_two(self, tmp_path, capsys, dts):
+        config = write_config(tmp_path, mirror_data(t_max=2.0))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config, "--output", str(out),
+                     "--dt-list", dts, "--quiet"]) == 2
+        assert "'dt_list'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_t_max(self, tmp_path):
         data = mirror_data()
         del data["t_max"]

@@ -173,6 +173,240 @@ class TestValidation:
             parse_config(minimal(rotating_frame="yes"))
 
 
+NAN, INF = math.nan, math.inf
+MIRROR = {"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 1.0}
+SMOOTH = {"form": "exponential", "kappa": 1.0, "support": 1.0}
+FOCK = dict(representation="full_fock")
+
+
+def without(data, *keys):
+    return {key: value for key, value in data.items() if key not in keys}
+
+
+def with_coupling(**coupling):
+    return minimal(coupling=coupling)
+
+
+def with_mirror(**changes):
+    return minimal(coupling=dict(MIRROR, **changes))
+
+
+def with_custom(**changes):
+    return minimal(coupling=dict({"shape": "custom", "gamma": 1.0}, **changes))
+
+
+def with_smooth(**changes):
+    return with_custom(smooth=dict(SMOOTH, **changes))
+
+
+def with_t_max(t_max, **overrides):
+    return dict(without(minimal(**overrides), "n_steps"), t_max=t_max)
+
+
+# One fault per config, each with the field its ConfigError named before the
+# value rules moved into the dataclasses.
+BAD_CONFIGS = {
+    "root-list": ([], "<root>"),
+    "unknown-top": (minimal(gama=1.0), "gama"),
+    "coupling-missing": (without(minimal(), "coupling"), "coupling"),
+    "coupling-number": (minimal(coupling=5), "coupling"),
+    "coupling-null": (minimal(coupling=None), "coupling"),
+    "dt-missing": (without(minimal(), "dt"), "dt"),
+    "dt-string": (minimal(dt="0.1"), "dt"),
+    "dt-bool": (minimal(dt=True), "dt"),
+    "dt-nan": (minimal(dt=NAN), "dt"),
+    "dt-inf": (minimal(dt=INF), "dt"),
+    "dt-zero": (minimal(dt=0.0), "dt"),
+    "dt-negative": (minimal(dt=-0.1), "dt"),
+    "dt-null": (minimal(dt=None), "dt"),
+    "omega0-string": (minimal(omega0="x"), "omega0"),
+    "omega0-nan": (minimal(omega0=NAN), "omega0"),
+    "omega0-null": (minimal(omega0=None), "omega0"),
+    "n_steps-zero": (minimal(n_steps=0), "n_steps"),
+    "n_steps-negative": (minimal(n_steps=-5), "n_steps"),
+    "n_steps-float": (minimal(n_steps=2.5), "n_steps"),
+    "n_steps-bool": (minimal(n_steps=True), "n_steps"),
+    "n_steps-string": (minimal(n_steps="10"), "n_steps"),
+    "n_steps-null": (minimal(n_steps=None), "n_steps"),
+    "n_steps-null-with-t_max": (minimal(n_steps=None, t_max=1.0), "n_steps"),
+    "n_steps-and-t_max": (minimal(t_max=1.0), "n_steps"),
+    "neither-n_steps-nor-t_max": (without(minimal(), "n_steps"), "n_steps"),
+    "t_max-nan": (with_t_max(NAN), "t_max"),
+    "t_max-inf": (with_t_max(INF), "t_max"),
+    "t_max-string": (with_t_max("1"), "t_max"),
+    "t_max-below-dt": (with_t_max(0.001), "t_max"),
+    "t_max-null": (with_t_max(None), "t_max"),
+    "t_max-null-with-n_steps": (minimal(t_max=None), "t_max"),
+    "stepper-unknown": (minimal(stepper="euler"), "stepper"),
+    "stepper-number": (minimal(stepper=3), "stepper"),
+    "stepper-null": (minimal(stepper=None), "stepper"),
+    "representation-unknown": (minimal(representation="mps"), "representation"),
+    "representation-list": (minimal(representation=["full_fock"]), "representation"),
+    "representation-null": (minimal(representation=None), "representation"),
+    "n_max-outside-fock": (minimal(n_max=1), "n_max"),
+    "window-outside-fock": (minimal(window=3), "window"),
+    "n_max-in-recursion": (minimal(coupling=MIRROR, representation="mirror_recursion", n_max=2),
+                           "n_max"),
+    "n_max-zero": (minimal(n_max=0, **FOCK), "n_max"),
+    "n_max-float": (minimal(n_max=1.5, **FOCK), "n_max"),
+    "n_max-bool": (minimal(n_max=True, **FOCK), "n_max"),
+    "n_max-null": (minimal(n_max=None, **FOCK), "n_max"),
+    "window-zero": (minimal(window=0, **FOCK), "window"),
+    "window-string": (minimal(window="3", **FOCK), "window"),
+    "window-null": (minimal(window=None, **FOCK), "window"),
+    "beta-two": (minimal(beta=2), "beta"),
+    "beta-pair-over-one": (minimal(beta=[1.0, 0.5]), "beta"),
+    "beta-triple": (minimal(beta=[1, 2, 3]), "beta"),
+    "beta-string": (minimal(beta="1"), "beta"),
+    "beta-bool-pair": (minimal(beta=[True, 0]), "beta"),
+    "beta-nan-pair": (minimal(beta=[0.5, NAN]), "beta"),
+    "beta-inf": (minimal(beta=INF), "beta"),
+    "beta-null": (minimal(beta=None), "beta"),
+    "rotating_frame-string": (minimal(rotating_frame="yes"), "rotating_frame"),
+    "rotating_frame-int": (minimal(rotating_frame=1), "rotating_frame"),
+    "rotating_frame-null": (minimal(rotating_frame=None), "rotating_frame"),
+    "output-list": (minimal(output=[]), "output"),
+    "output-unknown-key": (minimal(output={"plot": "x.png"}), "output.plot"),
+    "output-number-name": (minimal(output={"trajectory_csv": 5}), "output.trajectory_csv"),
+    "output-null": (minimal(output=None), "output"),
+    "recursion-on-white": (minimal(representation="mirror_recursion"), "representation"),
+    "recursion-short-delay": (minimal(coupling=dict(MIRROR, tau=0.001),
+                                      representation="mirror_recursion"), "representation"),
+    "recursion-exact": (minimal(coupling=MIRROR, representation="mirror_recursion",
+                                stepper="exact"), "stepper"),
+    "shape-unknown": (with_coupling(shape="pink", gamma=1.0), "coupling.shape"),
+    "shape-missing": (with_coupling(gamma=1.0), "coupling.shape"),
+    "shape-null": (with_coupling(shape=None, gamma=1.0), "coupling.shape"),
+    "shape-number": (with_coupling(shape=5, gamma=1.0), "coupling.shape"),
+    "gamma-missing": (with_coupling(shape="white"), "coupling.gamma"),
+    "gamma-negative": (with_coupling(shape="white", gamma=-1.0), "coupling.gamma"),
+    "gamma-string": (with_coupling(shape="white", gamma="1"), "coupling.gamma"),
+    "gamma-nan": (with_coupling(shape="white", gamma=NAN), "coupling.gamma"),
+    "gamma-bool": (with_coupling(shape="white", gamma=True), "coupling.gamma"),
+    "gamma-null": (with_coupling(shape="white", gamma=None), "coupling.gamma"),
+    "white-tau": (with_coupling(shape="white", gamma=1.0, tau=1.0), "coupling.tau"),
+    "white-zero-phi": (with_coupling(shape="white", gamma=1.0, phi=0.0), "coupling.phi"),
+    "mirror-deltas": (with_mirror(deltas=[]), "coupling.deltas"),
+    "mirror-unknown-key": (with_mirror(taus=1.0), "coupling.taus"),
+    "mirror-phi-nan": (with_mirror(phi=NAN), "coupling.phi"),
+    "mirror-phi-string": (with_mirror(phi="0"), "coupling.phi"),
+    "mirror-phi-null": (with_mirror(phi=None), "coupling.phi"),
+    "mirror-tau-negative": (with_mirror(tau=-1.0), "coupling.tau"),
+    "mirror-tau-inf": (with_mirror(tau=INF), "coupling.tau"),
+    "mirror-tau-null": (with_mirror(tau=None), "coupling.tau"),
+    "custom-phi": (with_custom(deltas=[[0.0, 1.0, 0.0]], phi=0.0), "coupling.phi"),
+    "custom-empty": (with_custom(), "coupling.deltas"),
+    "custom-no-deltas": (with_custom(deltas=[]), "coupling.deltas"),
+    "custom-null-smooth": (with_custom(smooth=None), "coupling.deltas"),
+    "delta-pair": (with_custom(deltas=[[0.0, 1.0]]), "coupling.deltas[0]"),
+    "delta-negative-lag": (with_custom(deltas=[[-1.0, 1.0, 0.0]]), "coupling.deltas[0]"),
+    "delta-nan-lag": (with_custom(deltas=[[0.0, 1.0, 0.0], [NAN, 1.0, 0.0]]),
+                      "coupling.deltas[1]"),
+    "delta-inf-lag": (with_custom(deltas=[[INF, 1.0, 0.0]]), "coupling.deltas[0]"),
+    "delta-string-lag": (with_custom(deltas=[["a", 1.0, 0.0]]), "coupling.deltas[0]"),
+    "delta-string-re": (with_custom(deltas=[[0.0, "1", 0.0]]), "coupling.deltas[0]"),
+    "delta-inf-im": (with_custom(deltas=[[0.0, 1.0, INF]]), "coupling.deltas[0]"),
+    "delta-bool-re": (with_custom(deltas=[[0.0, True, 0.0]]), "coupling.deltas[0]"),
+    "delta-number": (with_custom(deltas=[5]), "coupling.deltas[0]"),
+    "delta-null": (with_custom(deltas=[None]), "coupling.deltas[0]"),
+    "smooth-list": (with_custom(smooth=[]), "coupling.smooth"),
+    "smooth-empty": (with_custom(smooth={}), "coupling.smooth.form"),
+    "smooth-form-unknown": (with_smooth(form="gaussian"), "coupling.smooth.form"),
+    "smooth-form-null": (with_smooth(form=None), "coupling.smooth.form"),
+    "smooth-form-missing": (with_custom(smooth=without(SMOOTH, "form")), "coupling.smooth.form"),
+    "smooth-unknown-key": (with_smooth(sigma=1.0), "coupling.smooth.sigma"),
+    "smooth-kappa-zero": (with_smooth(kappa=0.0), "coupling.smooth.kappa"),
+    "smooth-kappa-missing": (with_custom(smooth=without(SMOOTH, "kappa")),
+                             "coupling.smooth.kappa"),
+    "smooth-kappa-nan": (with_smooth(kappa=NAN), "coupling.smooth.kappa"),
+    "smooth-kappa-string": (with_smooth(kappa="1"), "coupling.smooth.kappa"),
+    "smooth-support-negative": (with_smooth(support=-1.0), "coupling.smooth.support"),
+    "smooth-support-missing": (with_custom(smooth=without(SMOOTH, "support")),
+                               "coupling.smooth.support"),
+    "smooth-support-inf": (with_smooth(support=INF), "coupling.smooth.support"),
+    "fock-window-over-budget": (minimal(coupling=MIRROR, dt=1 / 64, window=12, **FOCK),
+                                "window"),
+    "fock-span-over-budget": (minimal(coupling=MIRROR, dt=1 / 64, **FOCK), "dt"),
+    "run-over-budget": (with_t_max(1e9, dt=1.0), "t_max"),
+    "kernel-reach-over-budget": (with_t_max(4.0, coupling=MIRROR, dt=1e-9), "dt"),
+    "smooth-calls-over-budget": (dict(with_smooth(support=2.0), dt=1e-5),
+                                 "coupling.smooth.support"),
+    "work-over-budget": (dict(with_smooth(support=2.0), dt=2 / 1000, n_steps=4_000_000),
+                         "n_steps"),
+}
+
+
+WHITE = CouplingConfig("white", 1.0)
+
+# Configs built in code, one fault each.
+BAD_BUILDS = {
+    "shape-typo": (lambda: SimulationConfig(CouplingConfig("whte", 1.0), dt=0.1, n_steps=3),
+                   "coupling.shape"),
+    "custom-empty": (lambda: CouplingConfig("custom", 1.0), "coupling.deltas"),
+    "white-tau": (lambda: CouplingConfig("white", 1.0, tau=1.0), "coupling.tau"),
+    "kappa-without-form": (lambda: CouplingConfig("mirror", 1.0, smooth_kappa=2.0),
+                           "coupling.smooth.kappa"),
+    "phi-nan": (lambda: CouplingConfig("mirror", 1.0, phi=NAN, tau=1.0), "coupling.phi"),
+    "weight-nan": (lambda: CouplingConfig("custom", 1.0, deltas=((0.5, NAN),)),
+                   "coupling.deltas[0]"),
+    "n_steps-negative": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=-5), "n_steps"),
+    "n_steps-bool": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=True), "n_steps"),
+    "n_steps-float": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=2.5), "n_steps"),
+    "t_max-nan": (lambda: SimulationConfig(WHITE, dt=0.1, t_max=NAN), "t_max"),
+    "omega0-nan": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, omega0=NAN), "omega0"),
+    "beta-two": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, beta=2), "beta"),
+    "n_max-zero": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, representation="full_fock",
+                                            n_max=0), "n_max"),
+    "window-zero": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3,
+                                             representation="full_fock", window=0), "window"),
+    "stepper-unknown": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, stepper="euler"),
+                        "stepper"),
+    "output-unknown-key": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3,
+                                                    output={"plot": "x.png"}), "output.plot"),
+    "rotating_frame-int": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, rotating_frame=1),
+                           "rotating_frame"),
+}
+
+
+class TestOneValidator:
+    @pytest.mark.parametrize("data,field", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_parsed_config_names_its_field(self, data, field):
+        with pytest.raises(ConfigError) as info:
+            parse_config(data)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("build,field", BAD_BUILDS.values(), ids=BAD_BUILDS.keys())
+    def test_built_config_is_refused(self, build, field):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert info.value.field == field
+
+    def test_built_config_is_normalised_like_a_parsed_one(self):
+        built = SimulationConfig(
+            CouplingConfig("custom", 1, deltas=[(0, 1), (1, 0.5j)], smooth_form="exponential",
+                           smooth_kappa=2, smooth_support=1),
+            dt=1, n_steps=4, stepper="second_order", representation="full_fock", n_max=2,
+            beta=1, output={"weights_csv": "w.csv", "trajectory_csv": "t.csv"})
+        parsed = parse_config({
+            "coupling": {"shape": "custom", "gamma": 1.0,
+                         "deltas": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5]],
+                         "smooth": {"form": "exponential", "kappa": 2.0, "support": 1.0}},
+            "dt": 1.0, "n_steps": 4, "stepper": "second_order", "representation": "full_fock",
+            "n_max": 2, "output": {"trajectory_csv": "t.csv", "weights_csv": "w.csv"}})
+        assert built == parsed
+        assert built.stepper is Stepper.SECOND_ORDER
+        assert built.representation is Representation.FULL_FOCK
+        assert type(built.dt) is float and type(built.beta) is complex
+
+    def test_stepper_string_runs_like_the_enum(self):
+        mirror = CouplingConfig("mirror", 0.5, phi=0.3, tau=1.0)
+        by_name = run(SimulationConfig(mirror, dt=0.1, n_steps=50, stepper="exact"))
+        by_enum = run(SimulationConfig(mirror, dt=0.1, n_steps=50, stepper=Stepper.EXACT))
+        assert np.array_equal(by_name.eps, by_enum.eps)
+        assert np.array_equal(by_name.norms, by_enum.norms)
+        assert by_name.config == by_enum.config
+
+
 def fock_mirror(dt, **overrides):
     return minimal(coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 1.0}, dt=dt,
                    representation="full_fock", **overrides)
@@ -293,6 +527,27 @@ class TestRunBudget:
         error = refused_without_allocating(fock_mirror(1e-9))
         assert error.field == "dt"
         assert str(RUN_BUDGET) in str(error)
+
+    @pytest.mark.parametrize("coupling,dt,admitted", [
+        # 2^35 / (2^17 + 4 * 4): the qubit and one mode, one lag
+        ({"shape": "white", "gamma": 1.0}, 0.01, 262_112),
+        # 2^35 / (2^17 + 4,096 * 8): the 11-mode span of a mirror, two lags
+        (MIRROR, 0.1, 209_715),
+    ])
+    def test_full_fock_work_is_refused_at_its_edge(self, coupling, dt, admitted):
+        parse_config(minimal(coupling=coupling, dt=dt, n_steps=admitted, **FOCK))
+        error = refused_without_allocating(
+            minimal(coupling=coupling, dt=dt, n_steps=admitted + 1, **FOCK))
+        assert error.field == "n_steps"
+        assert str(WORK_BUDGET) in str(error)
+        over = with_t_max(1.5 * admitted * dt, coupling=coupling, dt=dt)
+        assert refused_without_allocating(dict(over, **FOCK)).field == "t_max"
+        parse_config(over)  # the same run in the one-excitation sector
+
+    def test_full_fock_work_comes_after_the_register_budget(self):
+        error = refused_without_allocating(
+            minimal(coupling=MIRROR, dt=1 / 64, n_steps=4_000_000, **FOCK))
+        assert error.field == "dt"
 
     def test_budgets_admit_their_edges(self):
         # mirror at dt = 1/64 reaches 64 steps; 1/1024 and 1022/1024 are exact in binary
