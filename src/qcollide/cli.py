@@ -32,30 +32,27 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _write(config: SimulationConfig, outdir: Path, key: str, text: str) -> Path:
+    """Write output ``key`` under the file name the config gives it."""
+    return export.write_text(outdir / config.output_path(key), text)
+
+
 def cmd_kernel(config: SimulationConfig, outdir: Path, quiet: bool) -> int:
     spec = config.coupling_spec()
     n_steps, _ = config.effective_steps()
     weights = collision_weights(spec, config.dt, n_steps)
     for warning in weights.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    path = export.write_text(
-        outdir / config.output_path("weights_csv", "weights.csv"), export.weights_csv(weights)
-    )
+    path = _write(config, outdir, "weights_csv", export.weights_csv(weights))
     _say(quiet, f"wrote {path} ({len(weights.lags_present)} lags)")
     return EXIT_OK
 
 
 def cmd_simulate(config: SimulationConfig, outdir: Path, quiet: bool) -> int:
     traj = run(config)
-    csv_path = export.write_text(
-        outdir / config.output_path("trajectory_csv", "trajectory.csv"),
-        export.trajectory_csv(traj),
-    )
-    summary = export.trajectory_summary(traj)
-    json_path = export.write_text(
-        outdir / config.output_path("summary_json", "summary.json"),
-        export.summary_json(summary),
-    )
+    csv_path = _write(config, outdir, "trajectory_csv", export.trajectory_csv(traj))
+    json_path = _write(config, outdir, "summary_json",
+                       export.summary_json(export.trajectory_summary(traj)))
     _say(
         quiet,
         f"wrote {csv_path} and {json_path}; final |eps| = {abs(traj.final_eps):.6g}, "
@@ -92,21 +89,15 @@ def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, q
                     "dt_list", f"dt={dt!r} does not divide the delay tau={coupling.tau!r} exactly"
                 )
 
-    rows = []
-    errors = []
+    rows = []  # (dt, error, observed order)
     for dt in sorted(dt_list, reverse=True):
         cfg = dataclasses.replace(config, dt=dt)  # __post_init__ checks it again
         traj = run(cfg)
-        ref = _reference_on_grid(cfg, traj.times)
-        err = float(np.max(np.abs(traj.eps - ref)))
-        order = math.nan if not errors else math.log2(errors[-1] / err) if err > 0 else math.inf
-        errors.append(err)
+        err = float(np.max(np.abs(traj.eps - _reference_on_grid(cfg, traj.times))))
+        order = math.nan if not rows else math.log2(rows[-1][1] / err) if err > 0 else math.inf
         rows.append((dt, err, order))
 
-    path = export.write_text(
-        outdir / config.output_path("convergence_csv", "convergence.csv"),
-        export.convergence_csv(rows),
-    )
+    path = _write(config, outdir, "convergence_csv", export.convergence_csv(rows))
     _say(quiet, f"wrote {path} ({len(rows)} step sizes)")
     return EXIT_OK
 
@@ -114,10 +105,7 @@ def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, q
 def cmd_witness(config: SimulationConfig, outdir: Path, quiet: bool) -> int:
     traj = run(config)
     report = analyze(traj)
-    path = export.write_text(
-        outdir / config.output_path("witness_json", "witness.json"),
-        export.report_json(report, traj.config),
-    )
+    path = _write(config, outdir, "witness_json", export.report_json(report, traj.config))
     _say(
         quiet,
         f"wrote {path}; witness = {report.witness:.6g}, "

@@ -98,7 +98,11 @@ def _require_number(value: Any, field_name: str, sign: str = "", cast: type = fl
     if isinstance(value, bool) or not isinstance(value, _KINDS[cast]):
         noun = "an integer" if cast is int else "a number"
         raise ConfigError(field_name, f"expected {noun}, got {value!r}")
-    if not cmath.isfinite(value):
+    try:
+        finite = cmath.isfinite(value)
+    except OverflowError:
+        raise ConfigError(field_name, "must be finite, got an integer beyond 1.8e308") from None
+    if not finite:
         raise ConfigError(field_name, f"must be finite, got {value!r}")
     if sign and (value < 0 or value == 0 and sign == "positive"):
         raise ConfigError(field_name, f"must be {sign}, got {value}")
@@ -369,8 +373,9 @@ class SimulationConfig:
             note = f"t_max={self.t_max!r} rounded down to n_steps={n} (t={n * self.dt!r})"
         return n, note
 
-    def output_path(self, key: str, default: str) -> str:
-        return dict(self.output).get(key, default)
+    def output_path(self, key: str) -> str:
+        """File name of output ``key``: its ``output`` entry, else e.g. trajectory.csv."""
+        return dict(self.output).get(key, key.replace("_", "."))
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -398,11 +403,11 @@ class SimulationConfig:
 _TOP_KEYS = tuple(f.name for f in fields(SimulationConfig))
 
 
-def _decode_complex(value: Any) -> Any:
+def _decode_complex(value: Any, field_name: str) -> Any:
     """An [re, im] pair of numbers as a complex; any other value as it is."""
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(
             isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value):
-        return complex(*value)
+        return complex(*(_require_number(x, field_name) for x in value))
     return value
 
 
@@ -414,11 +419,15 @@ def _parse_coupling(data: Any) -> CouplingConfig:
         _require_keys(data, ("shape", "gamma") + SHAPE_KEYS[shape], "coupling")
     named = {key: data[key] for key in ("phi", "tau") if key in data}
     if shape == "custom":
+        entries = data.get("deltas", [])
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigError("coupling.deltas", f"expected a list, got {entries!r}")
         deltas = []
-        for i, entry in enumerate(data.get("deltas", [])):
+        for i, entry in enumerate(entries):
+            where = f"coupling.deltas[{i}]"
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-                raise ConfigError(f"coupling.deltas[{i}]", f"expected [lag, re, im], got {entry!r}")
-            deltas.append((entry[0], _decode_complex(entry[1:])))
+                raise ConfigError(where, f"expected [lag, re, im], got {entry!r}")
+            deltas.append((entry[0], _decode_complex(entry[1:], where)))
         named["deltas"] = tuple(deltas)
         smooth = data.get("smooth")
         if smooth is not None:
@@ -457,7 +466,7 @@ def parse_config(data: Any) -> SimulationConfig:
     if representation == "mirror_recursion":
         named.setdefault("stepper", "second_order")
     if "beta" in named:
-        named["beta"] = _decode_complex(named["beta"])
+        named["beta"] = _decode_complex(named["beta"], "beta")
     if not isinstance(named.get("output", {}), Mapping):
         raise ConfigError("output", f"expected an object, got {named['output']!r}")
     return SimulationConfig(coupling, named.pop("dt", None), **named)
@@ -472,6 +481,6 @@ def load_config(path: Union[str, Path]) -> SimulationConfig:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-to-str digit limit
         raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -1,9 +1,9 @@
 """Shared helpers: config builders and the oracles that library code is checked against.
 
 The oracles are independent of the code under test: the brute-force kernel
-quadrature, the Choi-matrix channel family of the single-excitation
-reduced dynamics, the partially traced qubit state and an RK4 integrator of
-the delayed-feedback equation.
+quadrature, the per-field float format of the CSV writers, the Choi-matrix
+channel family of the single-excitation reduced dynamics, the partially
+traced qubit state and an RK4 integrator of the delayed-feedback equation.
 """
 
 import cmath
@@ -54,6 +54,11 @@ def brute_force_lag_weight(kernel, support, lag, dt, nodes=320):
         vals = np.array([kernel(s - tp) for s in ss], dtype=complex)
         outer[j] = np.trapezoid(vals, ss)
     return complex(np.trapezoid(outer, t_primes) / dt)
+
+
+def fmt(x: float) -> str:
+    """Full-precision decimal form of a float, one field of a CSV row."""
+    return format(float(x), ".17g")
 
 
 # ---- Choi-matrix channel family: checks the CP flags of ``analyze``

@@ -251,6 +251,21 @@ class TestExitCodes:
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("data,field", [
+        (mirror_data(coupling={"shape": "custom", "gamma": 1.0, "deltas": 5}), "coupling.deltas"),
+        (mirror_data(coupling={"shape": "custom", "gamma": 1.0, "deltas": None}),
+         "coupling.deltas"),
+        (mirror_data(coupling={"shape": "custom", "gamma": 1.0, "deltas": "ab"}),
+         "coupling.deltas"),
+        (mirror_data(dt=10 ** 400), "dt"),
+    ], ids=["deltas-int", "deltas-null", "deltas-string", "dt-400-digits"])
+    def test_malformed_value_exits_two_naming_its_field(self, tmp_path, capsys, data, field):
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_recursion_exits_two_naming_stepper(self, tmp_path, capsys):
         config = write_config(tmp_path, mirror_data(representation="mirror_recursion",
                                                     stepper="exact"))

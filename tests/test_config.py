@@ -407,6 +407,38 @@ class TestOneValidator:
         assert by_name.config == by_enum.config
 
 
+BIG = 10 ** 400  # a JSON integer past the float range
+MALFORMED = {
+    "deltas-int": (with_custom(deltas=5), "coupling.deltas"),
+    "deltas-null": (with_custom(deltas=None), "coupling.deltas"),
+    "deltas-string": (with_custom(deltas="ab"), "coupling.deltas"),
+    "deltas-object": (with_custom(deltas={"0": [1.0, 0.0]}), "coupling.deltas"),
+    "dt-huge": (minimal(dt=BIG), "dt"),
+    "omega0-huge": (minimal(omega0=-BIG), "omega0"),
+    "n_steps-huge": (minimal(n_steps=BIG), "n_steps"),
+    "t_max-huge": (with_t_max(BIG), "t_max"),
+    "beta-huge": (minimal(beta=BIG), "beta"),
+    "beta-pair-huge": (minimal(beta=[0, BIG]), "beta"),
+    "gamma-huge": (with_coupling(shape="white", gamma=BIG), "coupling.gamma"),
+    "phi-huge": (with_mirror(phi=BIG), "coupling.phi"),
+    "tau-huge": (with_mirror(tau=BIG), "coupling.tau"),
+    "delta-lag-huge": (with_custom(deltas=[[BIG, 1.0, 0.0]]), "coupling.deltas[0]"),
+    "delta-weight-huge": (with_custom(deltas=[[0.0, 1.0, 0.0], [1.0, BIG, 0.0]]),
+                          "coupling.deltas[1]"),
+    "kappa-huge": (with_smooth(kappa=BIG), "coupling.smooth.kappa"),
+    "support-huge": (with_smooth(support=BIG), "coupling.smooth.support"),
+    "n_max-huge": (minimal(n_max=BIG, **FOCK), "n_max"),
+    "window-huge": (minimal(window=BIG, **FOCK), "window"),
+}
+
+
+@pytest.mark.parametrize("data,field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_json_value_names_its_field(data, field):
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert info.value.field == field
+
+
 def fock_mirror(dt, **overrides):
     return minimal(coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 1.0}, dt=dt,
                    representation="full_fock", **overrides)
@@ -613,3 +645,10 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(minimal()).replace('"dt": 0.01', '"dt": 1' + "0" * 5000))
+        with pytest.raises(ConfigError, match="not valid JSON") as info:
+            load_config(path)
+        assert info.value.field == "<file>"

@@ -21,7 +21,7 @@ PUBLIC = {
 NOT_IN_PACKAGE = (
     "_apply_factor", "choi_matrix", "QubitChannel", "channel_from_amplitude",
     "IntermediateMap", "intermediate_map", "QubitDensityMatrix", "reduced_qubit_state",
-    "dde_numeric_oracle", "serialize_config", "samples_csv",
+    "dde_numeric_oracle", "serialize_config", "samples_csv", "fmt",
 )
 
 MODULES = [
