@@ -438,7 +438,12 @@ def _parse_coupling(data: Any) -> CouplingConfig:
                 raise ConfigError("coupling.smooth.form", "missing")
             named.update(smooth_form=smooth["form"], smooth_kappa=smooth.get("kappa"),
                          smooth_support=smooth.get("support"))
-    return CouplingConfig(shape, data.get("gamma"), **named)
+    coupling = CouplingConfig(shape, data.get("gamma"), **named)
+    # null never stands for an absent key; checked after the value rules, so a
+    # custom kernel with neither part still names coupling.deltas
+    if "smooth" in data and data["smooth"] is None:
+        raise ConfigError("coupling.smooth", "expected an object, got null")
+    return coupling
 
 
 def parse_config(data: Any) -> SimulationConfig:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coupling import WeightMatrix, collision_weights, coupling_strengths
 from .states import (
-    SingleExcitationState, TruncatedFockState, embed_single_excitation, init_single_excitation,
+    _DARK_BRANCH_TOL, SingleExcitationState, TruncatedFockState, init_single_excitation,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -324,18 +324,53 @@ def _fock_blocks(
     return order, blocks
 
 
+def _fock_propagator(plan: CollisionPlan, n_max: int):
+    """U_loc of a full_fock collision, built once per plan and n_max and cached on the plan.
+
+    U_loc is the exact exponential of H on the qubit and one mode per stored
+    lag, in lag order.  Up to FOCK_DENSE_MAX amplitudes it is one dense
+    matrix in that local order; above, it is the number order of the local
+    basis and one unitary per excitation-number block (see ``_fock_blocks``).
+    """
+    key = ("fock", n_max)
+    prop = plan._propagators.get(key)
+    if prop is None:
+        slots_gs = tuple(enumerate(g for _, g in plan.couplings))  # touched() order
+        order, blocks = _fock_blocks(n_max, len(slots_gs), plan.omega0, plan.dt, slots_gs)
+        if order.size <= FOCK_DENSE_MAX:  # one dense matrix in local order
+            prop = np.zeros((order.size,) * 2, dtype=complex)
+            for start, stop, u in blocks:
+                prop[np.ix_(order[start:stop], order[start:stop])] = u
+        else:
+            prop = (order, blocks)
+        plan._propagators[key] = prop
+    return prop
+
+
+def _apply_local(prop, x: np.ndarray, out=None) -> np.ndarray:
+    """U_loc @ x for the register as a (local dimension, rest) matrix, into ``out`` if given."""
+    if isinstance(prop, np.ndarray):
+        return np.matmul(prop, x, out=out)
+    order, blocks = prop  # blocks are contiguous row slices once the local rows are in number order
+    y = x[order]
+    for start, stop, u in blocks:
+        y[start:stop] = u @ y[start:stop]
+    if out is None:
+        out = np.empty_like(y)
+    out[order] = y
+    return out
+
+
 def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> TruncatedFockState:
     """Advance one collision of the truncated-Fock register, in place.
 
     A collision acts on the qubit and the modes it touches only, so its
-    propagator is U_loc x 1 on the spectator modes.  U_loc, the exact
-    exponential of H on the qubit and one mode per stored lag (in lag order),
-    is built once per plan and n_max and cached on the plan; it is applied
-    one excitation-number block at a time unless it is small enough to join
-    into one matrix.  Each step moves the qubit and the touched axes to the
-    front, applies U_loc to the register reshaped to (local dimension, rest)
-    and moves the axes back.  Every touched ancilla must already sit inside
-    the active window.
+    propagator is U_loc x 1 on the spectator modes (``_fock_propagator``).
+    This per-call form moves the qubit and the touched axes to the front,
+    applies U_loc to the register reshaped to (local dimension, rest) and
+    moves the axes back.  It is the reference of the run loop in
+    ``_run_full_fock``, which keeps those axes in place for the whole run.
+    Every touched ancilla must already sit inside the active window.
     """
     front = [0]
     for m, _ in plan.touched(step):
@@ -345,31 +380,11 @@ def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> Trun
                 f"{state.active_modes}"
             )
         front.append(state.mode_axis(m))
-    key = ("fock", state.n_max)
-    prop = plan._propagators.get(key)
-    if prop is None:
-        slots_gs = tuple(enumerate(g for _, g in plan.couplings))  # touched() order
-        order, blocks = _fock_blocks(state.n_max, len(slots_gs), plan.omega0, plan.dt, slots_gs)
-        if order.size <= FOCK_DENSE_MAX:  # one dense matrix in local order
-            prop = np.zeros((order.size,) * 2, dtype=complex)
-            for start, stop, u in blocks:
-                prop[np.ix_(order[start:stop], order[start:stop])] = u
-        else:
-            prop = (order, blocks)
-        plan._propagators[key] = prop
+    prop = _fock_propagator(plan, state.n_max)
     amp = state.amplitudes
     perm = front + [axis for axis in range(amp.ndim) if axis not in front]
     moved = amp.transpose(perm)
-    x = moved.reshape(2 * (state.n_max + 1) ** (len(front) - 1), -1)
-    if isinstance(prop, np.ndarray):
-        x = prop @ x
-    else:  # blocks are contiguous row slices once the local rows are in number order
-        order, blocks = prop
-        y = x[order]
-        for start, stop, u in blocks:
-            y[start:stop] = u @ y[start:stop]
-        x = np.empty_like(y)
-        x[order] = y
+    x = _apply_local(prop, moved.reshape(2 * (state.n_max + 1) ** (len(front) - 1), -1))
     state.amplitudes = x.reshape(moved.shape).transpose(np.argsort(perm))
     return state
 
@@ -410,9 +425,20 @@ def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.n
 def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """eps and norms of a full_fock run, and the register dimension.
 
-    The register holds one axis per ancilla the kernel can still reach,
-    1 - max_lag .. 1 - min_lag at the start.  After collision k, ancilla
-    k - max_lag is out of reach and its axis is recycled for k + 1 - min_lag.
+    The register holds one axis per ancilla the kernel can still reach, in
+    age order: before collision k, axis 1 holds ancilla k - max_lag (the
+    oldest) and axis W ancilla k - min_lag (the newest), W = max_lag -
+    min_lag + 1.  Collision k touches axis 1 + max_lag - lag for each stored
+    lag, the same axes every step, so the register is kept for the whole run
+    as the (local dimension, rest) matrix x that U_loc multiplies, with the
+    qubit and the touched axes first, and two fixed views show x and the
+    product y in register order.  After each product the oldest ancilla is
+    out of reach: its occupied branch must be dark, as in
+    ``TruncatedFockState.recycle_mode``, and its weight is kept as retired.
+    Copying y's vacuum slice of axis 1 into x's vacuum slice of axis W moves
+    every other ancilla down one axis; x's occupied part of axis W is never
+    written, so the newest ancilla starts in vacuum.  ``step_full`` and
+    ``recycle_mode`` are the per-call reference of this loop.
     """
     lags = plan.lags
     width = int(lags[-1] - lags[0]) + 1 if len(lags) else 0
@@ -421,21 +447,48 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
             f"the kernel spans {width} ancillas (lags {lags[0]}..{lags[-1]}), more than "
             f"the window of {config.window}"
         )
-    fock = embed_single_excitation(
-        init_single_excitation(0, config.beta), config.n_max,
-        range(1 - plan.max_lag, 1 - plan.max_lag + width),
-    )
+    n_max = config.n_max
+    prop = _fock_propagator(plan, n_max)
+    # touched() order: axis 1, the largest lag's, is the last of the local axes
+    front = [0] + [1 + plan.max_lag - int(lag) for lag in lags]
+    perm = front + [axis for axis in range(1, width + 1) if axis not in front]
+    shape = (2,) + (n_max + 1,) * width  # in perm order too: every mode axis has n_max + 1
+    size = 2 * (n_max + 1) ** width
+    rest = size // (2 * (n_max + 1) ** len(lags))
+    x = np.zeros((size // rest, rest), dtype=complex)
+    y = np.empty_like(x)
+    if width:
+        back = np.argsort(perm)
+        t_out, t_next = (a.reshape(shape).transpose(back) for a in (y, x))
+        # rows of y with axis 1 occupied: the last n_max of every n_max + 1, read without a copy
+        occupied = y.reshape(-1, (n_max + 1) * rest)[:, rest:].view(float)
+        dark = y[1:n_max + 1, 0]  # those rows with the qubit down and every other mode in vacuum
+    # |g, vac> and |e, vac> sit at flat indices 0 and size // 2 in either layout
+    flat, half = x.reshape(-1), size // 2
+    start = init_single_excitation(0, config.beta)
+    flat[0], flat[half] = start.a_vac, start.eps
     eps = np.empty(n_steps + 1, dtype=complex)
     norms = np.empty(n_steps + 1, dtype=float)
-    eps[0] = fock.excited_vacuum_amplitude()
-    norms[0] = fock.norm()
+    eps[0] = flat[half]
+    norms[0] = math.sqrt(np.vdot(x, x).real)
+    retired = 0.0
     for k in range(1, n_steps + 1):
-        step_full(fock, plan, k)
+        _apply_local(prop, x, y)
         if width:
-            fock.recycle_mode(k - plan.max_lag, k + width - plan.max_lag)
-        eps[k] = fock.excited_vacuum_amplitude()
-        norms[k] = fock.norm()
-    return eps, norms, fock.amplitudes.size
+            weight = float(np.einsum("ij,ij->", occupied, occupied))
+            bright = abs(weight - float(np.vdot(dark, dark).real))
+            if bright > _DARK_BRANCH_TOL:
+                raise RuntimeError(
+                    f"mode {k - plan.max_lag} is still entangled with the active dynamics; "
+                    f"retiring it would lose {bright:.3e} of coherent weight"
+                )
+            retired += weight
+            t_next[..., 0] = t_out[:, 0]
+        else:
+            x[...] = y
+        eps[k] = flat[half]
+        norms[k] = math.sqrt(np.vdot(x, x).real + retired)
+    return eps, norms, size
 
 
 def _fock_note(plan: CollisionPlan, n_max: int, dim: int) -> str:

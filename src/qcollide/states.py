@@ -87,7 +87,10 @@ class TruncatedFockState:
     dark (qubit down, everything else in vacuum), so only its squared weight
     needs to be kept; the axis is reset to vacuum and relabelled with the
     next ancilla.  ``norm`` includes the retired weight, which keeps the
-    total conserved.
+    total conserved.  A ``full_fock`` run does not step this class: its loop
+    (``engine._run_full_fock``) keeps the same register in age order as one
+    fixed matrix, and this class, with ``engine.step_full`` and
+    ``recycle_mode``, is the per-call reference that tests pin it against.
     """
 
     amplitudes: np.ndarray

@@ -257,8 +257,10 @@ class TestExitCodes:
          "coupling.deltas"),
         (mirror_data(coupling={"shape": "custom", "gamma": 1.0, "deltas": "ab"}),
          "coupling.deltas"),
+        (mirror_data(coupling={"shape": "custom", "gamma": 1.0, "deltas": [[0, 1, 0]],
+                               "smooth": None}), "coupling.smooth"),
         (mirror_data(dt=10 ** 400), "dt"),
-    ], ids=["deltas-int", "deltas-null", "deltas-string", "dt-400-digits"])
+    ], ids=["deltas-int", "deltas-null", "deltas-string", "smooth-null", "dt-400-digits"])
     def test_malformed_value_exits_two_naming_its_field(self, tmp_path, capsys, data, field):
         config = write_config(tmp_path, data)
         out = tmp_path / "out"

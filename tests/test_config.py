@@ -413,6 +413,7 @@ MALFORMED = {
     "deltas-null": (with_custom(deltas=None), "coupling.deltas"),
     "deltas-string": (with_custom(deltas="ab"), "coupling.deltas"),
     "deltas-object": (with_custom(deltas={"0": [1.0, 0.0]}), "coupling.deltas"),
+    "smooth-null": (with_custom(deltas=[[0.0, 1.0, 0.0]], smooth=None), "coupling.smooth"),
     "dt-huge": (minimal(dt=BIG), "dt"),
     "omega0-huge": (minimal(omega0=-BIG), "omega0"),
     "n_steps-huge": (minimal(n_steps=BIG), "n_steps"),

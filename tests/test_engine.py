@@ -1,11 +1,12 @@
 import cmath
 import math
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcollide import engine
@@ -362,6 +363,97 @@ class TestLocalPropagator:
 
 def mirror(gamma, phi, tau):
     return {"shape": "mirror", "gamma": gamma, "phi": phi, "tau": tau}
+
+
+def per_call_fock_run(config):
+    """eps, norms and notes of a full_fock run from the per-call register: the
+    embedded state advanced by step_full, then recycle_mode, one collision at a time."""
+    spec = config.coupling_spec()
+    n_steps, _ = config.effective_steps()
+    weights = collision_weights(spec, config.dt, n_steps)
+    plan = build_plan(coupling_strengths(weights, spec.gamma), config.omega0, n_steps)
+    width = int(plan.lags[-1] - plan.lags[0]) + 1 if len(plan.lags) else 0
+    fock = embed_single_excitation(init_single_excitation(0, config.beta), config.n_max,
+                                   range(1 - plan.max_lag, 1 - plan.max_lag + width))
+    eps, norms = [fock.excited_vacuum_amplitude()], [fock.norm()]
+    for k in range(1, n_steps + 1):
+        step_full(fock, plan, k)
+        if width:
+            fock.recycle_mode(k - plan.max_lag, k + width - plan.max_lag)
+        eps.append(fock.excited_vacuum_amplitude())
+        norms.append(fock.norm())
+    note = engine._fock_note(plan, config.n_max, fock.amplitudes.size)
+    return np.array(eps), np.array(norms), weights.warnings + (note,)
+
+
+FOUR_LAGS = [[0.0, 1.0, 0.0], [0.125, 0.0, 0.5], [0.375, -0.7, 0.0], [0.5, 0.3, 0.4]]
+
+
+@st.composite
+def fock_run_configs(draw):
+    """full_fock runs of delta kernels with up to four lags of at most 5 steps, or white."""
+    dt = draw(st.sampled_from([0.0625, 0.125, 0.25]))
+    if draw(st.booleans()):
+        coupling = {"shape": "white", "gamma": draw(st.sampled_from([0.0, 0.3, 1.0]))}
+    else:
+        deltas = []
+        for lag in draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True)):
+            w = draw(st.floats(0.1, 1.5)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+            deltas.append([lag * dt, w.real, w.imag])
+        coupling = {"shape": "custom", "gamma": draw(st.floats(0.1, 1.5)), "deltas": deltas}
+    return dict(coupling=coupling, dt=dt, n_steps=draw(st.integers(1, 16)),
+                omega0=draw(st.floats(-1.0, 1.0)), n_max=draw(st.integers(1, 2)),
+                beta=[draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))])
+
+
+class TestRegisterLoop:
+    """run()'s age-ordered full_fock loop against the per-call register."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fock_run_configs())
+    # four lags at n_max = 2: a local space of 162 > FOCK_DENSE_MAX, the number-block path
+    @example(dict(coupling={"shape": "custom", "gamma": 0.8, "deltas": FOUR_LAGS}, dt=0.125,
+                  n_steps=12, omega0=0.4, n_max=2, beta=[0.6, 0.3]))
+    # lags 2 and 5: the smallest lag is above 0 and two axes are never touched
+    @example(dict(coupling={"shape": "custom", "gamma": 0.8,
+                            "deltas": [[0.25, 0.7, 0.0], [0.625, -0.4, 0.3]]},
+                  dt=0.125, n_steps=14, omega0=-0.3, n_max=1, beta=[0.5, -0.5]))
+    # no stored lag: a register of the qubit alone (W = 0)
+    @example(dict(coupling={"shape": "white", "gamma": 0.0}, dt=0.125, n_steps=6, omega0=0.5,
+                  n_max=1, beta=[0.6, 0.3]))
+    def test_matches_per_call_register(self, data):
+        config = make_config(representation="full_fock", **data)
+        traj = run(config)
+        eps, norms, notes = per_call_fock_run(config)
+        assert traj.eps.tobytes() == eps.tobytes()
+        assert np.max(np.abs(traj.norms - norms)) <= 1e-15
+        assert traj.notes == notes
+
+    def test_entangled_retirement_refused_like_recycle_mode(self, monkeypatch):
+        # a propagator that does not conserve the excitation number leaves the
+        # oldest ancilla entangled when it falls out of reach
+        config = make_config(dt=0.25, n_steps=8, representation="full_fock")
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        monkeypatch.setattr(engine, "_fock_propagator", lambda plan, n_max: q)
+        with pytest.raises(RuntimeError, match="still entangled") as loop:
+            run(config)
+        with pytest.raises(RuntimeError, match="still entangled") as per_call:
+            per_call_fock_run(config)
+        mode = r"mode (-?\d+) is still entangled"
+        assert re.search(mode, str(loop.value))[1] == re.search(mode, str(per_call.value))[1]
+
+    def test_peak_memory_stays_near_the_register(self):
+        # mirror tau = 1 at dt = 1/8: nine modes, a register of 16 * 2 * 2**9 bytes
+        config = make_config(dt=0.125, t_max=3.0, representation="full_fock", window=9)
+        run(config)  # first-call allocations stay out of the measured peak
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * 2 * 2**9
 
 
 class TestMirrorRecursion:
