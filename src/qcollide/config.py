@@ -22,6 +22,8 @@ import numpy as np
 from .coupling import (
     QUADRATURE_CELLS,
     CouplingSpec,
+    collision_weights,
+    coupling_strengths,
     custom_coupling,
     grid_span,
     mirror_coupling,
@@ -324,9 +326,29 @@ class SimulationConfig:
         check_work((lags + 1) ** 2, f"over up to {lags:.0f} lags")
         if self.representation == Representation.FULL_FOCK:
             modes = self.check_fock_budget(grid_span(spec, dt))
+            self.check_window(spec)
             register, local = (2 * (self.n_max + 1) ** b for b in (modes, min(modes, int(lags))))
             check_work(FOCK_COLLISION_FLOOR + register * local,
                        f"on a full_fock register of up to {register} amplitudes")
+
+    def check_window(self, spec: CouplingSpec) -> None:
+        """Refuse a ``window`` below the kernel's span wherever that span is exact.
+
+        Without a smooth part, the stored lags are the grid lags of the deltas
+        whose summed, scaled weight is nonzero, found here as ``run`` finds
+        them.  A smooth part's end weights come out of its quadrature, so for
+        such a kernel ``run`` checks the window instead (exit code 3).
+        """
+        if self.window is None or spec.smooth is not None:
+            return
+        lags = coupling_strengths(collision_weights(spec, self.dt, 1), spec.gamma).lags_present
+        span = lags[-1] - lags[0] + 1 if lags else 0
+        if self.window < span:
+            raise ConfigError(
+                "window",
+                f"the kernel spans {span} ancillas (lags {lags[0]}..{lags[-1]}) at dt={self.dt}, "
+                f"more than the window of {self.window}; raise the window or leave it out",
+            )
 
     def check_fock_budget(self, span: int) -> int:
         """Refuse a full_fock run whose register would exceed FOCK_BUDGET; return its modes.

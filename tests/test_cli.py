@@ -204,13 +204,24 @@ class TestExitCodes:
                      "--output", str(tmp_path)]) == 2
 
     def test_runtime_failure_exits_three(self, tmp_path):
-        # window too small for the kernel bandwidth is only detected while running
+        # a smooth kernel's span is known only from its quadrature, so a window
+        # too small for it is detected while running
         config = write_config(tmp_path, mirror_data(
             dt=0.1, t_max=2.0,
-            coupling={"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 0.4},
+            coupling={"shape": "custom", "gamma": 0.5,
+                      "smooth": {"form": "exponential", "kappa": 1.0, "support": 0.4}},
             representation="full_fock", window=2))
         assert main(["simulate", "--config", config, "--output", str(tmp_path),
                      "--quiet"]) == 3
+
+    def test_window_below_a_delta_kernel_span_exits_two(self, tmp_path, capsys):
+        # a delta kernel's span is exact at parse time: the window is refused there
+        config = write_config(tmp_path, mirror_data(
+            dt=0.125, t_max=2.0, representation="full_fock", window=3))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert "'window'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "witness", "kernel"])
     def test_fock_register_over_budget_exits_two_and_writes_nothing(

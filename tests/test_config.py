@@ -440,6 +440,11 @@ def test_malformed_json_value_names_its_field(data, field):
     assert info.value.field == field
 
 
+def smooth_kernel(support):
+    return {"shape": "custom", "gamma": 1.0,
+            "smooth": {"form": "exponential", "kappa": 1.0, "support": support}}
+
+
 def fock_mirror(dt, **overrides):
     return minimal(coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 1.0}, dt=dt,
                    representation="full_fock", **overrides)
@@ -468,7 +473,34 @@ class TestFockBudget:
     @pytest.mark.parametrize("window,n_max", [(9, 1), (5, 2), (11, 1), (7, 2), (5, 3)])
     def test_budget_admits_registers_up_to_its_edge(self, window, n_max):
         parse_config(fock_mirror(1 / (window - 1), n_max=n_max))
-        parse_config(fock_mirror(1 / 64, window=window, n_max=n_max))
+        # a smooth kernel's span is only bounded at parse time, so a window below
+        # that bound (66 modes here) is left to the run and sizes the budget
+        parse_config(minimal(coupling=smooth_kernel(1.0), dt=1 / 64, representation="full_fock",
+                             window=window, n_max=n_max))
+
+    @pytest.mark.parametrize("coupling,dt,window", [
+        ({"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}, 1 / 8, 3),  # span 9
+        ({"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}, 1 / 64, 5),  # span 65
+        ({"shape": "custom", "gamma": 0.8, "deltas": [[0.2, 0.7, 0.0], [0.5, -0.4, 0.3]]},
+         0.1, 3),  # lags 2 and 5: span 4
+    ])
+    def test_window_below_an_exact_span_names_window(self, coupling, dt, window):
+        error = refused_without_allocating(minimal(
+            coupling=coupling, dt=dt, representation="full_fock", window=window))
+        assert error.field == "window"
+        assert "the kernel spans" in str(error)
+
+    @pytest.mark.parametrize("coupling,window", [
+        ({"shape": "custom", "gamma": 0.8, "deltas": [[0.2, 0.7, 0.0], [0.5, -0.4, 0.3]]}, 4),
+        # the deltas at 0.5 cancel, so only lags 2 and 3 are stored: span 2
+        ({"shape": "custom", "gamma": 0.8,
+          "deltas": [[0.2, 0.7, 0.0], [0.3, 0.1, 0.0], [0.5, -0.4, 0.0], [0.5, 0.4, 0.0]]}, 2),
+        ({"shape": "mirror", "gamma": 0.0, "phi": 0.0, "tau": 1.0}, 1),  # no coupling: span 0
+        (smooth_kernel(0.4), 2),  # a smooth kernel's window is checked by the run
+    ])
+    def test_window_at_or_above_the_stored_span_is_admitted(self, coupling, window):
+        parse_config(minimal(coupling=coupling, dt=0.1, representation="full_fock",
+                             window=window))
 
     @pytest.mark.parametrize("n_max", [1, 2])
     def test_white_registers_admitted(self, n_max):
@@ -500,11 +532,6 @@ class TestFockBudget:
         with pytest.raises(ConfigError, match=str(FOCK_BUDGET)) as info:
             config.check_fock_budget(12)
         assert info.value.field == "dt"
-
-
-def smooth_kernel(support):
-    return {"shape": "custom", "gamma": 1.0,
-            "smooth": {"form": "exponential", "kappa": 1.0, "support": support}}
 
 
 def refused_without_allocating(data):

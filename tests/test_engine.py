@@ -361,6 +361,12 @@ class TestLocalPropagator:
         assert isinstance(plan._propagators[("fock", n_max)], np.ndarray) == dense
 
 
+def smooth_coupling(support):
+    """An exponential kernel cut at ``support``: its span is known only from the quadrature."""
+    return {"shape": "custom", "gamma": 0.5,
+            "smooth": {"form": "exponential", "kappa": 1.0, "support": support}}
+
+
 def mirror(gamma, phi, tau):
     return {"shape": "mirror", "gamma": gamma, "phi": phi, "tau": tau}
 
@@ -743,10 +749,12 @@ class TestRepresentationEquivalence:
         assert np.max(np.abs(sector.eps - fock.eps)) <= 1e-9
         assert np.max(np.abs(sector.norms - fock.norms)) <= 1e-9
 
+    # parse_config refuses a window below a delta kernel's span; a smooth
+    # kernel's span is known only after its quadrature, so run() checks it
     def test_fock_window_too_small_rejected(self):
         config = make_config(
             dt=0.1, n_steps=10, representation="full_fock", window=2,
-            coupling={"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 0.4},
+            coupling=smooth_coupling(0.4),  # lags 0..4
         )
         with pytest.raises(ValueError, match="window"):
             run(config)
@@ -758,7 +766,7 @@ class TestRepresentationEquivalence:
     ])
     def test_fock_window_below_the_span_refused_before_allocating(self, dt, n_steps, window):
         config = make_config(dt=dt, n_steps=n_steps, representation="full_fock",
-                             window=window)
+                             window=window, coupling=smooth_coupling(1.0))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="window"):

@@ -1,10 +1,17 @@
+import json
+import math
+import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcollide import export
 from qcollide.coupling import WeightMatrix
+from qcollide.divisibility import DivisibilityReport, analyze
 from qcollide.engine import Trajectory, run
 
 from conftest import fmt, make_config
@@ -23,6 +30,83 @@ class TestFloatFormat:
     def test_plain_values(self):
         assert fmt(1.0) == "1"
         assert fmt(0.5) == "0.5"
+
+
+def formatted_fields(x):
+    """The %.17g fields that _table writes for the floats x, one column."""
+    return export._table("x", np.asarray(x, dtype=float)).split("\n")[1:-1]
+
+
+# seeded random doubles in the sweep below; CI raises it to 2,000,000
+SWEEP_DOUBLES = int(os.environ.get("QCOLLIDE_FORMAT_SWEEP", "20000"))
+SWEEP_BATCH = 100_000
+
+
+class TestVectorisedFormat:
+    """_table writes every float as format(x, ".17g") and every integer as %d."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_float(self, xs):
+        assert formatted_fields(xs) == [format(x, ".17g") for x in xs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @example([0x7FF8000000000001, 0xFFF0000000000000, 0x8000000000000000, 1])  # -nan, -inf, -0
+    def test_any_bit_pattern(self, patterns):
+        xs = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert formatted_fields(xs) == [format(x, ".17g") for x in xs.tolist()]
+
+    def test_seeded_sweep(self):
+        """Random bit patterns, then values spread over every decade."""
+        rng = np.random.default_rng(20191031)
+        for lo in range(0, SWEEP_DOUBLES, SWEEP_BATCH):
+            n = min(SWEEP_BATCH, SWEEP_DOUBLES - lo)
+            xs = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+            xs[::2] = rng.uniform(1, 10, n - n // 2) * 10.0 ** rng.integers(-323, 308, n - n // 2)
+            expected = [format(x, ".17g") for x in xs.tolist()]
+            fields = formatted_fields(xs)
+            bad = [(x, f, e) for x, f, e in zip(xs.tolist(), fields, expected) if f != e]
+            assert not bad, bad[:5]
+
+    @pytest.mark.parametrize("x", [
+        1e-5, 9.9999999999999995e-05, 1e-4, 9999999999999998.0, 1e16, 99999999999999999.0,
+        1e-270, 1e280, 2.2250738585072014e-308, 1.7976931348623157e308, 5e-324, 1e17, 0.1,
+    ])
+    def test_edges(self, x):
+        # each value, its neighbours and their negatives: the notation switches at
+        # 1e-4 and 1e17, and the fast range ends at 1e-270 and 1e280
+        xs = [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+        xs += [-v for v in xs]
+        assert formatted_fields(xs) == [format(v, ".17g") for v in xs]
+
+    def test_rounding_carries_into_the_exponent(self):
+        # each double lies below its power of ten by less than half a unit of
+        # the 17th digit, so its digits round up to the next decade
+        xs = [1e-14, 1e98, 1e220]
+        assert all(Fraction(x) < Fraction(10) ** e for x, e in zip(xs, (-14, 98, 220)))
+        assert formatted_fields(xs) == ["1e-14", "1e+98", "1e+220"]
+
+    def test_near_tie_is_left_to_python(self):
+        # 1 + 2^-17 = 1.00000762939453125 lies exactly halfway at 17 digits, and
+        # Python rounds it to even (down); 1 + 3 * 2^-17 rounds to even upward.  The
+        # other two lie 1.2e-8 and 7.9e-7 from a half: inside the 2^-20 margin
+        ties = np.array([1 + 2**-17, 1 + 3 * 2**-17, 4.991517512824052, 1.9572810806201208])
+        assert not export._significands(ties)[2].any()
+        assert formatted_fields(ties)[:2] == ["1.0000076293945312", "1.0000228881835938"]
+        assert formatted_fields(ties) == [format(x, ".17g") for x in ties.tolist()]
+
+    def test_large_integers_keep_their_digits(self):
+        steps = np.array([2**53 + 1, 2**63 - 1, -2**63, 0, -1, 999, 1000, -1000001])
+        n = len(steps)
+        traj = Trajectory(steps=steps, times=np.zeros(n), eps=np.zeros(n, dtype=complex),
+                          excited_population=np.zeros(n), norms=np.ones(n),
+                          wall_time_s=0.0, config={})
+        text = export.trajectory_csv(traj)
+        assert text == reference_trajectory_csv(traj)
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+            "9007199254740993", "9223372036854775807", "-9223372036854775808", "0", "-1",
+            "999", "1000", "-1000001"]
 
 
 # ---- reference renderings: one fmt call per field, joined with "," and "\n"
@@ -125,6 +209,31 @@ def test_trajectory_csv_peak_memory_is_bounded_by_its_text():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text)
+
+
+def reports():
+    """An empty, an all-CP, a mixed and a truncated report, the last with a note."""
+    traj = mirror_run(d=16)
+    mixed = analyze(traj)
+    assert not all(mixed.cp_flags) and mixed.revivals
+    return {
+        "empty": DivisibilityReport(cp_flags=(), revivals=(), witness=0.0, truncated_at=0,
+                                    note="initial amplitude is zero: reduced maps are undefined"),
+        "all-cp": DivisibilityReport(cp_flags=(True,) * 5, revivals=(), witness=0.0),
+        "mixed": mixed,
+        "truncated": DivisibilityReport(
+            cp_flags=(True, False, True), revivals=((2, 2, 0.125),), witness=0.125,
+            truncated_at=3, note="amplitude vanished at step 3: intermediate maps beyond it are "
+                                 "singular"),
+    }, traj.config
+
+
+@pytest.mark.parametrize("name", ["empty", "all-cp", "mixed", "truncated"])
+def test_report_json_is_json_dumps_with_indent(name):
+    cases, config = reports()
+    report = cases[name]
+    expected = json.dumps({"config": config, **report.to_dict()}, indent=2) + "\n"
+    assert export.report_json(report, config) == expected
 
 
 class TestWriteText:
