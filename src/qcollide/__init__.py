@@ -4,8 +4,9 @@ feedback, with exact continuous-time references and CP-divisibility
 diagnostics.
 
 The package namespace holds the user-facing API.  Engine and state
-internals (``CollisionPlan``, ``step_full``, ``TruncatedFockState``, ...)
-are importable from ``qcollide.engine`` and ``qcollide.states``.
+internals (``CollisionPlan``, ``step_single_excitation``,
+``SingleExcitationState``, ...) are importable from ``qcollide.engine`` and
+``qcollide.states``.
 """
 
 from .config import ConfigError, CouplingConfig, SimulationConfig, load_config, parse_config

@@ -22,6 +22,7 @@ import numpy as np
 from .coupling import (
     QUADRATURE_CELLS,
     CouplingSpec,
+    WeightMatrix,
     collision_weights,
     coupling_strengths,
     custom_coupling,
@@ -115,6 +116,11 @@ def _require_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], where: str)
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]}" if where else unknown[0], "unknown key")
+
+
+def _exact_strengths(spec: CouplingSpec, dt: float) -> WeightMatrix:
+    """The collision strengths ``run`` computes, for a kernel without a smooth part."""
+    return coupling_strengths(collision_weights(spec, dt, 1), spec.gamma)
 
 
 @dataclass(frozen=True)
@@ -257,7 +263,7 @@ class SimulationConfig:
         if self.representation == Representation.MIRROR_RECURSION:
             if self.coupling.shape != "mirror":
                 raise ConfigError("representation", "mirror_recursion requires a mirror coupling")
-            if int(round(self.coupling.tau / self.dt)) < 1:
+            if not self.coupling.tau / self.dt > 0.5:  # rounds to no whole step; inf is over budget
                 raise ConfigError(
                     "representation",
                     f"mirror_recursion needs a delay of at least one step "
@@ -265,7 +271,9 @@ class SimulationConfig:
                 )
             if self.stepper != Stepper.SECOND_ORDER:
                 raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
-        self.check_run_budget(self.coupling_spec())
+        spec = self.coupling_spec()
+        self.check_run_budget(spec)
+        self.check_strengths(spec)
 
     def check_run_budget(self, spec: CouplingSpec) -> None:
         """Refuse a run whose kernel table, ancilla slots, register or work exceed a budget.
@@ -287,7 +295,7 @@ class SimulationConfig:
         dt = self.dt
         reach = max((lag / dt for lag, _ in spec.deltas), default=0.0)
         if spec.smooth is not None:
-            smooth_lags = np.floor(spec.smooth_support / dt) + 2
+            smooth_lags = float(np.floor(spec.smooth_support / dt)) + 2
             if smooth_lags * 2 * QUADRATURE_CELLS > KERNEL_CALL_BUDGET:
                 raise ConfigError(
                     "coupling.smooth.support",
@@ -331,6 +339,28 @@ class SimulationConfig:
             check_work(FOCK_COLLISION_FLOOR + register * local,
                        f"on a full_fock register of up to {register} amplitudes")
 
+    def check_strengths(self, spec: CouplingSpec) -> None:
+        """Refuse collision strengths g = sqrt(gamma / dt) W that overflow, where they are exact.
+
+        gamma / dt must be finite; the error names ``coupling.gamma`` or
+        ``dt``, whichever is further from 1.  Without a smooth part, the
+        weights W are the summed deltas, found here as ``run`` finds them, and
+        each g must be finite (naming ``coupling.deltas``).  A smooth part's
+        weights come out of its quadrature, so ``run`` checks those strengths
+        before it builds a propagator (exit code 3).
+        """
+        gamma, dt = self.coupling.gamma, self.dt
+        if math.isinf(gamma / dt):
+            raise ConfigError("coupling.gamma" if gamma >= 1 / dt else "dt",
+                              f"gamma / dt = {gamma} / {dt} overflows, so every collision "
+                              f"strength sqrt(gamma / dt) W would be infinite")
+        if spec.smooth is None:
+            for lag, g in _exact_strengths(spec, dt).lags.items():
+                if not cmath.isfinite(g):
+                    raise ConfigError("coupling.deltas",
+                                      f"the collision strength at lag {lag} overflows ({g}) at "
+                                      f"gamma={gamma}, dt={dt}")
+
     def check_window(self, spec: CouplingSpec) -> None:
         """Refuse a ``window`` below the kernel's span wherever that span is exact.
 
@@ -341,7 +371,7 @@ class SimulationConfig:
         """
         if self.window is None or spec.smooth is not None:
             return
-        lags = coupling_strengths(collision_weights(spec, self.dt, 1), spec.gamma).lags_present
+        lags = _exact_strengths(spec, self.dt).lags_present
         span = lags[-1] - lags[0] + 1 if lags else 0
         if self.window < span:
             raise ConfigError(
@@ -356,8 +386,8 @@ class SimulationConfig:
         The register holds the qubit and one mode per ancilla of the kernel's
         span, max_lag - min_lag + 1 in steps, or ``window`` modes if that is
         fewer; sum_N size_N^2 over its excitation-number blocks bounds both
-        the register and the local propagator that ``step_full`` applies to
-        it.  The error names ``window`` when the window sets that size and
+        the register and the local propagator that ``_apply_local`` applies
+        to it.  The error names ``window`` when the window sets that size and
         ``dt`` when the kernel's span in steps does.
         """
         modes, offender = span, "dt"

@@ -42,14 +42,11 @@ class DivisibilityReport:
     @property
     def first_violation_step(self) -> Optional[int]:
         """Destination index of the first non-CP transition, if any."""
-        for i, flag in enumerate(self.cp_flags):
-            if not flag:
-                return i + 1
-        return None
+        return self.cp_flags.index(False) + 1 if False in self.cp_flags else None
 
     def to_dict(self) -> dict:
         return {
-            "cp_flags": [bool(f) for f in self.cp_flags],
+            "cp_flags": list(map(bool, self.cp_flags)),
             "revival_intervals": [
                 {"start_step": s, "end_step": e, "gained_population": g}
                 for s, e, g in self.revivals

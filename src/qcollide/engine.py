@@ -10,6 +10,7 @@ feedback arrives.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,9 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from .coupling import WeightMatrix, collision_weights, coupling_strengths
-from .states import (
-    _DARK_BRANCH_TOL, SingleExcitationState, TruncatedFockState, init_single_excitation,
-)
+from .states import _DARK_BRANCH_TOL, SingleExcitationState, init_single_excitation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
@@ -33,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 BLOCK_MIN_GAP = 6
 
 # Largest local collision space (the qubit and the touched modes) whose number
-# blocks ``step_full`` joins into one dense matrix: a product per block costs
+# blocks ``_fock_propagator`` joins into one dense matrix: a product per block costs
 # about 2.5 us of Python overhead, so small propagators are faster as one.
 # On the same host the two broke even at 256 amplitudes; at 128 the dense
 # form took half the time.  A mirror's local space has 2 (n_max + 1)^2
@@ -47,7 +46,6 @@ __all__ = [
     "Trajectory",
     "build_plan",
     "step_single_excitation",
-    "step_full",
     "run",
 ]
 
@@ -98,6 +96,12 @@ class CollisionPlan:
         # smallest distance between two lags: no ancilla is hit twice within
         # that many collisions (a kernel with fewer than two lags never is)
         self.delay_gap = int(np.diff(self.lags).min()) if len(self.lags) > 1 else self.n_steps
+        for lag, g in self.couplings:  # eigh would fail on them, or return nan
+            if not cmath.isfinite(g):
+                raise RuntimeError(
+                    f"the coupling strength at lag {lag} is not finite ({g}); the kernel's "
+                    f"weight there, or that weight times sqrt(gamma/dt), overflows"
+                )
 
     @property
     def dt(self) -> float:
@@ -135,8 +139,8 @@ class CollisionPlan:
             h[0, 0] = self.omega0
             if kind == Stepper.EXACT:
                 m = _expm_hermitian(h, self.dt)
-            else:
-                m = np.eye(len(h)) - 1j * self.dt * h - 0.5 * self.dt**2 * (v @ v)
+            else:  # numpy's power gives inf where a float's raises; both are C pow
+                m = np.eye(len(h)) - 1j * self.dt * h - 0.5 * np.float64(self.dt)**2 * (v @ v)
             self._propagators[kind] = m
         return m
 
@@ -361,34 +365,6 @@ def _apply_local(prop, x: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> TruncatedFockState:
-    """Advance one collision of the truncated-Fock register, in place.
-
-    A collision acts on the qubit and the modes it touches only, so its
-    propagator is U_loc x 1 on the spectator modes (``_fock_propagator``).
-    This per-call form moves the qubit and the touched axes to the front,
-    applies U_loc to the register reshaped to (local dimension, rest) and
-    moves the axes back.  It is the reference of the run loop in
-    ``_run_full_fock``, which keeps those axes in place for the whole run.
-    Every touched ancilla must already sit inside the active window.
-    """
-    front = [0]
-    for m, _ in plan.touched(step):
-        if m not in state.active_modes:
-            raise ValueError(
-                f"collision {step} touches ancilla {m}, which is outside the active window "
-                f"{state.active_modes}"
-            )
-        front.append(state.mode_axis(m))
-    prop = _fock_propagator(plan, state.n_max)
-    amp = state.amplitudes
-    perm = front + [axis for axis in range(amp.ndim) if axis not in front]
-    moved = amp.transpose(perm)
-    x = _apply_local(prop, moved.reshape(2 * (state.n_max + 1) ** (len(front) - 1), -1))
-    state.amplitudes = x.reshape(moved.shape).transpose(np.argsort(perm))
-    return state
-
-
 @dataclass
 class Trajectory:
     """Per-collision record of a simulation run."""
@@ -433,12 +409,12 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
     as the (local dimension, rest) matrix x that U_loc multiplies, with the
     qubit and the touched axes first, and two fixed views show x and the
     product y in register order.  After each product the oldest ancilla is
-    out of reach: its occupied branch must be dark, as in
-    ``TruncatedFockState.recycle_mode``, and its weight is kept as retired.
-    Copying y's vacuum slice of axis 1 into x's vacuum slice of axis W moves
-    every other ancilla down one axis; x's occupied part of axis W is never
-    written, so the newest ancilla starts in vacuum.  ``step_full`` and
-    ``recycle_mode`` are the per-call reference of this loop.
+    out of reach: its occupied branch must be dark (qubit down, every other
+    mode in vacuum), and its weight is kept as retired.  Copying y's vacuum
+    slice of axis 1 into x's vacuum slice of axis W moves every other ancilla
+    down one axis; x's occupied part of axis W is never written, so the
+    newest ancilla starts in vacuum.  The test suite pins this loop against a
+    per-call register that moves the touched axes at every collision.
     """
     lags = plan.lags
     width = int(lags[-1] - lags[0]) + 1 if len(lags) else 0

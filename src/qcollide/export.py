@@ -1,9 +1,10 @@
 """Bit-stable file output: CSV tables and JSON summaries.
 
-Floats are written as ``%.17g`` (full round-trip precision) and integers as
-``%d``, in a fixed column order, so identical runs produce byte-identical
-files.  The CSV writers share one vectorised formatter, ``_table``, that
-writes exactly the bytes of Python's ``%`` formatting with numpy arithmetic:
+Every CSV field is written as ``%.17g`` (full round-trip precision), in a
+fixed column order, so identical runs produce byte-identical files; an
+integer within +-2^53 is an exact double, which ``%.17g`` writes as ``%d``.
+The CSV writers share one vectorised formatter, ``_table``, that writes
+exactly the bytes of Python's ``%`` formatting with numpy arithmetic:
 each float's 17 significant digits come from a double-double product with a
 table of powers of ten, good to about 2^-100 relative.  A value whose digits
 that margin cannot settle (within 2^-20 of a rounding tie), a value outside
@@ -36,9 +37,10 @@ __all__ = [
 ]
 
 
-_CHUNK_ROWS = 512  # rows formatted at a time; bounds the scratch memory beside the text
+_CHUNK_ROWS = 448  # rows formatted at a time; bounds the scratch memory beside the text
+_EXACT_INT = 2**53  # integers up to this magnitude are exact doubles
 
-# ---- %d and %.17g with numpy digit arithmetic, byte-identical to Python's
+# ---- %.17g with numpy digit arithmetic, byte-identical to Python's
 #
 # A finite x with 1e-270 <= |x| <= 1e280 gets its decimal exponent
 # X = floor(log10 |x|) and its 17 significant digits D = round(|x| 10^(16 - X))
@@ -155,15 +157,6 @@ def _exponent_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return whole, _words(prefix).reshape(2000, 2), _words(exponent).reshape(2000, 2)
 
 
-def _int_groups() -> np.ndarray:
-    """%d groups of three: 1000 words empty, 1000 without leading zeros, 1000 with them."""
-    text = np.zeros((3, 1000, 4), dtype=np.uint8)
-    text[2, :, :3] = _D3
-    for length, lo in ((1, 0), (2, 10), (3, 100)):  # "%d" % v for v >= lo
-        text[1, lo:, :length] = _D3[lo:, 3 - length:]
-    return _words(text).ravel()
-
-
 _P10 = _powers_of_ten()
 _GROUPS = _digit_groups()
 _SHAPES = _group_shapes()
@@ -173,7 +166,6 @@ _LAST_NONZERO = np.where(_D3[:, 2] > 48, 2, np.where(_D3[:, 1] > 48, 1,
                          np.where(_D3[:, 0] > 48, 0, -64))).astype(np.int8)
 _WHOLE, _PREFIX, _EXPONENT = _exponent_tables()
 _NAN_INF = _words(np.frombuffer(b"nan\0inf\0", dtype=np.uint8))
-_INT_GROUPS = _int_groups()
 
 
 def _scaled(a: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,56 +265,33 @@ def _float_words(v: np.ndarray, ends_line: np.ndarray) -> np.ndarray:
     return words
 
 
-def _int_words(column: np.ndarray, width: int, sep: str) -> np.ndarray:
-    """%d of an integer column as (len, 2 + width) words: sign, groups of three, separator."""
-    column = column.astype(np.int64)
-    negative = column < 0
-    magnitude = np.where(negative, -column, column).astype(np.uint64)  # exact at -2^63
-    words = np.zeros((len(column), width + 2), dtype=np.uint32)
-    words[:, 0] = np.where(negative, 45, 0)  # "-"
-    leading = np.zeros(len(column), dtype=bool)  # a nonzero group stands before this one
-    for k in range(width):
-        group = (magnitude // np.uint64(1000 ** (width - 1 - k)) % np.uint64(1000)).astype(np.intp)
-        code = np.where(leading, 2, (group > 0) | (k == width - 1))
-        words[:, 1 + k] = _INT_GROUPS.take(1000 * code + group)
-        leading |= group > 0
-    words[:, -1] = ord(sep)
-    return words
-
-
-def _int_width(column: np.ndarray) -> int:
-    """Groups of three digits in the widest value of an integer column."""
-    low, high = (int(column.min()), int(column.max())) if len(column) else (0, 0)
-    return -(-len(str(max(-low, high))) // 3)
-
-
-def _rows(ints, widths, floats, lo: int, hi: int) -> str:
-    """Rows lo..hi-1 of the table: integer columns (``widths`` groups each), then floats."""
-    seps = [","] * (len(ints) - 1) + ["," if floats else "\n"]
-    row = [_int_words(column[lo:hi], width, sep)
-           for column, width, sep in zip(ints, widths, seps)]
-    if floats:
-        values = np.empty((hi - lo, len(floats)))
-        for i, column in enumerate(floats):
-            values[:, i] = column[lo:hi]
-        ends_line = np.zeros(len(floats), dtype=np.intp)
-        ends_line[-1] = 1000
-        row.append(_float_words(values.ravel(), np.tile(ends_line, hi - lo)).reshape(hi - lo, -1))
-    return np.concatenate(row, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+def _rows(columns, lo: int, hi: int) -> str:
+    """Rows lo..hi-1 of the table, every column as %.17g."""
+    values = np.empty((hi - lo, len(columns)))
+    for i, column in enumerate(columns):
+        values[:, i] = column[lo:hi]
+    ends_line = np.zeros(len(columns), dtype=np.intp)
+    ends_line[-1] = 1000
+    words = _float_words(values.ravel(), np.tile(ends_line, hi - lo))
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _table(header: str, *columns: np.ndarray) -> str:
     """CSV text: ``header``, then one row per index of the columns.
 
-    Integer columns, which must come first, are written as ``%d``, the others
-    as ``%.17g``: the same bytes as Python's ``%`` formatting, field by field.
+    Every field is ``%.17g``: the same bytes as Python's ``%`` formatting,
+    field by field.  An integer column must stay within +-2^53, where each
+    value converts to a double exactly and ``%.17g`` writes it as ``%d``;
+    min and max are checked, as np.abs(-2^63) wraps.
     """
-    ints = [column for column in columns if column.dtype.kind == "i"]
-    widths = [_int_width(column) for column in ints]
+    for column in columns:
+        if column.dtype.kind in "iu" and len(column) and (
+                column.min() < -_EXACT_INT or column.max() > _EXACT_INT):
+            raise ValueError(f"integer column beyond +-2^53 ({column.min()}..{column.max()}): "
+                             f"its values have no exact double")
     n_rows = len(columns[0])
     return "".join([header + "\n"] + [
-        _rows(ints, widths, columns[len(ints):], lo, min(lo + _CHUNK_ROWS, n_rows))
-        for lo in range(0, n_rows, _CHUNK_ROWS)])
+        _rows(columns, lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)])
 
 
 # numpy keeps a dispatch cache per ufunc and dtype signature: one small table
@@ -398,8 +367,8 @@ def report_json(report: DivisibilityReport, config: dict) -> str:
     text = json.dumps(payload, indent=2)
     # only a top-level key starts a line with exactly two spaces and a quote
     cut = text.index('\n  "revival_intervals": ')
-    flags_text = ("[\n    " + ",\n    ".join(["true" if flag else "false" for flag in flags])
-                  + "\n  ]") if flags else "[]"
+    words = map({True: "true", False: "false"}.__getitem__, flags)
+    flags_text = "[\n    " + ",\n    ".join(words) + "\n  ]" if flags else "[]"
     return text[:cut] + '\n  "cp_flags": ' + flags_text + "," + text[cut:] + "\n"
 
 

@@ -12,6 +12,7 @@ exponential times a polynomial.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -33,10 +34,11 @@ class DdeSolution:
 
     with a = i*omega0 + gamma and b = gamma * e^{i*phi} * e^{a*tau}.  The
     feedback term switches on at t = tau inclusive; continuity of eps makes
-    the endpoint convention immaterial to the values.  Each term is evaluated
-    as one exponential of its logarithm, j log b - log j! + j log(t - j tau)
-    - a t, so that b^j / j! (which overflows for long horizons and strong
-    coupling) and e^{-a t} (which underflows) are never formed on their own.
+    the endpoint convention immaterial to the values.  Each term's magnitude
+    is evaluated as one exponential of its logarithm, j Re(log b) - log j!
+    + j log(t - j tau) - gamma t, so that b^j / j! (which overflows for long
+    horizons and strong coupling) and e^{-gamma t} (which underflows) are
+    never formed on their own; its phase is j Im(log b) - omega0 t.
     """
 
     omega0: float
@@ -53,20 +55,28 @@ class DdeSolution:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(ts < 0) or np.any(ts > self.t_max + 1e-9 * (1 + self.t_max)):
             raise ValueError(f"evaluation time outside [0, {self.t_max}]")
-        a = 1j * self.omega0 + self.gamma
-        decay = -a * ts
+        # on sorted times term j lives on the tail t > j*tau, as a real exponential
+        # times the constant phase e^{i j Im(log b)}; e^{-i omega0 t} is applied last
+        order = np.argsort(ts, kind="stable")
+        s = ts[order]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            out = np.exp(decay)  # the j = 0 term: all of eps before the first echo
+            total = np.exp(-self.gamma * s).astype(complex)  # the j = 0 term
             if self.gamma > 0:  # with gamma = 0 every echo term vanishes
-                log_b = math.log(self.gamma) + 1j * self.phi + a * self.tau
+                log_b_re = math.log(self.gamma) + self.gamma * self.tau
+                log_b_im = self.phi + self.omega0 * self.tau
                 for j in range(1, self.segment(self.t_max) + 2):
-                    lag = ts - j * self.tau
-                    on = lag > 0  # the term vanishes at t = j*tau and is absent before
-                    if not on.any():
+                    # the term vanishes at t = j*tau and is absent before
+                    lo = int(np.searchsorted(s, j * self.tau, side="right"))
+                    if lo == len(s):
                         break
-                    out[on] += np.exp(
-                        j * log_b - math.lgamma(j + 1) + j * np.log(lag[on]) + decay[on]
-                    )
+                    tail = s[lo:]
+                    magnitude = np.exp(j * log_b_re - math.lgamma(j + 1)
+                                       + j * np.log(tail - j * self.tau) - self.gamma * tail)
+                    total[lo:] += magnitude * cmath.exp(1j * j * log_b_im)
+            if self.omega0:
+                total *= np.exp(-1j * self.omega0 * s)
+        out = np.empty_like(total)
+        out[order] = total
         if not np.all(np.isfinite(out)):
             raise ValueError(
                 f"the delay-equation reference is not finite (gamma={self.gamma}, "

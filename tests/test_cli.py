@@ -295,3 +295,66 @@ class TestExitCodes:
         assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 3
         assert "not finite from step" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tau", [4.49e307, 4.5e307])
+    @pytest.mark.parametrize("representation", ["mirror_recursion", "single_excitation"])
+    def test_delay_beyond_the_run_budget_exits_two_naming_dt(self, tmp_path, capsys, tau,
+                                                             representation):
+        # tau / dt is 1.796e308 and inf: the recursion's one-step check must not make it an int
+        config = write_config(tmp_path, {
+            "coupling": {"shape": "mirror", "gamma": 0.5, "phi": 0, "tau": tau},
+            "dt": 0.25, "t_max": 2, "representation": representation})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert "'dt'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt,step", [(1.34e154, 2), (1.35e154, 1)])
+    def test_second_order_overflow_exits_three_naming_the_step(self, tmp_path, capsys, dt, step):
+        # dt^2 is 1.7956e308 and past the largest double: inf, not an OverflowError
+        config = write_config(tmp_path, {"coupling": {"shape": "white", "gamma": 1.0},
+                                         "dt": dt, "n_steps": 5, "stepper": "second_order"})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 3
+        assert f"not finite from step {step} on" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coupling,dt,field", [
+        ({"shape": "mirror", "gamma": 2.25e307, "phi": 0.0, "tau": 1.0}, 0.125, "coupling.gamma"),
+        ({"shape": "white", "gamma": 2.25e307}, 0.125, "coupling.gamma"),
+        ({"shape": "white", "gamma": 1e10}, 1e-300, "dt"),
+        ({"shape": "custom", "gamma": 1.0, "deltas": [[0, 7.1e307, 0]]}, 0.125,
+         "coupling.deltas"),
+        ({"shape": "custom", "gamma": 1.0, "deltas": [[0, 1e308, 0], [0.0625, 1e308, 0]]}, 0.125,
+         "coupling.deltas"),
+    ], ids=["mirror-gamma", "white-gamma", "white-dt", "delta-weight", "merged-deltas"])
+    @pytest.mark.parametrize("command", ["simulate", "kernel"])
+    def test_overflowing_strength_exits_two_naming_its_field(self, tmp_path, capsys, command,
+                                                             coupling, dt, field):
+        # g = sqrt(gamma / dt) W is exact at parse time without a smooth part
+        config = write_config(tmp_path, {"coupling": coupling, "dt": dt, "n_steps": 10})
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("representation", ["single_excitation", "full_fock"])
+    def test_overflowing_strength_with_a_smooth_part_exits_three_naming_the_lag(
+        self, tmp_path, capsys, monkeypatch, representation
+    ):
+        # a smooth part's weights come out of the quadrature: run() refuses the
+        # strength sqrt(8) * 1.7e308 before any eigendecomposition
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh reached")
+
+        monkeypatch.setattr("numpy.linalg.eigh", no_eigh)
+        config = write_config(tmp_path, {
+            "coupling": {"shape": "custom", "gamma": 4.0, "deltas": [[0, 1.7e308, 0]],
+                         "smooth": {"form": "exponential", "kappa": 1.0, "support": 1.0}},
+            "dt": 0.5, "n_steps": 4, "representation": representation})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "coupling strength at lag 0 is not finite ((inf+0j))" in err
+        assert not out.exists()
+

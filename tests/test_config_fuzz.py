@@ -1,0 +1,111 @@
+"""The config contract under one-path mutations of valid configs.
+
+``parse_config`` either returns a config or raises ``ConfigError``, and an
+accepted config either runs to finite amplitudes and norms or raises the
+RuntimeError that names what is not finite.  Each example takes one of five
+valid configs and changes the value at one path: to null, a bool, an
+integer past the float range or past 64 bits, nan or inf, a string, an empty
+list or object, the value wrapped in a list, the value scaled by a power of
+ten, or the key deleted.
+"""
+
+import copy
+import math
+import os
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qcollide.config import ConfigError, parse_config
+from qcollide.engine import run
+
+# examples per property; CI raises it
+FUZZ_EXAMPLES = int(os.environ.get("QCOLLIDE_FUZZ_EXAMPLES", "150"))
+RUN_MAX_STEPS = 3000  # accepted configs up to this many steps are run
+
+MIRROR = {"shape": "mirror", "gamma": 0.5, "phi": 0.3, "tau": 0.5}
+BASES = [
+    {"coupling": MIRROR, "dt": 0.125, "t_max": 4.0},
+    {"coupling": {"shape": "custom", "gamma": 0.8, "deltas": [[0.0, 0.7, 0.0], [0.5, -0.4, 0.2]],
+                  "smooth": {"form": "exponential", "kappa": 2.0, "support": 1.0}},
+     "dt": 0.125, "n_steps": 24},
+    {"coupling": MIRROR, "dt": 0.125, "t_max": 2.0, "representation": "full_fock",
+     "n_max": 1, "window": 5, "beta": [0.6, 0.3], "omega0": 0.4, "rotating_frame": True,
+     "output": {"trajectory_csv": "traj.csv"}},
+    {"coupling": {"shape": "white", "gamma": 1.0}, "dt": 0.05, "n_steps": 40,
+     "stepper": "second_order"},
+    {"coupling": MIRROR, "dt": 0.0625, "t_max": 3.0, "representation": "mirror_recursion"},
+]
+
+DELETE, WRAP, SCALE = object(), object(), object()
+REPLACEMENTS = [None, True, False, 10**400, -10**400, 2**70, -2**70, math.nan, math.inf,
+                -math.inf, "", "x", "0.5", [], {}]
+
+
+def paths(value, path=()):
+    """Every path below a JSON value: each key of an object, each index of a list."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    data = copy.deepcopy(draw(st.sampled_from(BASES)))
+    path = draw(st.sampled_from(list(paths(data))))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    change = draw(st.sampled_from(REPLACEMENTS + [DELETE, WRAP, SCALE]))
+    if change is DELETE:
+        del parent[key]
+    elif change is WRAP:
+        parent[key] = [old]
+    elif change is SCALE:
+        if isinstance(old, bool) or not isinstance(old, (int, float)):
+            parent[key] = old
+        else:  # a finite product, zero or inf: float multiplication does not raise
+            parent[key] = float(old) * 10.0 ** draw(st.integers(-308, 308))
+    else:
+        parent[key] = copy.deepcopy(change)
+    return data
+
+
+def parsed(data):
+    """The config ``parse_config`` makes of ``data``, or None if it is refused."""
+    try:
+        return parse_config(data)
+    except ConfigError:
+        return None
+
+
+FUZZ = settings(max_examples=FUZZ_EXAMPLES, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(mutated_configs())
+def test_parse_returns_a_config_or_raises_config_error(data):
+    parsed(data)  # any other exception fails the test
+
+
+@FUZZ
+@given(mutated_configs())
+def test_accepted_configs_run_or_report_what_is_not_finite(data):
+    config = parsed(data)
+    if config is None or config.effective_steps()[0] > RUN_MAX_STEPS:
+        return
+    try:
+        traj = run(config)
+    except RuntimeError as exc:
+        assert "not finite" in str(exc)
+        return
+    assert np.all(np.isfinite(traj.eps)) and np.all(np.isfinite(traj.norms))

@@ -22,13 +22,12 @@ from qcollide.engine import (
     Stepper,
     build_plan,
     run,
-    step_full,
     step_single_excitation,
 )
 from qcollide.reference import solve_dde
-from qcollide.states import TruncatedFockState, embed_single_excitation, init_single_excitation
+from qcollide.states import init_single_excitation
 
-from conftest import make_config
+from conftest import TruncatedFockState, embed_single_excitation, make_config, step_full
 
 
 def make_plan(spec, dt, n_steps, omega0=0.0):

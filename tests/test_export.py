@@ -16,8 +16,10 @@ from qcollide.engine import Trajectory, run
 
 from conftest import fmt, make_config
 
-# one below, at and one past the 512-row chunk, and two whole chunks plus one row
-ROW_COUNTS = [1, 511, 512, 513, 1025]
+CHUNK = export._CHUNK_ROWS
+# one below, at and one past a chunk, and two whole chunks plus one row; then
+# fixed counts that fall inside a chunk
+ROW_COUNTS = sorted({1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 511, 512, 513, 1025})
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
 
 
@@ -43,7 +45,7 @@ SWEEP_BATCH = 100_000
 
 
 class TestVectorisedFormat:
-    """_table writes every float as format(x, ".17g") and every integer as %d."""
+    """_table writes every float as format(x, ".17g") and every integer as str(n)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=64))
@@ -96,17 +98,26 @@ class TestVectorisedFormat:
         assert formatted_fields(ties)[:2] == ["1.0000076293945312", "1.0000228881835938"]
         assert formatted_fields(ties) == [format(x, ".17g") for x in ties.tolist()]
 
-    def test_large_integers_keep_their_digits(self):
-        steps = np.array([2**53 + 1, 2**63 - 1, -2**63, 0, -1, 999, 1000, -1000001])
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-2**53, 2**53), min_size=1, max_size=64))
+    @example([2**53, -2**53, 2**53 - 1, 10**15, 0, -1, 999, 1000, -1000001])
+    def test_integers_within_2_53_are_written_as_str(self, steps):
+        # exact doubles below 1e16: %.17g writes them in fixed notation without a point
         n = len(steps)
-        traj = Trajectory(steps=steps, times=np.zeros(n), eps=np.zeros(n, dtype=complex),
-                          excited_population=np.zeros(n), norms=np.ones(n),
-                          wall_time_s=0.0, config={})
+        traj = Trajectory(steps=np.array(steps), times=np.zeros(n),
+                          eps=np.zeros(n, dtype=complex), excited_population=np.zeros(n),
+                          norms=np.ones(n), wall_time_s=0.0, config={})
         text = export.trajectory_csv(traj)
         assert text == reference_trajectory_csv(traj)
-        assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
-            "9007199254740993", "9223372036854775807", "-9223372036854775808", "0", "-1",
-            "999", "1000", "-1000001"]
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == [str(k) for k in steps]
+
+    @pytest.mark.parametrize("n", [2**53 + 1, -(2**53 + 1), -2**63])
+    def test_integers_beyond_2_53_are_refused(self, n):
+        # -2^63 is its own absolute value in int64: the bound must not rely on np.abs
+        steps = np.array([0, n, 1])
+        assert steps.dtype == np.int64
+        with pytest.raises(ValueError, match=r"2\^53"):
+            export._table("n,x", steps, np.zeros(3))
 
 
 # ---- reference renderings: one fmt call per field, joined with "," and "\n"

@@ -22,6 +22,7 @@ NOT_IN_PACKAGE = (
     "_apply_factor", "choi_matrix", "QubitChannel", "channel_from_amplitude",
     "IntermediateMap", "intermediate_map", "QubitDensityMatrix", "reduced_qubit_state",
     "dde_numeric_oracle", "serialize_config", "samples_csv", "fmt",
+    "TruncatedFockState", "embed_single_excitation", "step_full",
 )
 
 MODULES = [

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcollide.states import (
-    SingleExcitationState,
+from qcollide.states import SingleExcitationState, init_single_excitation
+
+from conftest import (
+    QubitDensityMatrix,
     TruncatedFockState,
     embed_single_excitation,
-    init_single_excitation,
+    reduced_qubit_state,
 )
-
-from conftest import QubitDensityMatrix, reduced_qubit_state
 
 
 def partial_trace_qubit(fock: TruncatedFockState) -> np.ndarray:
