@@ -3,10 +3,9 @@ baths with structured (colored) couplings, including delayed coherent
 feedback, with exact continuous-time references and CP-divisibility
 diagnostics.
 
-The package namespace holds the user-facing API.  Engine and state
-internals (``CollisionPlan``, ``step_single_excitation``,
-``SingleExcitationState``, ...) are importable from ``qcollide.engine`` and
-``qcollide.states``.
+The package namespace holds the user-facing API.  Engine internals
+(``CollisionPlan``, ``build_plan``, ...) are importable from
+``qcollide.engine``.
 """
 
 from .config import ConfigError, CouplingConfig, SimulationConfig, load_config, parse_config

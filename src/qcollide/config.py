@@ -49,21 +49,21 @@ __all__ = [
 FOCK_BUDGET = 2**22
 
 # Most ancilla slots a run may span: n_steps plus the kernel's reach in steps.
-# The one-excitation core stores one complex amplitude per slot, and a run
-# keeps about 128 bytes per step in all (white, 2**20 steps: a 134 MB
-# tracemalloc peak), so the budget caps a run near 0.5 GB.
+# The one-excitation recursion keeps one complex ds per slot, and a run keeps
+# about 80 bytes per step in all (white, 2**20 steps: an 84 MB tracemalloc
+# peak), so the budget caps a run near 0.34 GB.
 RUN_BUDGET = 2**22
 
 # Most smooth-kernel evaluations the quadrature of a weight table may make:
 # 2 * QUADRATURE_CELLS per smooth lag, so at most 1,024 smooth lags.  On a
-# 2-vCPU x86-64 host 1,023 lags took 0.63 s, and the one-excitation
-# propagator on 1,025 amplitudes holds 17 MB.
+# 2-vCPU x86-64 host 1,023 lags took 0.63 s.
 KERNEL_CALL_BUDGET = 2**20
 
-# Most collision work a run may take: steps * (L + 1)^2, the entries of the
-# one-excitation propagator applied per collision over the run, for L lags.
-# On a 2-vCPU x86-64 host a 1,001-lag smooth kernel took 0.5 to 0.83 ms a
-# collision, so the budget caps such a run near 34,000 steps, 17 to 28 s.
+# Most collision work a run may take: steps * (L + 1)^2 for L lags, the
+# entries of a dense one-excitation collision map.  The delay recursion costs
+# a multiply-add per nonzero lag difference, fewer than L^2 / 2, per
+# collision, so this is a conservative bound, kept so that every budget edge
+# stays put: a 1,001-lag smooth kernel is held near 34,000 steps.
 WORK_BUDGET = 2**35
 
 # Interpreter floor of one full_fock collision, in the multiply-adds of
@@ -110,6 +110,11 @@ def _require_number(value: Any, field_name: str, sign: str = "", cast: type = fl
     if sign and (value < 0 or value == 0 and sign == "positive"):
         raise ConfigError(field_name, f"must be {sign}, got {value}")
     return cast(value)
+
+
+def _count(x: float) -> str:
+    """A count for a refusal: every digit up to 2^53, where floats are exact, else three."""
+    return f"{x:.0f}" if x <= 2**53 else f"{x:.3g}"
 
 
 def _require_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], where: str) -> None:
@@ -283,7 +288,7 @@ class SimulationConfig:
         names ``coupling.smooth.support``).  A run spans n_steps plus the
         kernel's reach in steps of ancilla slots (RUN_BUDGET): the error names
         ``dt`` when the reach alone is over budget, else ``n_steps`` or
-        ``t_max``.  A collision costs about (L + 1)^2 for L stored lags, at
+        ``t_max``.  A collision is charged (L + 1)^2 for L stored lags, at
         most the number of deltas plus the smooth lags, so steps * (L + 1)^2
         is held to WORK_BUDGET, again naming ``n_steps`` or ``t_max``.  A
         full_fock run must then pass ``check_fock_budget`` over B modes, and
@@ -300,25 +305,25 @@ class SimulationConfig:
                 raise ConfigError(
                     "coupling.smooth.support",
                     f"a smooth part of support {spec.smooth_support} at dt={dt} spans "
-                    f"{smooth_lags:.0f} lags, {smooth_lags * 2 * QUADRATURE_CELLS:.0f} kernel "
-                    f"evaluations, more than {KERNEL_CALL_BUDGET}; shorten the support or use "
-                    f"a coarser dt",
+                    f"{_count(smooth_lags)} lags, {_count(smooth_lags * 2 * QUADRATURE_CELLS)} "
+                    f"kernel evaluations, more than {KERNEL_CALL_BUDGET}; shorten the support or "
+                    f"use a coarser dt",
                 )
             reach = max(reach, smooth_lags - 1)
         steps = self.n_steps if self.n_steps is not None else self.t_max / dt
         if reach > RUN_BUDGET:
             raise ConfigError(
                 "dt",
-                f"the kernel reaches {reach:.0f} steps at dt={dt}, more than the {RUN_BUDGET} "
+                f"the kernel reaches {_count(reach)} steps at dt={dt}, more than the {RUN_BUDGET} "
                 f"ancilla slots a run may span; use a coarser dt",
             )
         offender = "n_steps" if self.n_steps is not None else "t_max"
         if steps + reach > RUN_BUDGET:
             raise ConfigError(
                 offender,
-                f"{steps:.0f} steps plus the kernel's reach of {reach:.0f} span "
-                f"{steps + reach:.0f} ancilla slots, more than {RUN_BUDGET}; shorten the run or "
-                f"use a coarser dt",
+                f"{_count(steps)} steps plus the kernel's reach of {_count(reach)} span "
+                f"{_count(steps + reach)} ancilla slots, more than {RUN_BUDGET}; shorten the run "
+                f"or use a coarser dt",
             )
 
         def check_work(per_collision: float, what: str) -> None:
@@ -326,12 +331,12 @@ class SimulationConfig:
             if work > WORK_BUDGET:
                 raise ConfigError(
                     offender,
-                    f"{steps:.0f} collisions {what} cost {work:.3g} multiply-adds, more than "
+                    f"{_count(steps)} collisions {what} cost {work:.3g} multiply-adds, more than "
                     f"{WORK_BUDGET}; shorten the run or use a coarser dt",
                 )
 
         lags = len(spec.deltas) + (smooth_lags if spec.smooth is not None else 0)
-        check_work((lags + 1) ** 2, f"over up to {lags:.0f} lags")
+        check_work((lags + 1) ** 2, f"over up to {_count(lags)} lags")
         if self.representation == Representation.FULL_FOCK:
             modes = self.check_fock_budget(grid_span(spec, dt))
             self.check_window(spec)

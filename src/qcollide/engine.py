@@ -20,16 +20,13 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from .coupling import WeightMatrix, collision_weights, coupling_strengths
-from .states import _DARK_BRANCH_TOL, SingleExcitationState, init_single_excitation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
 
-# Shortest delay block (CollisionPlan.delay_gap, capped by the run length)
-# that ``_collide`` advances with one vectorised update.  A block costs about
-# 20 us against about 5 us for one per-step collision; on a 2-vCPU x86-64 host
-# the two broke even at 5 and blocks were 1.3x faster at 6.
-BLOCK_MIN_GAP = 6
+# amplitude of an occupied branch outside |g> x vacuum above which retiring a
+# full_fock mode would be lossy and is refused
+_DARK_BRANCH_TOL = 1e-12
 
 # Largest local collision space (the qubit and the touched modes) whose number
 # blocks ``_fock_propagator`` joins into one dense matrix: a product per block costs
@@ -45,7 +42,6 @@ __all__ = [
     "CollisionPlan",
     "Trajectory",
     "build_plan",
-    "step_single_excitation",
     "run",
 ]
 
@@ -73,10 +69,9 @@ class Representation(str, Enum):
 class CollisionPlan:
     """Interaction data for each collision, derived from a stationary strength table.
 
-    The collision map does not depend on the step: collision k applies the
-    same propagator to the emitter and to ancilla k - lag for every stored
-    lag.  The lags, their strengths and the propagators are therefore built
-    once per plan.
+    The collision map does not depend on the step: collision k couples the
+    emitter to ancilla k - lag with the same strength for every stored lag.
+    The lags and their strengths are therefore found once per plan.
     """
 
     strengths: WeightMatrix
@@ -84,7 +79,6 @@ class CollisionPlan:
     n_steps: int
     couplings: Tuple[Tuple[int, complex], ...] = field(init=False)
     lags: np.ndarray = field(init=False, repr=False, compare=False)
-    delay_gap: int = field(init=False, repr=False, compare=False)
     _propagators: Dict[object, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -93,9 +87,6 @@ class CollisionPlan:
         # nonzero (lag, strength) pairs, ascending lag
         self.couplings = tuple((lag, self.strengths.w(lag)) for lag in self.strengths.lags_present)
         self.lags = np.array([lag for lag, _ in self.couplings], dtype=np.intp)
-        # smallest distance between two lags: no ancilla is hit twice within
-        # that many collisions (a kernel with fewer than two lags never is)
-        self.delay_gap = int(np.diff(self.lags).min()) if len(self.lags) > 1 else self.n_steps
         for lag, g in self.couplings:  # eigh would fail on them, or return nan
             if not cmath.isfinite(g):
                 raise RuntimeError(
@@ -111,39 +102,6 @@ class CollisionPlan:
     def max_lag(self) -> int:
         return self.strengths.max_lag
 
-    def touched(self, step: int) -> List[Tuple[int, complex]]:
-        """Ancillas hit during collision ``step`` (1-based) with their strengths.
-
-        Collision k couples to ancilla k - lag for every stored lag; indices
-        at or below zero are pre-history vacuum modes and are kept.
-        """
-        if not 1 <= step <= self.n_steps:
-            raise ValueError(f"step must be in 1..{self.n_steps}, got {step}")
-        return [(step - lag, g) for lag, g in self.couplings]
-
-    def propagator(self, kind: Stepper) -> np.ndarray:
-        """One-excitation collision map on (eps, c[k - lags]), built once per stepper.
-
-        H has omega0 on the emitter and the strengths g in its first column
-        and row; V is H without the omega0 entry.  The exact stepper is
-        exp(-i H dt); the second-order one is 1 - i H dt - V^2 dt^2 / 2.
-        """
-        kind = Stepper(kind)
-        m = self._propagators.get(kind)
-        if m is None:
-            gs = np.array([g for _, g in self.couplings], dtype=complex)
-            v = np.zeros((len(gs) + 1,) * 2, dtype=complex)
-            v[1:, 0] = gs
-            v[0, 1:] = gs.conj()
-            h = v.copy()
-            h[0, 0] = self.omega0
-            if kind == Stepper.EXACT:
-                m = _expm_hermitian(h, self.dt)
-            else:  # numpy's power gives inf where a float's raises; both are C pow
-                m = np.eye(len(h)) - 1j * self.dt * h - 0.5 * np.float64(self.dt)**2 * (v @ v)
-            self._propagators[kind] = m
-        return m
-
 
 def build_plan(strengths: WeightMatrix, omega0: float, n_steps: int) -> CollisionPlan:
     """Wrap scaled strengths into a per-step collision plan."""
@@ -158,119 +116,43 @@ def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
-def _collide(
-    state: SingleExcitationState, plan: CollisionPlan, kind: Stepper, first: int, last: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply collisions ``first``..``last`` to the one-excitation state, in place.
+def _delay_recursion(plan: CollisionPlan, kind: Stepper):
+    """The one-excitation collision as a scalar recursion over lag differences.
 
-    Returns eps after each collision and the running change of the squared
-    norm, summed from |out|^2 - |in|^2 of the touched amplitudes.  The vacuum
-    amplitude and untouched ancillas are left bitwise unchanged (both are
-    dark under the collision Hamiltonian).  Runs whose delay blocks reach
-    BLOCK_MIN_GAP collisions advance a block per update, the others one
-    collision at a time.
+    Collision k acts on eps and the touched ancillas c = c[k - lags] through
+    H = omega0 |e><e| + |g| (|e><ghat| + |ghat><e|): the strengths g couple
+    the emitter to the single direction ghat = g / |g|, and the rest of c is
+    dark.  So the map is 1 + V (u2 - 1) V^dagger with V = [e, ghat], where u2
+    is the stepper's 2x2 map of H2 = [[omega0, |g|], [|g|, 0]]:
+    exp(-i H2 dt), or 1 - i H2 dt - |g|^2 dt^2 / 2.  With s_k = ghat^dagger c
+    and (eps_k, s_k + ds_k) = u2 (eps_{k-1}, s_k), each collision adds
+    ghat ds_k to its ancillas, and s_k = sum over D >= 1 of R(D) ds_{k-D},
+    where R(D) = sum over lag of conj(ghat[lag]) ghat[lag - D].  Returns u2, the
+    lag differences D < n_steps with nonzero R(D), their R, and the block
+    length of ``_run_single_excitation``: the smallest such D (the run
+    length if there is none), capped so the scan's powers of a growing u00
+    stay finite (second order only).
     """
-    if not 1 <= first <= last <= plan.n_steps:
-        raise ValueError(f"steps must lie in 1..{plan.n_steps}, got {first}..{last}")
-    u = plan.propagator(kind)
-    lags = plan.lags  # ascending
-    if len(lags) and (first - lags[-1] < state.min_index or last - lags[0] > state.max_index):
-        raise RuntimeError(
-            f"plan/state mismatch: collisions {first}..{last} reach ancillas outside the "
-            f"allocated range {state.min_index}..{state.max_index}"
-        )
-    idx = first - state.min_index - lags  # c[idx] are the ancillas of collision first
-    n = last - first + 1
-    block = min(plan.delay_gap, n)
-    growth = abs(u[0, 0])
-    if growth > 1:  # keep the scan's powers of u[0, 0] finite (second order only)
-        block = min(block, int(600 / math.log(growth)))
-    if block >= BLOCK_MIN_GAP:
-        e, eps, norm_change = _collide_blocks(state.c, state.eps, u, idx, n, block)
-    else:
-        e, eps, norm_change = _collide_steps(state.c, state.eps, u, idx, n)
-    state.eps = complex(e)
-    return eps, norm_change
-
-
-def _collide_steps(
-    c: np.ndarray, e: complex, u: np.ndarray, idx: np.ndarray, n: int
-) -> Tuple[complex, np.ndarray, np.ndarray]:
-    """Per-step body of ``_collide``: one matvec of u on (eps, c[idx + j]) per collision."""
-    vec = np.empty(len(idx) + 1, dtype=complex)
-    eps = np.empty(n, dtype=complex)
-    norm_change = np.empty(n, dtype=float)
-    idx = idx.copy()
-    total = 0.0
-    for j in range(n):
-        vec[0] = e
-        vec[1:] = c[idx]
-        out = u @ vec
-        c[idx] = out[1:]
-        e = out[0]
-        total += float((np.vdot(out, out) - np.vdot(vec, vec)).real)
-        eps[j] = e
-        norm_change[j] = total
-        idx += 1
-    return e, eps, norm_change
-
-
-def _collide_blocks(
-    c: np.ndarray, e: complex, u: np.ndarray, idx: np.ndarray, n: int, block: int
-) -> Tuple[complex, np.ndarray, np.ndarray]:
-    """Delay-blocked body of ``_collide``: ``block`` collisions per vectorised update.
-
-    With block no longer than the delay gap, the ancillas of one block are
-    distinct and each was last touched before the block started, so their
-    inputs cin are known up front.  eps then obeys the scalar affine recurrence
-    eps_k = u00 eps_{k-1} + u[0, 1:] . cin_k, solved by a log-depth doubling
-    scan, and the outputs u[1:] . (eps_{k-1}, cin_k) are scattered back.  Over
-    a block the per-collision norm changes |out|^2 - |in|^2 telescope in eps,
-    leaving |eps_k|^2 - |eps_start|^2 plus a running sum over the ancillas.
-    """
-    a, to_eps, to_ancillas = u[0, 0], u[0, 1:], u[1:].T
-    ones = np.ones(len(idx))
-    eps = np.empty(n, dtype=complex)
-    norm_change = np.empty(n, dtype=float)
-    at = idx + np.arange(block)[:, None]  # c[at[j]]: ancillas of the block's collision j
-    vin = np.empty((block, len(idx) + 1), dtype=complex)  # rows (eps_{k-1}, cin_k)
-    total = 0.0
-    for start in range(0, n, block):
-        b = min(block, n - start)
-        rows, cin = vin[:b], vin[:b, 1:]
-        cin[...] = c[at[:b]]
-        x = cin @ to_eps
-        x[0] += a * e
-        s, power = 1, a
-        while s < b:  # x_k <- sum_{j <= k} a^(k-j) x_j
-            x[s:] += power * x[:-s]
-            s, power = 2 * s, power * power
-        rows[0, 0] = e
-        rows[1:, 0] = x[:-1]
-        cout = rows @ to_ancillas
-        gain = np.abs(cout) ** 2
-        gain -= np.abs(cin) ** 2
-        c[at[:b]] = cout
-        out = norm_change[start:start + b]
-        np.cumsum(gain @ ones, out=out)
-        out += np.abs(x) ** 2
-        out += total - abs(e) ** 2
-        total = out[-1]
-        eps[start:start + b] = x
-        e = x[-1]
-        at += block
-    return e, eps, norm_change
-
-
-def step_single_excitation(
-    state: SingleExcitationState,
-    plan: CollisionPlan,
-    step: int,
-    kind: Stepper = Stepper.EXACT,
-) -> SingleExcitationState:
-    """Advance one collision in the one-excitation sector, in place."""
-    _collide(state, plan, kind, step, step)
-    return state
+    gs = np.array([g for _, g in plan.couplings], dtype=complex)
+    size = np.float64(math.hypot(*np.abs(gs)))  # no overflow in a sum of squares
+    h2 = np.array([[plan.omega0, size], [size, 0.0]])
+    if kind == Stepper.EXACT:
+        u2 = _expm_hermitian(h2, plan.dt)
+    else:  # numpy's power gives inf where a float's raises; both are C pow
+        u2 = np.eye(2) - 1j * plan.dt * h2 - 0.5 * np.float64(plan.dt)**2 * size**2 * np.eye(2)
+    # pairs (newer lag i, older lag j) of the stored lags, not the lag grid:
+    # a sparse kernel can span millions of steps
+    unit = gs / size if size else gs
+    diff = plan.lags[:, None] - plan.lags
+    pair = (diff >= 1) & (diff < plan.n_steps)
+    weight = (unit.conj()[:, None] * unit)[pair]
+    diff = diff[pair]
+    r = np.bincount(diff, weight.real) + 1j * np.bincount(diff, weight.imag)
+    gaps = np.flatnonzero(r)
+    block = int(gaps[0]) if len(gaps) else plan.n_steps
+    if abs(u2[0, 0]) > 1:
+        block = max(1, min(block, int(600 / math.log(abs(u2[0, 0])))))
+    return u2, gaps, r[gaps], block
 
 
 def fock_block_sizes(n_max: int, n_modes: int) -> np.ndarray:
@@ -392,10 +274,46 @@ class Trajectory:
 
 
 def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
-    state = init_single_excitation(n_steps, config.beta, n_history=plan.max_lag)
-    norm_sq = abs(state.a_vac) ** 2 + abs(state.eps) ** 2
-    eps, norm_change = _collide(state, plan, config.stepper, 1, n_steps)
-    return np.append(complex(config.beta), eps), np.sqrt(np.append(norm_sq, norm_sq + norm_change))
+    """eps and norms of a one-excitation run, by the recursion of ``_delay_recursion``.
+
+    Within a block of at most min(D) collisions every s_k depends only on ds
+    from before the block, so s is one product of the ds history with R, and
+    eps_k = u00 eps_{k-1} + u01 s_k is a scalar affine recurrence, solved by
+    a log-depth doubling scan.  The squared norm changes per collision by
+    |eps_k|^2 - |eps_{k-1}|^2 + 2 Re(conj(s_k) ds_k) + |ds_k|^2.
+    """
+    u2, gaps, r, block = _delay_recursion(plan, config.stepper)
+    (a, to_eps), (from_eps, to_s) = u2[0], u2[1] - (0, 1)
+    pad = gaps[-1] if len(gaps) else 0
+    ds = np.zeros(pad + n_steps, dtype=complex)  # ds_k at pad + k - 1; none before step 1
+    s = np.empty(n_steps, dtype=complex)
+    eps = np.empty(n_steps + 1, dtype=complex)
+    eps[0] = config.beta
+    at = pad - gaps + np.arange(block)[:, None]  # ds_{k - D} of the block's collisions
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        h = s[start:stop]
+        np.matmul(ds[at[:stop - start]], r, out=h)
+        x = eps[start + 1:stop + 1]
+        np.multiply(h, to_eps, out=x)
+        x[0] += a * eps[start]
+        step, power = 1, a
+        while step < len(x):  # x_k <- sum_{j <= k} a^(k-j) x_j
+            x[step:] += power * x[:-step]
+            step, power = 2 * step, power * power
+        ds[pad + start:pad + stop] = from_eps * eps[start:stop] + to_s * h
+        at += block
+    ds = ds[pad:]
+    s *= 2  # s becomes (2 s + ds) conj(ds) in place: no fourth array of the run's length
+    s += ds
+    ds.imag *= -1
+    s *= ds  # its real part is the norm gain 2 Re(conj(s_k) ds_k) + |ds_k|^2 of collision k
+    gain = np.cumsum(s.real, out=s.real)
+    norms = np.abs(eps)
+    norms *= norms
+    norms[1:] += gain
+    norms += max(0.0, 1.0 - abs(eps[0]) ** 2)  # |a_vac|^2, which no collision changes
+    return eps, np.sqrt(norms, out=norms)
 
 
 def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -441,8 +359,8 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
         dark = y[1:n_max + 1, 0]  # those rows with the qubit down and every other mode in vacuum
     # |g, vac> and |e, vac> sit at flat indices 0 and size // 2 in either layout
     flat, half = x.reshape(-1), size // 2
-    start = init_single_excitation(0, config.beta)
-    flat[0], flat[half] = start.a_vac, start.eps
+    beta = complex(config.beta)
+    flat[0], flat[half] = math.sqrt(max(0.0, 1.0 - abs(beta) ** 2)), beta
     eps = np.empty(n_steps + 1, dtype=complex)
     norms = np.empty(n_steps + 1, dtype=float)
     eps[0] = flat[half]

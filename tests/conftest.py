@@ -2,24 +2,24 @@
 
 The oracles are independent of the code under test: the brute-force kernel
 quadrature, the per-field float format of the CSV writers, the Choi-matrix
-channel family of the single-excitation reduced dynamics, the partially
-traced qubit state, an RK4 integrator of the delayed-feedback equation and
-the per-call truncated-Fock register that ``run()``'s full_fock loop is
-checked against.
+channel family of the single-excitation reduced dynamics, the per-call
+dense one-excitation stepper that ``run()``'s delay recursion is checked
+against, the partially traced qubit state, an RK4 integrator of the
+delayed-feedback equation and the per-call truncated-Fock register that
+``run()``'s full_fock loop is checked against.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from qcollide import engine
 from qcollide.config import parse_config
 from qcollide.divisibility import CP_RTOL
-from qcollide.engine import CollisionPlan
-from qcollide.states import _DARK_BRANCH_TOL, SingleExcitationState
+from qcollide.engine import _DARK_BRANCH_TOL, CollisionPlan, Stepper
 
 
 def make_config(**overrides):
@@ -151,6 +151,116 @@ def intermediate_map(g_from: complex, g_to: complex) -> IntermediateMap:
     min_eig = float(np.min(np.linalg.eigvalsh(choi_matrix(ratio))))
     channel = QubitChannel(ratio) if is_cp else None
     return IntermediateMap(ratio=ratio, is_cp=is_cp, choi_min_eigenvalue=min_eig, channel=channel)
+
+
+# ---- per-call dense one-excitation sector: checks ``engine._run_single_excitation``
+
+
+@dataclass
+class SingleExcitationState:
+    """Amplitudes (a_vac, eps, c_m) of the one-excitation sector.
+
+    ``c`` holds ancilla amplitudes for indices ``min_index .. min_index +
+    len(c) - 1``.  Indices below 1 are pre-history input modes (initially in
+    vacuum) that kernels with memory still couple to during early collisions.
+    """
+
+    a_vac: complex
+    eps: complex
+    c: np.ndarray
+    min_index: int = 1
+
+    @property
+    def max_index(self) -> int:
+        return self.min_index + len(self.c) - 1
+
+    def amplitude(self, m: int) -> complex:
+        return complex(self.c[m - self.min_index])
+
+    def norm(self) -> float:
+        return math.sqrt(
+            abs(self.a_vac) ** 2 + abs(self.eps) ** 2 + float(np.sum(np.abs(self.c) ** 2))
+        )
+
+    def copy(self) -> "SingleExcitationState":
+        return SingleExcitationState(self.a_vac, self.eps, self.c.copy(), self.min_index)
+
+
+def init_single_excitation(
+    n_steps: int, beta: complex, n_history: int = 0
+) -> SingleExcitationState:
+    """Initial state beta|e>|vac> + sqrt(1-|beta|^2)|g>|vac>.
+
+    ``n_history`` extra pre-history modes (indices 0, -1, ...) are allocated
+    for kernels whose maximum lag reaches below the first collision.
+    """
+    beta = complex(beta)
+    if abs(beta) > 1 + 1e-12:
+        raise ValueError(f"initial amplitude must satisfy |beta| <= 1, got |{beta}| = {abs(beta)}")
+    if n_steps < 0 or n_history < 0:
+        raise ValueError("n_steps and n_history must be nonnegative")
+    a_vac = math.sqrt(max(0.0, 1.0 - abs(beta) ** 2))
+    c = np.zeros(n_steps + n_history, dtype=complex)
+    return SingleExcitationState(a_vac=a_vac, eps=beta, c=c, min_index=1 - n_history)
+
+
+def touched(plan: CollisionPlan, step: int) -> List[Tuple[int, complex]]:
+    """Ancillas hit during collision ``step`` (1-based) with their strengths.
+
+    Collision k couples to ancilla k - lag for every stored lag; indices
+    at or below zero are pre-history vacuum modes and are kept.
+    """
+    if not 1 <= step <= plan.n_steps:
+        raise ValueError(f"step must be in 1..{plan.n_steps}, got {step}")
+    return [(step - lag, g) for lag, g in plan.couplings]
+
+
+def dense_propagator(plan: CollisionPlan, kind: Stepper) -> np.ndarray:
+    """One-excitation collision map on (eps, c[k - lags]), built once per stepper.
+
+    H has omega0 on the emitter and the strengths g in its first column
+    and row; V is H without the omega0 entry.  The exact stepper is
+    exp(-i H dt); the second-order one is 1 - i H dt - V^2 dt^2 / 2.
+    """
+    kind = Stepper(kind)
+    m = plan._propagators.get(kind)
+    if m is None:
+        gs = np.array([g for _, g in plan.couplings], dtype=complex)
+        v = np.zeros((len(gs) + 1,) * 2, dtype=complex)
+        v[1:, 0] = gs
+        v[0, 1:] = gs.conj()
+        h = v.copy()
+        h[0, 0] = plan.omega0
+        if kind == Stepper.EXACT:
+            m = engine._expm_hermitian(h, plan.dt)
+        else:  # numpy's power gives inf where a float's raises; both are C pow
+            m = np.eye(len(h)) - 1j * plan.dt * h - 0.5 * np.float64(plan.dt)**2 * (v @ v)
+        plan._propagators[kind] = m
+    return m
+
+
+def step_single_excitation(
+    state: SingleExcitationState,
+    plan: CollisionPlan,
+    step: int,
+    kind: Stepper = Stepper.EXACT,
+) -> SingleExcitationState:
+    """Advance one collision in the one-excitation sector, in place.
+
+    The dense propagator acts on (eps, c[step - lags]); the vacuum amplitude
+    and untouched ancillas are left bitwise unchanged (both are dark under
+    the collision Hamiltonian).
+    """
+    idx = [m - state.min_index for m, _ in touched(plan, step)]
+    if idx and (min(idx) < 0 or max(idx) >= len(state.c)):
+        raise RuntimeError(
+            f"plan/state mismatch: collision {step} reaches ancillas outside the "
+            f"allocated range {state.min_index}..{state.max_index}"
+        )
+    out = dense_propagator(plan, kind) @ np.concatenate(([state.eps], state.c[idx]))
+    state.eps = complex(out[0])
+    state.c[idx] = out[1:]
+    return state
 
 
 # ---- reduced qubit state: checks ``embed_single_excitation`` by partial trace
@@ -381,7 +491,7 @@ def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> Trun
     run.  Every touched ancilla must already sit inside the active window.
     """
     front = [0]
-    for m, _ in plan.touched(step):
+    for m, _ in touched(plan, step):
         if m not in state.active_modes:
             raise ValueError(
                 f"collision {step} touches ancilla {m}, which is outside the active window "

@@ -306,8 +306,22 @@ class TestExitCodes:
             "dt": 0.25, "t_max": 2, "representation": representation})
         out = tmp_path / "out"
         assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
-        assert "'dt'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'dt'" in err
+        assert len(err.encode()) < 200  # the reach in three digits, not 309
         assert not out.exists()
+
+    def test_overflowing_kernel_table_exits_three_naming_the_lag(self, tmp_path, capsys):
+        # the smooth quadrature overflows at this dt; simulate refuses the same config
+        config = write_config(tmp_path, {
+            "coupling": {"shape": "custom", "gamma": 1.0, "deltas": [[0, 1, 0], [0.5, 1, 0]],
+                         "smooth": {"form": "exponential", "kappa": 2.0, "support": 1.0}},
+            "dt": 1.25e306, "n_steps": 4})
+        out = tmp_path / "out"
+        for command in ("kernel", "simulate"):
+            assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 3
+            assert "at lag 0 is not finite" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("dt,step", [(1.34e154, 2), (1.35e154, 1)])
     def test_second_order_overflow_exits_three_naming_the_step(self, tmp_path, capsys, dt, step):

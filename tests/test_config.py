@@ -573,6 +573,19 @@ class TestRunBudget:
         assert str(KERNEL_CALL_BUDGET if field.startswith("coupling") else RUN_BUDGET) in str(
             error)
 
+    @pytest.mark.parametrize("data,message", [
+        # counts up to 2^53 are exact floats and keep every digit; beyond, three
+        (timed(minimal(dt=1.0), 1e9),
+         "1000000000 steps plus the kernel's reach of 0 span 1000000000 ancilla slots"),
+        (timed(minimal(dt=1e-10), 1e290), "1e+300 steps plus the kernel's reach of 0 span 1e+300"),
+        (minimal(coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 2.0**53},
+                 dt=1.0), "the kernel reaches 9007199254740992 steps at dt=1.0"),
+        (minimal(coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 2.0**54},
+                 dt=1.0), "the kernel reaches 1.8e+16 steps at dt=1.0"),
+    ])
+    def test_refusals_print_counts_beyond_2_53_in_three_digits(self, data, message):
+        assert message in str(refused_without_allocating(data))
+
     @pytest.mark.parametrize("data,field", [
         # 1,002 smooth lags at dt = 2/1000 cost about 1e6 multiply-adds a collision
         (minimal(coupling=smooth_kernel(2.0), dt=2 / 1000, n_steps=4_000_000), "n_steps"),

@@ -1,7 +1,6 @@
 import cmath
 import math
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -18,16 +17,18 @@ from qcollide.coupling import (
     mirror_coupling,
     white_coupling,
 )
-from qcollide.engine import (
-    Stepper,
-    build_plan,
-    run,
-    step_single_excitation,
-)
+from qcollide.engine import Stepper, build_plan, run
 from qcollide.reference import solve_dde
-from qcollide.states import init_single_excitation
 
-from conftest import TruncatedFockState, embed_single_excitation, make_config, step_full
+from conftest import (
+    TruncatedFockState,
+    embed_single_excitation,
+    init_single_excitation,
+    make_config,
+    step_full,
+    step_single_excitation,
+    touched,
+)
 
 
 def make_plan(spec, dt, n_steps, omega0=0.0):
@@ -42,13 +43,13 @@ def explicit_second_order(plan, beta, n_steps):
     dt = plan.dt
     eps_out = [state.eps]
     for k in range(1, n_steps + 1):
-        touched = plan.touched(k)
-        idx = [m - state.min_index for m, _ in touched]
+        hit = touched(plan, k)
+        idx = [m - state.min_index for m, _ in hit]
         eps = state.eps
-        overlap = sum(np.conj(g) * state.c[i] for (_, g), i in zip(touched, idx))
-        strength_sq = sum(abs(g) ** 2 for _, g in touched)
+        overlap = sum(np.conj(g) * state.c[i] for (_, g), i in zip(hit, idx))
+        strength_sq = sum(abs(g) ** 2 for _, g in hit)
         state.eps = eps - 1j * dt * (plan.omega0 * eps + overlap) - 0.5 * dt * dt * strength_sq * eps
-        for (_, g), i in zip(touched, idx):
+        for (_, g), i in zip(hit, idx):
             state.c[i] += -1j * dt * g * eps - 0.5 * dt * dt * g * overlap
         eps_out.append(state.eps)
     return np.array(eps_out), state
@@ -107,25 +108,25 @@ class TestBuildPlan:
     def test_white_touches_one_fresh_ancilla(self):
         plan = make_plan(white_coupling(1.0), 0.1, 10)
         for k in (1, 4, 10):
-            assert plan.touched(k) == [(k, pytest.approx(math.sqrt(10.0)))]
+            assert touched(plan, k) == [(k, pytest.approx(math.sqrt(10.0)))]
 
     def test_mirror_touches_current_and_delayed(self):
         plan = make_plan(mirror_coupling(1.0, 0.0, 0.3), 0.1, 10)
-        assert [m for m, _ in plan.touched(5)] == [5, 2]
+        assert [m for m, _ in touched(plan, 5)] == [5, 2]
 
     def test_early_steps_reach_prehistory_modes(self):
         # the delayed channel couples to vacuum input modes at or below index 0;
         # dropping them would halve the initial decay rate
         plan = make_plan(mirror_coupling(1.0, 0.0, 0.3), 0.1, 10)
-        assert [m for m, _ in plan.touched(2)] == [2, -1]
+        assert [m for m, _ in touched(plan, 2)] == [2, -1]
         assert 1 - plan.max_lag == -2
 
     def test_step_bounds_checked(self):
         plan = make_plan(white_coupling(1.0), 0.1, 10)
         with pytest.raises(ValueError, match="step"):
-            plan.touched(0)
+            touched(plan, 0)
         with pytest.raises(ValueError, match="step"):
-            plan.touched(11)
+            touched(plan, 11)
 
 
 class TestSingleExcitationStepper:
@@ -286,7 +287,7 @@ class TestFockNumberBlocks:
         fock = TruncatedFockState(psi.reshape((2,) + (n_max + 1,) * n_modes), modes, n_max)
         assert (fock.amplitudes.size > engine.FOCK_DENSE_MAX) == (n_modes == 4)
         step_full(fock, plan, 3)
-        slots_gs = tuple((modes.index(m), g) for m, g in plan.touched(3))
+        slots_gs = tuple((modes.index(m), g) for m, g in touched(plan, 3))
         expected = dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs) @ psi
         out = fock.amplitudes.ravel()
         assert np.max(np.abs(out - expected)) <= 1e-12
@@ -311,7 +312,7 @@ def check_local_collision(n_max, plan, step, modes, seed):
     psi /= np.linalg.norm(psi)
     fock = TruncatedFockState(psi.reshape((2,) + (n_max + 1,) * len(modes)), modes, n_max)
     step_full(fock, plan, step)
-    slots_gs = tuple((modes.index(m), g) for m, g in plan.touched(step))
+    slots_gs = tuple((modes.index(m), g) for m, g in touched(plan, step))
     expected = dense_fock_unitary(n_max, len(modes), plan.omega0, plan.dt, slots_gs) @ psi
     assert fock.active_modes == modes
     assert np.max(np.abs(fock.amplitudes.ravel() - expected)) <= 1e-12
@@ -547,34 +548,36 @@ class TestCoreAgainstOracles:
         assert traj.norms[-1] == pytest.approx(state.norm(), abs=1e-12)
 
 
-def per_step_and_blocked(config):
-    """Collide a config's whole run once per step and once in delay blocks.
+def per_call_sector_run(config):
+    """eps and norms of a one-excitation run from the per-call dense stepper: the
+    norm is summed from |out|^2 - |in|^2 of the touched amplitudes, one collision
+    at a time."""
+    n_steps, _ = config.effective_steps()
+    omega0 = 0.0 if config.rotating_frame else config.omega0
+    plan = make_plan(config.coupling_spec(), config.dt, n_steps, omega0=omega0)
+    state = init_single_excitation(n_steps, config.beta, n_history=plan.max_lag)
+    eps, norm_sq = [state.eps], [state.norm() ** 2]
+    for k in range(1, n_steps + 1):
+        idx = [m - state.min_index for m, _ in touched(plan, k)]
+        before = abs(state.eps) ** 2 + float(np.sum(np.abs(state.c[idx]) ** 2))
+        step_single_excitation(state, plan, k, config.stepper)
+        after = abs(state.eps) ** 2 + float(np.sum(np.abs(state.c[idx]) ** 2))
+        eps.append(state.eps)
+        norm_sq.append(norm_sq[-1] + after - before)
+    return np.array(eps), np.sqrt(norm_sq)
 
-    Returns ((eps, norm change, final ancillas) per step, the same blocked).
-    """
-    plan = make_plan(config.coupling_spec(), config.dt, config.effective_steps()[0],
-                     omega0=config.omega0)
-    out = []
-    for gate in (sys.maxsize, 1):  # never block / block whenever the plan allows
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "BLOCK_MIN_GAP", gate)
-            state = init_single_excitation(plan.n_steps, config.beta, n_history=plan.max_lag)
-            eps, norm_change = engine._collide(state, plan, config.stepper, 1, plan.n_steps)
-        out.append((eps, norm_change, state.c))
-    return out
 
-
-def assert_bodies_agree(config, tol=1e-12):
-    (eps_s, norm_s, c_s), (eps_b, norm_b, c_b) = per_step_and_blocked(config)
-    assert np.max(np.abs(eps_s - eps_b)) <= tol
-    assert np.max(np.abs(norm_s - norm_b)) <= tol
-    assert np.max(np.abs(c_s - c_b)) <= tol
+def assert_matches_per_call_stepper(config, tol=1e-12):
+    traj = run(config)
+    eps, norms = per_call_sector_run(config)
+    assert np.max(np.abs(traj.eps - eps)) <= tol
+    assert np.max(np.abs(traj.norms - norms)) <= tol
 
 
 @st.composite
 def sparse_kernel_configs(draw):
-    """Custom couplings with 1-4 delta lags of at most 40 steps whose smallest
-    gap falls on either side of BLOCK_MIN_GAP, with 1-120 collisions."""
+    """Custom couplings with 1-4 delta lags of at most 40 steps, 1-12 steps apart,
+    with 1-120 collisions."""
     dt = 0.1
     gaps = draw(st.lists(st.integers(1, 12), min_size=0, max_size=3))
     lags = list(np.cumsum([draw(st.integers(0, 4))] + gaps))
@@ -617,26 +620,50 @@ ACCEPTANCE_CONFIGS = [
 ]
 
 
+@st.composite
+def smooth_kernel_configs(draw):
+    """Exponential smooth kernels of up to 50 lags, with or without a complex
+    lag-0 delta, under both steppers, with 1-80 collisions."""
+    coupling = {"shape": "custom", "gamma": draw(st.floats(0.1, 1.0)),
+                "smooth": {"form": "exponential", "kappa": draw(st.floats(0.5, 4.0)),
+                           "support": draw(st.floats(0.25, 3.0))}}
+    if draw(st.booleans()):
+        w = draw(st.floats(0.05, 1.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        coupling["deltas"] = [[0.0, w.real, w.imag]]
+    return dict(
+        coupling=coupling, dt=draw(st.sampled_from([0.125, 0.0625])),
+        n_steps=draw(st.integers(1, 80)), omega0=draw(st.floats(-1.0, 1.0)),
+        beta=[draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))],
+        stepper=draw(st.sampled_from(["exact", "second_order"])),
+    )
+
+
 class TestDelayBlocks:
-    """The blocked body of the stepping core against its per-step body."""
+    """run()'s delay recursion against the per-call dense stepper."""
 
     def test_mirror_gap_is_the_delay(self):
         plan = make_plan(mirror_coupling(1.0, 0.0, 1.0), 1 / 64, 640)
-        assert plan.delay_gap == 64
-        assert make_plan(white_coupling(1.0), 0.1, 37).delay_gap == 37
+        assert engine._delay_recursion(plan, Stepper.EXACT)[3] == 64
+        assert engine._delay_recursion(make_plan(white_coupling(1.0), 0.1, 37),
+                                       Stepper.EXACT)[3] == 37
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_kernel_configs())
     def test_random_sparse_kernels(self, base):
-        assert_bodies_agree(make_config(**base))
+        assert_matches_per_call_stepper(make_config(**base))
+
+    @settings(max_examples=25, deadline=None)
+    @given(smooth_kernel_configs())
+    def test_random_smooth_kernels(self, base):
+        assert_matches_per_call_stepper(make_config(**base))
 
     @pytest.mark.parametrize("base", ACCEPTANCE_CONFIGS)
     def test_acceptance_configs(self, base):
-        assert_bodies_agree(make_config(**base))
+        assert_matches_per_call_stepper(make_config(**base))
 
     @pytest.mark.parametrize("base", list(_mirror_grid()))
     def test_mirror_grid(self, base):
-        assert_bodies_agree(make_config(**base))
+        assert_matches_per_call_stepper(make_config(**base))
 
     def test_unstable_stepper_on_vacuum_stays_zero(self):
         # |u00| = 1.096 here: one block over the whole single-lag run would
@@ -644,15 +671,6 @@ class TestDelayBlocks:
         traj = run(make_config(coupling={"shape": "white", "gamma": 0.5}, omega0=5.0, dt=0.1,
                                n_steps=100_000, stepper="second_order", beta=0.0))
         assert not np.any(traj.eps)
-
-    def test_run_dispatches_on_the_gap(self, monkeypatch):
-        calls = []
-        blocks = engine._collide_blocks
-        monkeypatch.setattr(engine, "_collide_blocks",
-                            lambda *args: calls.append(args[-1]) or blocks(*args))
-        run(make_config(dt=1 / 64, t_max=2.0))  # mirror, tau = 1: gap 64
-        run(make_config(coupling=mirror(0.5, 0.0, 0.5), dt=0.1, t_max=2.0))  # gap 5
-        assert calls == [64]
 
 
 class TestRunWhite:

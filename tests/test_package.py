@@ -1,6 +1,7 @@
 """The package surface: the user-facing names, and none of the test oracles."""
 
 import importlib
+import importlib.util
 import pkgutil
 
 import pytest
@@ -23,6 +24,8 @@ NOT_IN_PACKAGE = (
     "IntermediateMap", "intermediate_map", "QubitDensityMatrix", "reduced_qubit_state",
     "dde_numeric_oracle", "serialize_config", "samples_csv", "fmt",
     "TruncatedFockState", "embed_single_excitation", "step_full",
+    "SingleExcitationState", "init_single_excitation", "touched", "dense_propagator",
+    "step_single_excitation", "BLOCK_MIN_GAP", "_collide", "_collide_steps", "_collide_blocks",
 )
 
 MODULES = [
@@ -51,4 +54,9 @@ def test_test_oracles_are_not_in_the_package(module):
 
 
 def test_deleted_plan_property():
-    assert not hasattr(CollisionPlan, "min_ancilla")
+    for name in ("min_ancilla", "propagator", "touched", "delay_gap"):
+        assert not hasattr(CollisionPlan, name), name
+
+
+def test_deleted_module():
+    assert importlib.util.find_spec("qcollide.states") is None

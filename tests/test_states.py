@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcollide.states import SingleExcitationState, init_single_excitation
-
 from conftest import (
     QubitDensityMatrix,
+    SingleExcitationState,
     TruncatedFockState,
     embed_single_excitation,
+    init_single_excitation,
     reduced_qubit_state,
 )
 
