@@ -88,9 +88,16 @@ def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, q
     for dt in dt_list:
         if not (dt > 0 and math.isfinite(dt)):
             raise ConfigError("dt_list", f"step sizes must be finite and positive, got {dt}")
-        if coupling.shape == "mirror" and coupling.tau > 0:
+        if coupling.shape == "mirror":
             ratio = coupling.tau / dt
-            if abs(ratio - round(ratio)) > GRID_MATCH_RTOL:
+            # the delay equation needs a delay of whole steps; below half a step
+            # the kernel merges into lag 0, and the reference would sum t_max / tau terms
+            if not ratio > 0.5:
+                raise ConfigError(
+                    "coupling.tau", f"converge needs a delay of at least one step, got "
+                    f"tau={coupling.tau!r} at dt={dt!r}"
+                )
+            if math.isfinite(ratio) and abs(ratio - round(ratio)) > GRID_MATCH_RTOL:
                 raise ConfigError(
                     "dt_list", f"dt={dt!r} does not divide the delay tau={coupling.tau!r} exactly"
                 )
@@ -100,7 +107,8 @@ def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, q
         cfg = dataclasses.replace(config, dt=dt)  # __post_init__ checks it again
         traj = run(cfg)
         err = float(np.max(np.abs(traj.eps - _reference_on_grid(cfg, traj.times))))
-        order = math.nan if not rows else math.log2(rows[-1][1] / err) if err > 0 else math.inf
+        previous = rows[-1][1] if rows else 0.0  # an order needs two nonzero errors
+        order = math.log2(previous / err) if previous > 0 and err > 0 else math.nan
         rows.append((dt, err, order))
 
     path = _write(config, outdir, "convergence_csv", export.convergence_csv(rows))

@@ -248,7 +248,7 @@ class SimulationConfig:
         output = dict(self.output)
         _require_keys(output, OUTPUT_KEYS, "output")
         for key, name in output.items():
-            if not isinstance(name, str):
+            if not isinstance(name, str) or Path(name).name in ("", ".."):  # "", ".", "/"
                 raise ConfigError(f"output.{key}", f"expected a file name, got {name!r}")
         _set(self, "output", tuple(sorted(output.items())))
 

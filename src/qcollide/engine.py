@@ -28,13 +28,21 @@ if TYPE_CHECKING:  # pragma: no cover
 # full_fock mode would be lossy and is refused
 _DARK_BRANCH_TOL = 1e-12
 
-# Largest local collision space (the qubit and the touched modes) whose number
-# blocks ``_fock_propagator`` joins into one dense matrix: a product per block costs
-# about 2.5 us of Python overhead, so small propagators are faster as one.
-# On the same host the two broke even at 256 amplitudes; at 128 the dense
-# form took half the time.  A mirror's local space has 2 (n_max + 1)^2
-# amplitudes, so only kernels with three or more lags reach the blocks.
+# Largest local collision space (the qubit and the touched modes) that
+# ``_fock_propagator`` exponentiates whole; larger ones go by excitation-number
+# blocks.  On a 2-vCPU x86-64 host with one BLAS thread (best of 7), the whole
+# form against the blocks took, to build once per run, 141 / 253 us at D = 32
+# amplitudes, 553 / 406 at 64, 2,949 / 845 at 128 and 4,391 / 961 at 162; and
+# to apply to a (D, 8) register at every collision, 3.3 / 17.3 us, 6.7 / 21.8,
+# 20.6 / 32.3 and 31.3 / 43.6.  So above about 64 amplitudes the whole form
+# costs more to build and less to apply.  A mirror's local space has
+# 2 (n_max + 1)^2 amplitudes, so up to n_max = 7 only kernels with three or
+# more lags reach the blocks.
 FOCK_DENSE_MAX = 128
+
+# lag pairs that ``_delay_recursion`` sums at once: its memory stays bounded
+# by this many pairs (about 6 MB) however many lags a kernel stores
+_PAIR_CHUNK = 1 << 16
 
 __all__ = [
     "Stepper",
@@ -140,14 +148,27 @@ def _delay_recursion(plan: CollisionPlan, kind: Stepper):
         u2 = _expm_hermitian(h2, plan.dt)
     else:  # numpy's power gives inf where a float's raises; both are C pow
         u2 = np.eye(2) - 1j * plan.dt * h2 - 0.5 * np.float64(plan.dt)**2 * size**2 * np.eye(2)
-    # pairs (newer lag i, older lag j) of the stored lags, not the lag grid:
-    # a sparse kernel can span millions of steps
+    # pairs (newer lag i, older lag j) of the stored lags, not the lag grid: a
+    # sparse kernel can span millions of steps.  The partners of lag i, those
+    # with 1 <= lags[i] - lags[j] < n_steps, are lags first[i] to i - 1; the
+    # pairs are numbered in that order and summed _PAIR_CHUNK at a time
+    lags = plan.lags
     unit = gs / size if size else gs
-    diff = plan.lags[:, None] - plan.lags
-    pair = (diff >= 1) & (diff < plan.n_steps)
-    weight = (unit.conj()[:, None] * unit)[pair]
-    diff = diff[pair]
-    r = np.bincount(diff, weight.real) + 1j * np.bincount(diff, weight.imag)
+    first = np.searchsorted(lags, lags - (plan.n_steps - 1))
+    count = np.arange(len(lags)) - first
+    ends = np.cumsum(count)
+    n_pairs = int(ends[-1]) if len(ends) else 0
+    length = int((lags - lags[first]).max(initial=0)) + 1
+    re, im = np.zeros(length), np.zeros(length)
+    for start in range(0, n_pairs, _PAIR_CHUNK):
+        pairs = np.arange(start, min(start + _PAIR_CHUNK, n_pairs))
+        i = np.searchsorted(ends, pairs, side="right")
+        j = first[i] + pairs - (ends[i] - count[i])
+        diff = lags[i] - lags[j]
+        weight = unit[i].conj() * unit[j]
+        re += np.bincount(diff, weight.real, length)
+        im += np.bincount(diff, weight.imag, length)
+    r = re + 1j * im
     gaps = np.flatnonzero(r)
     block = int(gaps[0]) if len(gaps) else plan.n_steps
     if abs(u2[0, 0]) > 1:
@@ -168,36 +189,51 @@ def fock_block_sizes(n_max: int, n_modes: int) -> np.ndarray:
     return sizes
 
 
+def _fock_hamiltonian(
+    n_max: int, n_modes: int, omega0: float, slots_gs: tuple
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """H on the qubit and ``n_modes`` modes as index arithmetic, in register order.
+
+    H = omega0 |e><e| + sum over touched slots of g (|g><e| adag_slot + h.c.).
+    Returns its diagonal, omega0 on the excited qubit (the second half of the
+    flat indices), and its hops: for each touched slot, g sqrt(n + 1) from
+    |e, n> at flat index ``src`` to |g, n + 1> at ``dst``.
+    """
+    base = n_max + 1
+    half = base ** n_modes
+    diag = np.zeros(2 * half)
+    diag[half:] = omega0
+    modes = np.arange(half)  # the modes' flat index, under the excited qubit
+    src, dst, amp = [modes[:0]], [modes[:0]], [np.zeros(0, dtype=complex)]
+    for slot, g in slots_gs:
+        stride = base ** (n_modes - 1 - slot)
+        n = modes // stride % base
+        hop = np.flatnonzero(n < n_max)  # |e, n> with room for one more photon
+        src.append(half + hop)
+        dst.append(hop + stride)
+        amp.append(g * np.sqrt(n[hop] + 1.0))
+    return diag, np.concatenate(src), np.concatenate(dst), np.concatenate(amp)
+
+
 def _fock_blocks(
     n_max: int, n_modes: int, omega0: float, dt: float, slots_gs: tuple
 ) -> Tuple[np.ndarray, List[Tuple[int, int, np.ndarray]]]:
     """exp(-i H dt) on the qubit and ``n_modes`` modes, one excitation-number block at a time.
 
-    H = omega0 |e><e| + sum over touched slots of g (|g><e| adag_slot + h.c.)
-    conserves the total excitation number N, so it is block diagonal once the
-    register's flat indices are ordered by N.  Returns that order and, per
-    block, its (start, stop) in the order and its unitary.  Each block is
-    filled by index arithmetic, omega0 on the excited-qubit diagonal and
-    g sqrt(n + 1) from |e, n> to |g, n + 1> on each touched slot, so no
-    matrix of the full register dimension is formed.
+    H (see ``_fock_hamiltonian``) conserves the total excitation number N, so
+    it is block diagonal once the register's flat indices are ordered by N.
+    Returns that order and, per block, its (start, stop) in the order and its
+    unitary.  No matrix of the full register dimension is formed.
     """
     shape = (2,) + (n_max + 1,) * n_modes
-    occ = np.indices(shape).reshape(len(shape), -1)  # occupations of each flat index
-    number = occ.sum(axis=0)
+    number = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
     order = np.argsort(number, kind="stable")
     place = np.empty_like(order)  # position of each flat index in the order
     place[order] = np.arange(order.size)
-    excited = occ[0] == 1
-    src, dst, amp = [order[:0]], [order[:0]], [np.zeros(0, dtype=complex)]
-    for slot, g in slots_gs:
-        n = occ[1 + slot]
-        hop = np.flatnonzero(excited & (n < n_max))  # |e, n> with room for one more photon
-        src.append(place[hop])
-        dst.append(place[hop - (n_max + 1) ** n_modes + (n_max + 1) ** (n_modes - 1 - slot)])
-        amp.append(g * np.sqrt(n[hop] + 1.0))
-    by_src = np.argsort(np.concatenate(src), kind="stable")  # each block's hops: one slice
-    src, dst, amp = (np.concatenate(part)[by_src] for part in (src, dst, amp))
-    diag = omega0 * excited[order]
+    diag, src, dst, amp = _fock_hamiltonian(n_max, n_modes, omega0, slots_gs)
+    src, dst = place[src], place[dst]
+    by_src = np.argsort(src, kind="stable")  # each block's hops: one slice
+    src, dst, amp, diag = src[by_src], dst[by_src], amp[by_src], diag[order]
     blocks = []
     start = 0
     for stop in np.cumsum(np.bincount(number)):
@@ -215,20 +251,24 @@ def _fock_propagator(plan: CollisionPlan, n_max: int):
 
     U_loc is the exact exponential of H on the qubit and one mode per stored
     lag, in lag order.  Up to FOCK_DENSE_MAX amplitudes it is one dense
-    matrix in that local order; above, it is the number order of the local
-    basis and one unitary per excitation-number block (see ``_fock_blocks``).
+    matrix in that local order, from one eigendecomposition of the whole
+    local H, so nothing assumes [H, N] = 0 there.  Above, it is the number
+    order of the local basis and one unitary per excitation-number block (see
+    ``_fock_blocks``).
     """
     key = ("fock", n_max)
     prop = plan._propagators.get(key)
     if prop is None:
         slots_gs = tuple(enumerate(g for _, g in plan.couplings))  # touched() order
-        order, blocks = _fock_blocks(n_max, len(slots_gs), plan.omega0, plan.dt, slots_gs)
-        if order.size <= FOCK_DENSE_MAX:  # one dense matrix in local order
-            prop = np.zeros((order.size,) * 2, dtype=complex)
-            for start, stop, u in blocks:
-                prop[np.ix_(order[start:stop], order[start:stop])] = u
+        n_modes = len(slots_gs)
+        if 2 * (n_max + 1) ** n_modes <= FOCK_DENSE_MAX:
+            diag, src, dst, amp = _fock_hamiltonian(n_max, n_modes, plan.omega0, slots_gs)
+            h = np.diag(diag).astype(complex)
+            h[dst, src] = amp
+            h[src, dst] = np.conj(amp)
+            prop = _expm_hermitian(h, plan.dt)
         else:
-            prop = (order, blocks)
+            prop = _fock_blocks(n_max, n_modes, plan.omega0, plan.dt, slots_gs)
         plan._propagators[key] = prop
     return prop
 
@@ -326,12 +366,15 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
     lag, the same axes every step, so the register is kept for the whole run
     as the (local dimension, rest) matrix x that U_loc multiplies, with the
     qubit and the touched axes first, and two fixed views show x and the
-    product y in register order.  After each product the oldest ancilla is
-    out of reach: its occupied branch must be dark (qubit down, every other
-    mode in vacuum), and its weight is kept as retired.  Copying y's vacuum
-    slice of axis 1 into x's vacuum slice of axis W moves every other ancilla
-    down one axis; x's occupied part of axis W is never written, so the
-    newest ancilla starts in vacuum.  The test suite pins this loop against a
+    product y in register order.  U_loc is applied as one np.matmul when it
+    is dense, chosen once per run.  After each product the oldest ancilla is
+    out of reach.  Copying y's vacuum slice of axis 1 into x's vacuum slice
+    of axis W moves every other ancilla down one axis; x's occupied part of
+    axis W is never written, so the newest ancilla starts in vacuum.  The
+    oldest ancilla's occupied branch is what the copy leaves behind, so its
+    weight is vdot(y, y) - vdot(x, x), two contiguous reductions.  That
+    branch must be dark (qubit down, every other mode in vacuum), and its
+    weight is kept as retired.  The test suite pins this loop against a
     per-call register that moves the touched axes at every collision.
     """
     lags = plan.lags
@@ -343,6 +386,7 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
         )
     n_max = config.n_max
     prop = _fock_propagator(plan, n_max)
+    apply = np.matmul if isinstance(prop, np.ndarray) else _apply_local
     # touched() order: axis 1, the largest lag's, is the last of the local axes
     front = [0] + [1 + plan.max_lag - int(lag) for lag in lags]
     perm = front + [axis for axis in range(1, width + 1) if axis not in front]
@@ -354,9 +398,8 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
     if width:
         back = np.argsort(perm)
         t_out, t_next = (a.reshape(shape).transpose(back) for a in (y, x))
-        # rows of y with axis 1 occupied: the last n_max of every n_max + 1, read without a copy
-        occupied = y.reshape(-1, (n_max + 1) * rest)[:, rest:].view(float)
-        dark = y[1:n_max + 1, 0]  # those rows with the qubit down and every other mode in vacuum
+        # rows of y with axis 1 occupied, the qubit down and every other mode in vacuum
+        dark = y[1:n_max + 1, 0]
     # |g, vac> and |e, vac> sit at flat indices 0 and size // 2 in either layout
     flat, half = x.reshape(-1), size // 2
     beta = complex(config.beta)
@@ -367,21 +410,23 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
     norms[0] = math.sqrt(np.vdot(x, x).real)
     retired = 0.0
     for k in range(1, n_steps + 1):
-        _apply_local(prop, x, y)
+        apply(prop, x, out=y)
         if width:
-            weight = float(np.einsum("ij,ij->", occupied, occupied))
-            bright = abs(weight - float(np.vdot(dark, dark).real))
+            t_next[..., 0] = t_out[:, 0]
+            kept = np.vdot(x, x).real
+            weight = np.vdot(y, y).real - kept  # of y's rows with axis 1 occupied
+            bright = abs(weight - np.vdot(dark, dark).real)
             if bright > _DARK_BRANCH_TOL:
                 raise RuntimeError(
                     f"mode {k - plan.max_lag} is still entangled with the active dynamics; "
                     f"retiring it would lose {bright:.3e} of coherent weight"
                 )
             retired += weight
-            t_next[..., 0] = t_out[:, 0]
         else:
             x[...] = y
+            kept = np.vdot(x, x).real
         eps[k] = flat[half]
-        norms[k] = math.sqrt(np.vdot(x, x).real + retired)
+        norms[k] = math.sqrt(kept + retired)
     return eps, norms, size
 
 

@@ -350,7 +350,8 @@ def trajectory_summary(traj: Trajectory) -> dict:
 
 
 def convergence_csv(rows: Iterable[Tuple[float, float, float]]) -> str:
-    """Table of (dt, max_abs_error, observed_order); order is nan on the first row."""
+    """Table of (dt, max_abs_error, observed_order); order is nan on the first row
+    and next to an error of 0."""
     table = np.array(list(rows), dtype=float).reshape(-1, 3)
     return _table("dt,max_abs_error,observed_order", *table.T)
 

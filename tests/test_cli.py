@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from qcollide import cli
 from qcollide.cli import main
 
 from conftest import brute_force_lag_weight
@@ -141,6 +143,28 @@ class TestConvergeCommand:
         for row in rows[1:]:
             assert float(row.split(",")[1]) <= 1e-12
 
+    # an order needs two nonzero errors: a vanishing error once wrote inf, and a
+    # nonzero error after a vanishing one raised in log2(0) and exited 3
+    @pytest.mark.parametrize("offsets,order", [
+        ((0.0, 0.0, 0.0), math.nan), ((0.0, 0.0, 2**-10), math.nan),
+        ((2**-10, 0.0, 0.0), math.nan), ((2**-10, 2**-11, 2**-12), 1.0),
+    ])
+    def test_order_of_a_vanishing_error_is_nan(self, tmp_path, monkeypatch, offsets, order):
+        # a decoupled mirror stays at eps = 1 exactly; the fake reference is off by an offset
+        config = write_config(tmp_path, mirror_data(
+            coupling={"shape": "mirror", "gamma": 0.0, "phi": 0.0, "tau": 1.0}, t_max=2.0))
+        by_dt = dict(zip((0.25, 0.125, 0.0625), offsets))
+        monkeypatch.setattr(cli, "_reference_on_grid",
+                            lambda cfg, times: np.ones(len(times)) + by_dt[cfg.dt])
+        assert main(["converge", "--config", config, "--output", str(tmp_path),
+                     "--dt-list", "0.25,0.125,0.0625", "--quiet"]) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "convergence.csv").read_text().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == list(offsets)
+        assert math.isnan(float(rows[0][2]))
+        for row in rows[1:]:
+            assert float(row[2]) == pytest.approx(order, nan_ok=True)
+
     def test_white_converges_against_exponential(self, tmp_path):
         config = write_config(tmp_path, {
             "coupling": {"shape": "white", "gamma": 1.0}, "dt": 0.1, "t_max": 2.0,
@@ -164,6 +188,28 @@ class TestConvergeCommand:
         assert main(["converge", "--config", config, "--output", str(out),
                      "--dt-list", dts, "--quiet"]) == 2
         assert "'dt_list'" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a delay under half a step merges into lag 0, where the delay equation
+    # has no reference: 1e-200 once summed t_max / tau terms and never ended
+    @pytest.mark.parametrize("tau", [0.0, 1e-200, 0.03])
+    def test_delay_below_one_step_exits_two_naming_tau(self, tmp_path, capsys, tau):
+        config = write_config(tmp_path, mirror_data(
+            coupling={"shape": "mirror", "gamma": 0.5, "phi": 0.3, "tau": tau}, dt=0.125,
+            t_max=2.0))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config, "--output", str(out),
+                     "--dt-list", "0.125,0.0625", "--quiet"]) == 2
+        assert "'coupling.tau'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_too_small_for_the_delay_exits_two_naming_dt(self, tmp_path, capsys):
+        # tau / dt overflows to inf: over the run budget, not an unroundable ratio
+        config = write_config(tmp_path, mirror_data(t_max=2.0))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config, "--output", str(out),
+                     "--dt-list", "5e-324", "--quiet"]) == 2
+        assert "'dt'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_needs_t_max(self, tmp_path):
@@ -277,6 +323,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["", ".", "/"])
+    def test_output_name_that_is_no_file_exits_two(self, tmp_path, capsys, name):
+        # "" once reached the writer, which tried to open the output directory itself
+        config = write_config(tmp_path, mirror_data(output={"trajectory_csv": name}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert "'output.trajectory_csv'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_exact_recursion_exits_two_naming_stepper(self, tmp_path, capsys):

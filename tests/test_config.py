@@ -268,6 +268,9 @@ BAD_CONFIGS = {
     "output-list": (minimal(output=[]), "output"),
     "output-unknown-key": (minimal(output={"plot": "x.png"}), "output.plot"),
     "output-number-name": (minimal(output={"trajectory_csv": 5}), "output.trajectory_csv"),
+    "output-empty-name": (minimal(output={"trajectory_csv": ""}), "output.trajectory_csv"),
+    "output-dot-name": (minimal(output={"summary_json": "."}), "output.summary_json"),
+    "output-parent-name": (minimal(output={"witness_json": "a/.."}), "output.witness_json"),
     "output-null": (minimal(output=None), "output"),
     "recursion-on-white": (minimal(representation="mirror_recursion"), "representation"),
     "recursion-short-delay": (minimal(coupling=dict(MIRROR, tau=0.001),

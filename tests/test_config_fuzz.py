@@ -2,21 +2,31 @@
 
 ``parse_config`` either returns a config or raises ``ConfigError``, and an
 accepted config either runs to finite amplitudes and norms or raises the
-RuntimeError that names what is not finite.  Each example takes one of five
-valid configs and changes the value at one path: to null, a bool, an
+RuntimeError that names what is not finite.  Through ``cli.main``, each of
+the four subcommands exits 2 naming a config field, exits 3 printing the
+error, or exits 0 having written only finite numbers (but the observed
+orders that ``convergence_csv`` defines as nan).  Each example takes one of
+five valid configs and changes the value at one path: to null, a bool, an
 integer past the float range or past 64 bits, nan or inf, a string, an empty
 list or object, the value wrapped in a list, the value scaled by a power of
 ten, or the key deleted.
 """
 
+import contextlib
 import copy
+import io
+import json
 import math
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qcollide.cli import main
 from qcollide.config import ConfigError, parse_config
 from qcollide.engine import run
 
@@ -109,3 +119,57 @@ def test_accepted_configs_run_or_report_what_is_not_finite(data):
         assert "not finite" in str(exc)
         return
     assert np.all(np.isfinite(traj.eps)) and np.all(np.isfinite(traj.norms))
+
+
+def no_constant(name):
+    raise AssertionError(f"{name} in a JSON output")
+
+
+def assert_finite_outputs(outdir: Path, command: str):
+    """Every number in the files a subcommand wrote is finite, but the observed
+    orders of a convergence table that are nan by definition: the first, and
+    any next to an error of 0."""
+    files = sorted(path for path in outdir.rglob("*") if path.is_file())
+    assert files, f"{command} exited 0 and wrote nothing"
+    for path in files:
+        text = path.read_text()
+        if text.startswith("{"):
+            json.loads(text, parse_constant=no_constant)
+            continue
+        header, *rows = text.splitlines()
+        values = np.array([[float(field) for field in row.split(",")] for row in rows])
+        if header == "dt,max_abs_error,observed_order":
+            err, order = values[:, 1], values[:, 2]
+            undefined = np.concatenate([[True], (err[1:] == 0) | (err[:-1] == 0)])
+            assert np.all(np.isnan(order[undefined])), order
+            order[undefined] = 0.0
+        assert np.all(np.isfinite(values)), f"{path.name} holds a non-finite number"
+
+
+@FUZZ
+@given(mutated_configs(), st.sampled_from(["kernel", "simulate", "witness", "converge"]))
+def test_every_subcommand_exits_with_a_named_field_an_error_or_finite_files(data, command):
+    config = parsed(data)
+    dt = 0.125 if config is None else config.dt
+    if config is not None and command != "kernel":
+        steps = config.effective_steps()[0] * (3 if command == "converge" else 1)
+        if steps > RUN_MAX_STEPS:
+            return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(data))
+        outdir = Path(tmp, "out")
+        argv = [command, "--config", str(path), "--output", str(outdir), "--quiet"]
+        if command == "converge":
+            argv += ["--dt-list", f"{dt!r},{dt / 2!r}"]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            status = main(argv)
+        message = err.getvalue()
+        if status == 2:
+            assert re.search(r"config field '[^']+'", message), message
+            assert not outdir.exists()
+        elif status == 3:
+            assert message.startswith("error: ") and message.strip() != "error:", message
+        else:
+            assert status == 0, (status, message)
+            assert_finite_outputs(outdir, command)

@@ -361,6 +361,42 @@ class TestLocalPropagator:
         assert isinstance(plan._propagators[("fock", n_max)], np.ndarray) == dense
 
 
+@st.composite
+def small_local_spaces(draw):
+    """Plans of 0-3 delta lags at n_max 1-3: local spaces of 2 to 128 amplitudes."""
+    n_max = draw(st.integers(1, 3))
+    lags = sorted(draw(st.lists(st.integers(0, 6), max_size=3, unique=True)))
+    weights = [draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+               for _ in lags]
+    plan = delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)),
+                      draw(st.floats(0.01, 0.5)), 8)
+    return n_max, plan
+
+
+class TestWholeSpaceExponential:
+    """Local spaces of at most FOCK_DENSE_MAX amplitudes are exponentiated whole."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_local_spaces())
+    def test_one_exponential_without_number_blocks(self, layout):
+        n_max, plan = layout
+        n_modes = len(plan.couplings)
+        assert 2 * (n_max + 1) ** n_modes <= engine.FOCK_DENSE_MAX
+
+        def refuse(*args):
+            raise AssertionError("a small local space went through the number blocks")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_fock_blocks", refuse)
+            u = engine._fock_propagator(plan, n_max)
+        slots_gs = tuple(enumerate(g for _, g in plan.couplings))
+        reference = dense_fock_unitary(n_max, n_modes, plan.omega0, plan.dt, slots_gs)
+        assert np.max(np.abs(u - reference)) <= 1e-12
+        # nothing assumes [H, N] = 0: the number sectors stay apart to roundoff
+        number = excitation_numbers(n_max, n_modes)
+        assert np.max(np.abs(u[number[:, None] != number]), initial=0.0) <= 1e-14
+
+
 def smooth_coupling(support):
     """An exponential kernel cut at ``support``: its span is known only from the quadrature."""
     return {"shape": "custom", "gamma": 0.5,
@@ -638,6 +674,31 @@ def smooth_kernel_configs(draw):
     )
 
 
+def pair_sum_reference(plan):
+    """The nonzero lag differences D of ``_delay_recursion`` and their R(D), from
+    the (L, L) outer product of the stored lags' directions that it once formed."""
+    gs = np.array([g for _, g in plan.couplings], dtype=complex)
+    size = np.float64(math.hypot(*np.abs(gs)))
+    unit = gs / size if size else gs
+    diff = plan.lags[:, None] - plan.lags
+    pair = (diff >= 1) & (diff < plan.n_steps)
+    weight = (unit.conj()[:, None] * unit)[pair]
+    diff = diff[pair]
+    r = np.bincount(diff, weight.real) + 1j * np.bincount(diff, weight.imag)
+    gaps = np.flatnonzero(r)
+    return gaps, r[gaps]
+
+
+@st.composite
+def sparse_lag_plans(draw):
+    """Plans of 0-40 delta lags below 200 steps, with 1-300 collisions."""
+    lags = sorted(draw(st.lists(st.integers(0, 199), max_size=40, unique=True)))
+    weights = [draw(st.floats(0.05, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+               for _ in lags]
+    return delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), 0.3, 0.1,
+                      draw(st.integers(1, 300)))
+
+
 class TestDelayBlocks:
     """run()'s delay recursion against the per-call dense stepper."""
 
@@ -646,6 +707,41 @@ class TestDelayBlocks:
         assert engine._delay_recursion(plan, Stepper.EXACT)[3] == 64
         assert engine._delay_recursion(make_plan(white_coupling(1.0), 0.1, 37),
                                        Stepper.EXACT)[3] == 37
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_lag_plans())
+    def test_pair_sum_in_one_chunk_is_the_outer_product(self, plan):
+        gaps, r = engine._delay_recursion(plan, Stepper.EXACT)[1:3]
+        ref_gaps, ref_r = pair_sum_reference(plan)
+        assert gaps.tolist() == ref_gaps.tolist()
+        assert r.tobytes() == ref_r.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_lag_plans(), st.integers(1, 50))
+    def test_pair_sum_over_chunks_matches_the_outer_product(self, plan, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_PAIR_CHUNK", chunk)
+            gaps, r = engine._delay_recursion(plan, Stepper.EXACT)[1:3]
+        ref_gaps, ref_r = pair_sum_reference(plan)
+        full, ref_full = np.zeros(plan.n_steps, complex), np.zeros(plan.n_steps, complex)
+        full[gaps], ref_full[ref_gaps] = r, ref_r
+        assert np.max(np.abs(full - ref_full)) <= 1e-14
+
+    def test_pair_sum_memory_is_bounded(self):
+        # 1,500 deltas one step apart: 1.1 million lag pairs, whose (L, L)
+        # outer product peaked at 75 MB
+        deltas = [[k * 0.01, 1.0 / (1 + k), 0.0] for k in range(1500)]
+        config = make_config(coupling={"shape": "custom", "gamma": 1.0, "deltas": deltas},
+                             dt=0.01, n_steps=3000)
+        run(config)  # first-call allocations stay out of the measured peak
+        tracemalloc.start()
+        try:
+            traj = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.all(np.isfinite(traj.eps))
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_kernel_configs())
