@@ -4,8 +4,7 @@ feedback, with exact continuous-time references and CP-divisibility
 diagnostics.
 
 The package namespace holds the user-facing API.  Engine internals
-(``CollisionPlan``, ``build_plan``, ...) are importable from
-``qcollide.engine``.
+(``CollisionPlan``, ...) are importable from ``qcollide.engine``.
 """
 
 from .config import ConfigError, CouplingConfig, SimulationConfig, load_config, parse_config

@@ -22,7 +22,6 @@ import numpy as np
 from .coupling import (
     QUADRATURE_CELLS,
     CouplingSpec,
-    WeightMatrix,
     collision_weights,
     coupling_strengths,
     custom_coupling,
@@ -121,11 +120,6 @@ def _require_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], where: str)
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}.{unknown[0]}" if where else unknown[0], "unknown key")
-
-
-def _exact_strengths(spec: CouplingSpec, dt: float) -> WeightMatrix:
-    """The collision strengths ``run`` computes, for a kernel without a smooth part."""
-    return coupling_strengths(collision_weights(spec, dt, 1), spec.gamma)
 
 
 @dataclass(frozen=True)
@@ -339,51 +333,43 @@ class SimulationConfig:
         check_work((lags + 1) ** 2, f"over up to {_count(lags)} lags")
         if self.representation == Representation.FULL_FOCK:
             modes = self.check_fock_budget(grid_span(spec, dt))
-            self.check_window(spec)
             register, local = (2 * (self.n_max + 1) ** b for b in (modes, min(modes, int(lags))))
             check_work(FOCK_COLLISION_FLOOR + register * local,
                        f"on a full_fock register of up to {register} amplitudes")
 
     def check_strengths(self, spec: CouplingSpec) -> None:
-        """Refuse collision strengths g = sqrt(gamma / dt) W that overflow, where they are exact.
+        """Refuse overflowing strengths g = sqrt(gamma / dt) W, and a window below an exact span.
 
         gamma / dt must be finite; the error names ``coupling.gamma`` or
-        ``dt``, whichever is further from 1.  Without a smooth part, the
-        weights W are the summed deltas, found here as ``run`` finds them, and
-        each g must be finite (naming ``coupling.deltas``).  A smooth part's
-        weights come out of its quadrature, so ``run`` checks those strengths
-        before it builds a propagator (exit code 3).
+        ``dt``, whichever is further from 1.  Without a smooth part, the table
+        is the summed deltas, found here once as ``run`` finds it: its span
+        max_lag - min_lag + 1 over the lags of nonzero g must fit in
+        ``window`` (naming ``window``), then each g must be finite (naming
+        ``coupling.deltas``).  A smooth part's weights come out of its
+        quadrature, so ``run`` checks that kernel's strengths before it builds
+        a propagator, and its window, with exit code 3.
         """
         gamma, dt = self.coupling.gamma, self.dt
         if math.isinf(gamma / dt):
             raise ConfigError("coupling.gamma" if gamma >= 1 / dt else "dt",
                               f"gamma / dt = {gamma} / {dt} overflows, so every collision "
                               f"strength sqrt(gamma / dt) W would be infinite")
-        if spec.smooth is None:
-            for lag, g in _exact_strengths(spec, dt).lags.items():
-                if not cmath.isfinite(g):
-                    raise ConfigError("coupling.deltas",
-                                      f"the collision strength at lag {lag} overflows ({g}) at "
-                                      f"gamma={gamma}, dt={dt}")
-
-    def check_window(self, spec: CouplingSpec) -> None:
-        """Refuse a ``window`` below the kernel's span wherever that span is exact.
-
-        Without a smooth part, the stored lags are the grid lags of the deltas
-        whose summed, scaled weight is nonzero, found here as ``run`` finds
-        them.  A smooth part's end weights come out of its quadrature, so for
-        such a kernel ``run`` checks the window instead (exit code 3).
-        """
-        if self.window is None or spec.smooth is not None:
+        if spec.smooth is not None:
             return
-        lags = _exact_strengths(spec, self.dt).lags_present
+        table = coupling_strengths(collision_weights(spec, dt, 1), spec.gamma).lags
+        lags = sorted(table)
         span = lags[-1] - lags[0] + 1 if lags else 0
-        if self.window < span:
+        if self.window is not None and self.window < span:
             raise ConfigError(
                 "window",
-                f"the kernel spans {span} ancillas (lags {lags[0]}..{lags[-1]}) at dt={self.dt}, "
+                f"the kernel spans {span} ancillas (lags {lags[0]}..{lags[-1]}) at dt={dt}, "
                 f"more than the window of {self.window}; raise the window or leave it out",
             )
+        for lag, g in table.items():
+            if not cmath.isfinite(g):
+                raise ConfigError("coupling.deltas",
+                                  f"the collision strength at lag {lag} overflows ({g}) at "
+                                  f"gamma={gamma}, dt={dt}")
 
     def check_fock_budget(self, span: int) -> int:
         """Refuse a full_fock run whose register would exceed FOCK_BUDGET; return its modes.

@@ -150,7 +150,7 @@ class WeightMatrix:
         return max(self.lags, default=0)
 
     def scaled(self, factor: float) -> "WeightMatrix":
-        with np.errstate(over="ignore", invalid="ignore"):  # CollisionPlan refuses a non-finite g
+        with np.errstate(over="ignore", invalid="ignore"):  # run() refuses a non-finite g
             scaled = {lag: factor * w for lag, w in self.lags.items() if factor * w != 0}
         return WeightMatrix(dt=self.dt, n_steps=self.n_steps, lags=scaled, warnings=self.warnings)
 
@@ -217,7 +217,7 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
 
     if spec.smooth is not None:
         last = int(math.floor(spec.smooth_support / dt)) + 1
-        with np.errstate(over="ignore", invalid="ignore"):  # CollisionPlan refuses inf and nan
+        with np.errstate(over="ignore", invalid="ignore"):  # run() refuses inf and nan
             for ell in range(0, last + 1):
                 w = _smooth_lag_weight(spec.smooth, spec.smooth_support, ell, dt)
                 if w != 0:

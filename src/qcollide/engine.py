@@ -13,13 +13,13 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from .coupling import WeightMatrix, collision_weights, coupling_strengths
+from .coupling import collision_weights, coupling_strengths
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _DARK_BRANCH_TOL = 1e-12
 
 # Largest local collision space (the qubit and the touched modes) that
-# ``_fock_propagator`` exponentiates whole; larger ones go by excitation-number
+# ``_fock_propagator`` builds whole; larger ones go by excitation-number
 # blocks.  On a 2-vCPU x86-64 host with one BLAS thread (best of 7), the whole
 # form against the blocks took, to build once per run, 141 / 253 us at D = 32
 # amplitudes, 553 / 406 at 64, 2,949 / 845 at 128 and 4,391 / 961 at 162; and
@@ -49,7 +49,6 @@ __all__ = [
     "Representation",
     "CollisionPlan",
     "Trajectory",
-    "build_plan",
     "run",
 ]
 
@@ -73,55 +72,42 @@ class Representation(str, Enum):
         return self.value
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CollisionPlan:
-    """Interaction data for each collision, derived from a stationary strength table.
+    """The run's stationary strength table: the same collision at every step.
 
-    The collision map does not depend on the step: collision k couples the
-    emitter to ancilla k - lag with the same strength for every stored lag.
-    The lags and their strengths are therefore found once per plan.
+    Collision k couples the emitter to ancilla k - lags[i] with strength
+    gs[i] for every stored lag, in ascending order; a lag whose strength is
+    zero is not stored.
     """
 
-    strengths: WeightMatrix
+    lags: np.ndarray
+    gs: np.ndarray
     omega0: float
+    dt: float
     n_steps: int
-    couplings: Tuple[Tuple[int, complex], ...] = field(init=False)
-    lags: np.ndarray = field(init=False, repr=False, compare=False)
-    _propagators: Dict[object, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        # nonzero (lag, strength) pairs, ascending lag
-        self.couplings = tuple((lag, self.strengths.w(lag)) for lag in self.strengths.lags_present)
-        self.lags = np.array([lag for lag, _ in self.couplings], dtype=np.intp)
-        for lag, g in self.couplings:  # eigh would fail on them, or return nan
-            if not cmath.isfinite(g):
-                raise RuntimeError(
-                    f"the coupling strength at lag {lag} is not finite ({g}); the kernel's "
-                    f"weight there, or that weight times sqrt(gamma/dt), overflows"
-                )
-
-    @property
-    def dt(self) -> float:
-        return self.strengths.dt
 
     @property
     def max_lag(self) -> int:
-        return self.strengths.max_lag
-
-
-def build_plan(strengths: WeightMatrix, omega0: float, n_steps: int) -> CollisionPlan:
-    """Wrap scaled strengths into a per-step collision plan."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    return CollisionPlan(strengths=strengths, omega0=float(omega0), n_steps=int(n_steps))
+        return int(self.lags[-1]) if len(self.lags) else 0
 
 
 def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for Hermitian h via its eigendecomposition (unitary to roundoff)."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
+
+
+def _collision_map(h: np.ndarray, dt: float, kind: Stepper) -> np.ndarray:
+    """The stepper's map of Hermitian h: exp(-i h dt), or 1 - i h dt - V^2 dt^2 / 2.
+
+    V is h without its diagonal: the couplings, without omega0.
+    """
+    if kind == Stepper.EXACT:
+        return _expm_hermitian(h, dt)
+    v = h - np.diag(np.diag(h))
+    # numpy's power gives inf where a float's raises; both are C pow
+    return np.eye(len(h)) - 1j * dt * h - 0.5 * np.float64(dt)**2 * (v @ v)
 
 
 def _delay_recursion(plan: CollisionPlan, kind: Stepper):
@@ -141,19 +127,14 @@ def _delay_recursion(plan: CollisionPlan, kind: Stepper):
     length if there is none), capped so the scan's powers of a growing u00
     stay finite (second order only).
     """
-    gs = np.array([g for _, g in plan.couplings], dtype=complex)
-    size = np.float64(math.hypot(*np.abs(gs)))  # no overflow in a sum of squares
-    h2 = np.array([[plan.omega0, size], [size, 0.0]])
-    if kind == Stepper.EXACT:
-        u2 = _expm_hermitian(h2, plan.dt)
-    else:  # numpy's power gives inf where a float's raises; both are C pow
-        u2 = np.eye(2) - 1j * plan.dt * h2 - 0.5 * np.float64(plan.dt)**2 * size**2 * np.eye(2)
+    size = np.float64(math.hypot(*np.abs(plan.gs)))  # no overflow in a sum of squares
+    u2 = _collision_map(np.array([[plan.omega0, size], [size, 0.0]]), plan.dt, kind)
     # pairs (newer lag i, older lag j) of the stored lags, not the lag grid: a
     # sparse kernel can span millions of steps.  The partners of lag i, those
     # with 1 <= lags[i] - lags[j] < n_steps, are lags first[i] to i - 1; the
     # pairs are numbered in that order and summed _PAIR_CHUNK at a time
     lags = plan.lags
-    unit = gs / size if size else gs
+    unit = plan.gs / size if size else plan.gs
     first = np.searchsorted(lags, lags - (plan.n_steps - 1))
     count = np.arange(len(lags)) - first
     ends = np.cumsum(count)
@@ -216,14 +197,15 @@ def _fock_hamiltonian(
 
 
 def _fock_blocks(
-    n_max: int, n_modes: int, omega0: float, dt: float, slots_gs: tuple
+    n_max: int, n_modes: int, omega0: float, dt: float, slots_gs: tuple, kind: Stepper
 ) -> Tuple[np.ndarray, List[Tuple[int, int, np.ndarray]]]:
-    """exp(-i H dt) on the qubit and ``n_modes`` modes, one excitation-number block at a time.
+    """The stepper's map of H on the qubit and ``n_modes`` modes, one number block at a time.
 
-    H (see ``_fock_hamiltonian``) conserves the total excitation number N, so
-    it is block diagonal once the register's flat indices are ordered by N.
-    Returns that order and, per block, its (start, stop) in the order and its
-    unitary.  No matrix of the full register dimension is formed.
+    H (see ``_fock_hamiltonian``) and its coupling part V conserve the total
+    excitation number N, so both stepper maps are block diagonal once the
+    register's flat indices are ordered by N.  Returns that order and, per
+    block, its (start, stop) in the order and its map.  No matrix of the full
+    register dimension is formed.
     """
     shape = (2,) + (n_max + 1,) * n_modes
     number = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
@@ -241,36 +223,29 @@ def _fock_blocks(
         h = np.diag(diag[start:stop]).astype(complex)
         h[dst[lo:hi] - start, src[lo:hi] - start] = amp[lo:hi]
         h[src[lo:hi] - start, dst[lo:hi] - start] = np.conj(amp[lo:hi])
-        blocks.append((start, int(stop), _expm_hermitian(h, dt)))
+        blocks.append((start, int(stop), _collision_map(h, dt, kind)))
         start = int(stop)
     return order, blocks
 
 
-def _fock_propagator(plan: CollisionPlan, n_max: int):
-    """U_loc of a full_fock collision, built once per plan and n_max and cached on the plan.
+def _fock_propagator(plan: CollisionPlan, n_max: int, kind: Stepper):
+    """U_loc of a full_fock collision: the stepper's map of H on the local space.
 
-    U_loc is the exact exponential of H on the qubit and one mode per stored
-    lag, in lag order.  Up to FOCK_DENSE_MAX amplitudes it is one dense
-    matrix in that local order, from one eigendecomposition of the whole
-    local H, so nothing assumes [H, N] = 0 there.  Above, it is the number
-    order of the local basis and one unitary per excitation-number block (see
-    ``_fock_blocks``).
+    The local space is the qubit and one mode per stored lag, in lag order.
+    Up to FOCK_DENSE_MAX amplitudes U_loc is one dense matrix in that local
+    order, built from the whole local H, so nothing assumes [H, N] = 0
+    there.  Above, it is the number order of the local basis and one map per
+    excitation-number block (see ``_fock_blocks``).  Each run builds it once.
     """
-    key = ("fock", n_max)
-    prop = plan._propagators.get(key)
-    if prop is None:
-        slots_gs = tuple(enumerate(g for _, g in plan.couplings))  # touched() order
-        n_modes = len(slots_gs)
-        if 2 * (n_max + 1) ** n_modes <= FOCK_DENSE_MAX:
-            diag, src, dst, amp = _fock_hamiltonian(n_max, n_modes, plan.omega0, slots_gs)
-            h = np.diag(diag).astype(complex)
-            h[dst, src] = amp
-            h[src, dst] = np.conj(amp)
-            prop = _expm_hermitian(h, plan.dt)
-        else:
-            prop = _fock_blocks(n_max, n_modes, plan.omega0, plan.dt, slots_gs)
-        plan._propagators[key] = prop
-    return prop
+    slots_gs = tuple(enumerate(plan.gs))  # touched() order
+    n_modes = len(slots_gs)
+    if 2 * (n_max + 1) ** n_modes > FOCK_DENSE_MAX:
+        return _fock_blocks(n_max, n_modes, plan.omega0, plan.dt, slots_gs, kind)
+    diag, src, dst, amp = _fock_hamiltonian(n_max, n_modes, plan.omega0, slots_gs)
+    h = np.diag(diag).astype(complex)
+    h[dst, src] = amp
+    h[src, dst] = np.conj(amp)
+    return _collision_map(h, plan.dt, kind)
 
 
 def _apply_local(prop, x: np.ndarray, out=None) -> np.ndarray:
@@ -385,7 +360,7 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
             f"the window of {config.window}"
         )
     n_max = config.n_max
-    prop = _fock_propagator(plan, n_max)
+    prop = _fock_propagator(plan, n_max, config.stepper)
     apply = np.matmul if isinstance(prop, np.ndarray) else _apply_local
     # touched() order: axis 1, the largest lag's, is the last of the local axes
     front = [0] + [1 + plan.max_lag - int(lag) for lag in lags]
@@ -432,12 +407,11 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
 
 def _fock_note(plan: CollisionPlan, n_max: int, dim: int) -> str:
     """Register and propagator sizes of a full_fock run; no wall-clock value."""
-    n_touched = len(plan.couplings)
+    n_touched = len(plan.lags)
     return (
         f"full_fock register: peak dimension {dim}, local propagator dimension "
         f"{2 * (n_max + 1) ** n_touched} (largest excitation-number block "
-        f"{int(fock_block_sizes(n_max, n_touched).max())}), "
-        f"cached propagators {len(plan._propagators)}"
+        f"{int(fock_block_sizes(n_max, n_touched).max())})"
     )
 
 
@@ -455,14 +429,24 @@ def run(config: "SimulationConfig") -> Trajectory:
 
     weights = collision_weights(spec, config.dt, n_steps)
     notes.extend(weights.warnings)
-    strengths = coupling_strengths(weights, spec.gamma)
+    table = sorted(coupling_strengths(weights, spec.gamma).lags.items())  # nonzero g only
+    for lag, g in table:  # eigh would fail on them, or return nan
+        if not cmath.isfinite(g):
+            raise RuntimeError(
+                f"the coupling strength at lag {lag} is not finite ({g}); the kernel's "
+                f"weight there, or that weight times sqrt(gamma/dt), overflows"
+            )
     omega0 = 0.0 if config.rotating_frame else config.omega0
     if config.rotating_frame and config.omega0 != 0:
         notes.append(
             f"rotating frame: dynamics run with omega0=0; multiply eps by "
             f"exp(-i*{config.omega0!r}*t) to recover lab-frame amplitudes"
         )
-    plan = build_plan(strengths, omega0, n_steps)
+    plan = CollisionPlan(
+        lags=np.array([lag for lag, _ in table], dtype=np.intp),
+        gs=np.array([g for _, g in table], dtype=complex),
+        omega0=omega0, dt=config.dt, n_steps=n_steps,
+    )
 
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below

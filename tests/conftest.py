@@ -11,10 +11,17 @@ delayed-feedback equation and the per-call truncated-Fock register that
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+# one BLAS thread, set before numpy loads BLAS: the oracles' eigh calls on
+# registers of hundreds of amplitudes otherwise spin threads against any other
+# busy process on the machine
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 from qcollide import engine
 from qcollide.config import parse_config
@@ -212,31 +219,42 @@ def touched(plan: CollisionPlan, step: int) -> List[Tuple[int, complex]]:
     """
     if not 1 <= step <= plan.n_steps:
         raise ValueError(f"step must be in 1..{plan.n_steps}, got {step}")
-    return [(step - lag, g) for lag, g in plan.couplings]
+    return [(step - int(lag), g) for lag, g in zip(plan.lags, plan.gs)]
+
+
+_last_propagator: list = [None, None]  # the key and value of the last build
+
+
+def last_built(build, plan: CollisionPlan, *args):
+    """build(plan, *args), built again only when the builder, the plan's values or
+    the args change: a per-call run asks for the same propagator at every step."""
+    values = (plan.lags, plan.gs, np.array([plan.omega0, plan.dt]))  # bytes: -0.0 is not 0.0
+    key = (build, *(a.tobytes() for a in values)) + args
+    if _last_propagator[0] != key:
+        _last_propagator[:] = key, build(plan, *args)
+    return _last_propagator[1]
 
 
 def dense_propagator(plan: CollisionPlan, kind: Stepper) -> np.ndarray:
-    """One-excitation collision map on (eps, c[k - lags]), built once per stepper.
+    """One-excitation collision map on (eps, c[k - lags]).
 
     H has omega0 on the emitter and the strengths g in its first column
     and row; V is H without the omega0 entry.  The exact stepper is
     exp(-i H dt); the second-order one is 1 - i H dt - V^2 dt^2 / 2.
     """
-    kind = Stepper(kind)
-    m = plan._propagators.get(kind)
-    if m is None:
-        gs = np.array([g for _, g in plan.couplings], dtype=complex)
-        v = np.zeros((len(gs) + 1,) * 2, dtype=complex)
-        v[1:, 0] = gs
-        v[0, 1:] = gs.conj()
-        h = v.copy()
-        h[0, 0] = plan.omega0
-        if kind == Stepper.EXACT:
-            m = engine._expm_hermitian(h, plan.dt)
-        else:  # numpy's power gives inf where a float's raises; both are C pow
-            m = np.eye(len(h)) - 1j * plan.dt * h - 0.5 * np.float64(plan.dt)**2 * (v @ v)
-        plan._propagators[kind] = m
-    return m
+    return last_built(_dense_propagator, plan, Stepper(kind))
+
+
+def _dense_propagator(plan: CollisionPlan, kind: Stepper) -> np.ndarray:
+    v = np.zeros((len(plan.gs) + 1,) * 2, dtype=complex)
+    v[1:, 0] = plan.gs
+    v[0, 1:] = plan.gs.conj()
+    h = v.copy()
+    h[0, 0] = plan.omega0
+    if kind == Stepper.EXACT:
+        return engine._expm_hermitian(h, plan.dt)
+    # numpy's power gives inf where a float's raises; both are C pow
+    return np.eye(len(h)) - 1j * plan.dt * h - 0.5 * np.float64(plan.dt)**2 * (v @ v)
 
 
 def step_single_excitation(
@@ -479,16 +497,19 @@ def embed_single_excitation(
     return TruncatedFockState(amplitudes=amp, active_modes=window, n_max=n_max)
 
 
-def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> TruncatedFockState:
+def step_full(
+    state: TruncatedFockState, plan: CollisionPlan, step: int, kind: Stepper = Stepper.EXACT
+) -> TruncatedFockState:
     """Advance one collision of the truncated-Fock register, in place.
 
     A collision acts on the qubit and the modes it touches only, so its
-    propagator is U_loc x 1 on the spectator modes (``_fock_propagator``).
-    This per-call form moves the qubit and the touched axes to the front,
-    applies U_loc to the register reshaped to (local dimension, rest) and
-    moves the axes back.  It is the reference of the run loop in
-    ``engine._run_full_fock``, which keeps those axes in place for the whole
-    run.  Every touched ancilla must already sit inside the active window.
+    propagator is U_loc x 1 on the spectator modes (``_fock_propagator`` for
+    the stepper ``kind``).  This per-call form moves the qubit and the
+    touched axes to the front, applies U_loc to the register reshaped to
+    (local dimension, rest) and moves the axes back.  It is the reference of
+    the run loop in ``engine._run_full_fock``, which keeps those axes in
+    place for the whole run.  Every touched ancilla must already sit inside
+    the active window.
     """
     front = [0]
     for m, _ in touched(plan, step):
@@ -498,7 +519,7 @@ def step_full(state: TruncatedFockState, plan: CollisionPlan, step: int) -> Trun
                 f"{state.active_modes}"
             )
         front.append(state.mode_axis(m))
-    prop = engine._fock_propagator(plan, state.n_max)
+    prop = last_built(engine._fock_propagator, plan, state.n_max, Stepper(kind))
     amp = state.amplitudes
     perm = front + [axis for axis in range(amp.ndim) if axis not in front]
     moved = amp.transpose(perm)

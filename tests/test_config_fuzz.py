@@ -9,7 +9,9 @@ orders that ``convergence_csv`` defines as nan).  Each example takes one of
 five valid configs and changes the value at one path: to null, a bool, an
 integer past the float range or past 64 bits, nan or inf, a string, an empty
 list or object, the value wrapped in a list, the value scaled by a power of
-ten, or the key deleted.
+ten, or the key deleted.  Half the examples instead nudge one nonzero number
+by a factor 10^k, k in [-2, 2]: a change that usually keeps the config valid,
+so that those examples reach a run.
 """
 
 import contextlib
@@ -66,14 +68,30 @@ def paths(value, path=()):
         yield from paths(child, path + (key,))
 
 
+def nonzero_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value != 0
+
+
+def value_at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
 @st.composite
 def mutated_configs(draw):
     data = copy.deepcopy(draw(st.sampled_from(BASES)))
-    path = draw(st.sampled_from(list(paths(data))))
-    parent = data
-    for key in path[:-1]:
-        parent = parent[key]
+    every = list(paths(data))
+    nudge = draw(st.booleans())  # half the examples
+    if nudge:
+        every = [path for path in every if nonzero_number(value_at(data, path))]
+    path = draw(st.sampled_from(every))
+    parent = value_at(data, path[:-1])
     key, old = path[-1], parent[path[-1]]
+    if nudge:  # an integer stays an integer, as n_steps, n_max and window must be
+        scaled = old * 10.0 ** draw(st.integers(-2, 2))
+        parent[key] = round(scaled) if isinstance(old, int) else scaled
+        return data
     change = draw(st.sampled_from(REPLACEMENTS + [DELETE, WRAP, SCALE]))
     if change is DELETE:
         del parent[key]

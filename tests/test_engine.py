@@ -17,7 +17,7 @@ from qcollide.coupling import (
     mirror_coupling,
     white_coupling,
 )
-from qcollide.engine import Stepper, build_plan, run
+from qcollide.engine import CollisionPlan, Stepper, run
 from qcollide.reference import solve_dde
 
 from conftest import (
@@ -32,8 +32,12 @@ from conftest import (
 
 
 def make_plan(spec, dt, n_steps, omega0=0.0):
+    """The record run() builds: the nonzero strengths of the kernel's table, by lag."""
     weights = collision_weights(spec, dt, n_steps)
-    return build_plan(coupling_strengths(weights, spec.gamma), omega0, n_steps)
+    table = sorted(coupling_strengths(weights, spec.gamma).lags.items())
+    return CollisionPlan(lags=np.array([lag for lag, _ in table], dtype=np.intp),
+                         gs=np.array([g for _, g in table], dtype=complex),
+                         omega0=float(omega0), dt=dt, n_steps=n_steps)
 
 
 def explicit_second_order(plan, beta, n_steps):
@@ -263,7 +267,7 @@ class TestFockNumberBlocks:
     @given(fock_layouts())
     def test_blocks_match_dense_builder(self, layout):
         n_max, n_modes, omega0, dt, slots_gs = layout
-        order, blocks = engine._fock_blocks(n_max, n_modes, omega0, dt, slots_gs)
+        order, blocks = engine._fock_blocks(n_max, n_modes, omega0, dt, slots_gs, Stepper.EXACT)
         assert sorted(order) == list(range(2 * (n_max + 1) ** n_modes))
         number = excitation_numbers(n_max, n_modes)[order]
         for start, stop, _ in blocks:
@@ -338,7 +342,7 @@ def local_collisions(draw):
 
 
 class TestLocalPropagator:
-    """step_full applies one cached propagator on the qubit and the touched axes."""
+    """step_full applies one local propagator on the qubit and the touched axes."""
 
     @settings(max_examples=60, deadline=None)
     @given(local_collisions())
@@ -355,10 +359,9 @@ class TestLocalPropagator:
         # collision 8 touches ancillas 8 - lag, scattered over the register's axes
         plan = delta_plan(lags, [1.0, 0.5j, -0.7, 0.3 + 0.4j][:len(lags)], 0.8, 0.4, 0.1, 8)
         assert (2 * (n_max + 1) ** len(lags) <= engine.FOCK_DENSE_MAX) == dense
-        for seed in (1, 2):  # the propagator is built, then read from the cache
+        for seed in (1, 2):
             check_local_collision(n_max, plan, 8, modes, seed)
-        assert list(plan._propagators) == [("fock", n_max)]
-        assert isinstance(plan._propagators[("fock", n_max)], np.ndarray) == dense
+        assert isinstance(engine._fock_propagator(plan, n_max, Stepper.EXACT), np.ndarray) == dense
 
 
 @st.composite
@@ -380,7 +383,7 @@ class TestWholeSpaceExponential:
     @given(small_local_spaces())
     def test_one_exponential_without_number_blocks(self, layout):
         n_max, plan = layout
-        n_modes = len(plan.couplings)
+        n_modes = len(plan.lags)
         assert 2 * (n_max + 1) ** n_modes <= engine.FOCK_DENSE_MAX
 
         def refuse(*args):
@@ -388,8 +391,8 @@ class TestWholeSpaceExponential:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_fock_blocks", refuse)
-            u = engine._fock_propagator(plan, n_max)
-        slots_gs = tuple(enumerate(g for _, g in plan.couplings))
+            u = engine._fock_propagator(plan, n_max, Stepper.EXACT)
+        slots_gs = tuple(enumerate(plan.gs))
         reference = dense_fock_unitary(n_max, n_modes, plan.omega0, plan.dt, slots_gs)
         assert np.max(np.abs(u - reference)) <= 1e-12
         # nothing assumes [H, N] = 0: the number sectors stay apart to roundoff
@@ -413,13 +416,13 @@ def per_call_fock_run(config):
     spec = config.coupling_spec()
     n_steps, _ = config.effective_steps()
     weights = collision_weights(spec, config.dt, n_steps)
-    plan = build_plan(coupling_strengths(weights, spec.gamma), config.omega0, n_steps)
+    plan = make_plan(spec, config.dt, n_steps, omega0=config.omega0)
     width = int(plan.lags[-1] - plan.lags[0]) + 1 if len(plan.lags) else 0
     fock = embed_single_excitation(init_single_excitation(0, config.beta), config.n_max,
                                    range(1 - plan.max_lag, 1 - plan.max_lag + width))
     eps, norms = [fock.excited_vacuum_amplitude()], [fock.norm()]
     for k in range(1, n_steps + 1):
-        step_full(fock, plan, k)
+        step_full(fock, plan, k, config.stepper)
         if width:
             fock.recycle_mode(k - plan.max_lag, k + width - plan.max_lag)
         eps.append(fock.excited_vacuum_amplitude())
@@ -463,6 +466,9 @@ class TestRegisterLoop:
     # no stored lag: a register of the qubit alone (W = 0)
     @example(dict(coupling={"shape": "white", "gamma": 0.0}, dt=0.125, n_steps=6, omega0=0.5,
                   n_max=1, beta=[0.6, 0.3]))
+    # the second-order map, by number blocks
+    @example(dict(coupling={"shape": "custom", "gamma": 0.8, "deltas": FOUR_LAGS}, dt=0.125,
+                  n_steps=12, omega0=0.4, n_max=2, beta=[0.6, 0.3], stepper="second_order"))
     def test_matches_per_call_register(self, data):
         config = make_config(representation="full_fock", **data)
         traj = run(config)
@@ -471,13 +477,31 @@ class TestRegisterLoop:
         assert np.max(np.abs(traj.norms - norms)) <= 1e-15
         assert traj.notes == notes
 
+    @pytest.mark.parametrize("coupling,dt,n_max,local", [
+        (mirror(1.0, 0.3, 1.0), 0.25, 1, 8),  # one dense map
+        ({"shape": "custom", "gamma": 0.8, "deltas": FOUR_LAGS}, 0.125, 2, 162),  # number blocks
+    ])
+    def test_second_order_matches_the_sector(self, coupling, dt, n_max, local):
+        # full_fock honours the stepper: 1 - i H dt - V^2 dt^2 / 2 on the local space is,
+        # in the one-excitation sector, the sector's own second-order map
+        base = dict(coupling=coupling, dt=dt, n_steps=12, omega0=0.4, beta=[0.6, 0.3])
+        sector = run(make_config(**base, stepper="second_order"))
+        fock = run(make_config(**base, stepper="second_order", representation="full_fock",
+                               n_max=n_max))
+        exact = run(make_config(**base, representation="full_fock", n_max=n_max))
+        assert f"local propagator dimension {local} " in fock.notes[-1]
+        assert (local > engine.FOCK_DENSE_MAX) == (n_max == 2)
+        assert np.max(np.abs(fock.eps - sector.eps)) <= 1e-12
+        assert np.max(np.abs(fock.norms - sector.norms)) <= 1e-12
+        assert np.max(np.abs(fock.eps - exact.eps)) > 1e-3  # not the exponential
+
     def test_entangled_retirement_refused_like_recycle_mode(self, monkeypatch):
         # a propagator that does not conserve the excitation number leaves the
         # oldest ancilla entangled when it falls out of reach
         config = make_config(dt=0.25, n_steps=8, representation="full_fock")
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        monkeypatch.setattr(engine, "_fock_propagator", lambda plan, n_max: q)
+        monkeypatch.setattr(engine, "_fock_propagator", lambda plan, n_max, kind: q)
         with pytest.raises(RuntimeError, match="still entangled") as loop:
             run(config)
         with pytest.raises(RuntimeError, match="still entangled") as per_call:
@@ -677,7 +701,7 @@ def smooth_kernel_configs(draw):
 def pair_sum_reference(plan):
     """The nonzero lag differences D of ``_delay_recursion`` and their R(D), from
     the (L, L) outer product of the stored lags' directions that it once formed."""
-    gs = np.array([g for _, g in plan.couplings], dtype=complex)
+    gs = plan.gs
     size = np.float64(math.hypot(*np.abs(gs)))
     unit = gs / size if size else gs
     diff = plan.lags[:, None] - plan.lags
@@ -902,9 +926,7 @@ class TestTrajectoryRecord:
     def test_incremental_norm_matches_full_recompute(self):
         config = make_config(dt=1 / 32, n_steps=64, stepper="second_order")
         traj = run(config)
-        spec = config.coupling_spec()
-        weights = collision_weights(spec, config.dt, 64)
-        plan = build_plan(coupling_strengths(weights, spec.gamma), 0.0, 64)
+        plan = make_plan(config.coupling_spec(), config.dt, 64)
         state = init_single_excitation(64, 1.0, n_history=plan.max_lag)
         for k in range(1, 65):
             step_single_excitation(state, plan, k, Stepper.SECOND_ORDER)
@@ -941,7 +963,7 @@ class TestTrajectoryRecord:
         # touches two modes, so one local propagator on 2 * 3**2 amplitudes serves every
         # step, its largest excitation-number block at N = 2 or 3
         note = ("full_fock register: peak dimension 54, local propagator dimension 18 "
-                "(largest excitation-number block 5), cached propagators 1")
+                "(largest excitation-number block 5)")
         assert fock.notes == (note,)
         assert run(make_config(**base, representation="full_fock", n_max=2)).notes == (note,)
         assert sector.notes == ()

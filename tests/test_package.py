@@ -1,5 +1,6 @@
 """The package surface: the user-facing names, and none of the test oracles."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -7,6 +8,7 @@ import pkgutil
 import pytest
 
 import qcollide
+from qcollide.config import SimulationConfig
 from qcollide.engine import CollisionPlan
 
 PUBLIC = {
@@ -26,6 +28,7 @@ NOT_IN_PACKAGE = (
     "TruncatedFockState", "embed_single_excitation", "step_full",
     "SingleExcitationState", "init_single_excitation", "touched", "dense_propagator",
     "step_single_excitation", "BLOCK_MIN_GAP", "_collide", "_collide_steps", "_collide_blocks",
+    "build_plan", "_exact_strengths",
 )
 
 MODULES = [
@@ -56,6 +59,14 @@ def test_test_oracles_are_not_in_the_package(module):
 def test_deleted_plan_property():
     for name in ("min_ancilla", "propagator", "touched", "delay_gap"):
         assert not hasattr(CollisionPlan, name), name
+
+
+def test_plan_is_a_record_of_lags_and_strengths():
+    assert [f.name for f in dataclasses.fields(CollisionPlan)] == [
+        "lags", "gs", "omega0", "dt", "n_steps"]
+    for name in ("strengths", "couplings", "_propagators"):
+        assert not hasattr(CollisionPlan, name), name
+    assert not hasattr(SimulationConfig, "check_window")
 
 
 def test_deleted_module():
