@@ -68,15 +68,21 @@ def cmd_simulate(config: SimulationConfig, outdir: Path, quiet: bool) -> int:
 
 
 def _reference_on_grid(config: SimulationConfig, times: np.ndarray) -> np.ndarray:
+    """The exact amplitude on ``times``: beta times the eps(0) = 1 solution.
+
+    The one-excitation amplitude is linear in beta, since |g, vac> never evolves.
+    """
     coupling = config.coupling
     omega0 = 0.0 if config.rotating_frame else config.omega0
     if coupling.shape == "mirror":
-        return np.asarray(
-            solve_dde(omega0, coupling.gamma, coupling.phi, coupling.tau, float(times[-1]))(times)
-        )
-    if coupling.shape == "white":
-        return np.asarray(white_amplitude(omega0, coupling.gamma, times))
-    raise ConfigError("coupling.shape", "converge needs a coupling with a closed-form reference")
+        solution = solve_dde(omega0, coupling.gamma, coupling.phi, coupling.tau, float(times[-1]))
+        unit = solution(times)
+    elif coupling.shape == "white":
+        unit = white_amplitude(omega0, coupling.gamma, times)
+    else:
+        raise ConfigError("coupling.shape",
+                          "converge needs a coupling with a closed-form reference")
+    return config.beta * np.asarray(unit)
 
 
 def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, quiet: bool) -> int:

@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 import numbers
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -66,9 +67,12 @@ KERNEL_CALL_BUDGET = 2**20
 WORK_BUDGET = 2**35
 
 # Interpreter floor of one full_fock collision, in the multiply-adds of
-# WORK_BUDGET: a white register of 4 amplitudes took 29 to 49 us a collision
-# on the same host.  A full_fock collision costs this plus R * D for a
-# register of R amplitudes and a local propagator of dimension D.
+# WORK_BUDGET.  A full_fock collision is charged this plus R * D for a register
+# of R amplitudes and a local propagator of dimension D.  The value was set
+# when a white register of 4 amplitudes took 29 to 49 us a collision; it now
+# takes about 4 us (white, gamma 1, dt 0.01, 1 against 2,000 steps, best of 7,
+# one BLAS thread, 2-vCPU x86-64 host).  2**17 is kept so that every budget
+# edge stays where it is, until the budgets are re-based on measured costs.
 FOCK_COLLISION_FLOOR = 2**17
 
 OUTPUT_KEYS = ("trajectory_csv", "summary_json", "weights_csv", "convergence_csv", "witness_json")
@@ -204,7 +208,6 @@ class SimulationConfig:
     stepper: Stepper = Stepper.EXACT
     representation: Representation = Representation.SINGLE_EXCITATION
     n_max: int = 1
-    window: Optional[int] = None
     beta: complex = 1.0 + 0j
     rotating_frame: bool = False
     output: Tuple[Tuple[str, str], ...] = ()
@@ -231,8 +234,6 @@ class SimulationConfig:
                 raise ConfigError(name, f"expected one of {[m.value for m in kind]}, "
                                         f"got {getattr(self, name)!r}") from None
         _set(self, "n_max", _require_number(self.n_max, "n_max", "positive", int))
-        if self.window is not None:
-            _set(self, "window", _require_number(self.window, "window", "positive", int))
         _set(self, "beta", _require_number(self.beta, "beta", cast=complex))
         if abs(self.beta) > 1 + 1e-12:
             raise ConfigError("beta", f"must satisfy |beta| <= 1, got |beta| = {abs(self.beta)}")
@@ -245,6 +246,15 @@ class SimulationConfig:
             if not isinstance(name, str) or Path(name).name in ("", ".."):  # "", ".", "/"
                 raise ConfigError(f"output.{key}", f"expected a file name, got {name!r}")
         _set(self, "output", tuple(sorted(output.items())))
+        seen: Dict[str, str] = {}
+        for key in OUTPUT_KEYS:  # two outputs in one file would overwrite each other
+            name = os.path.normpath(self.output_path(key))
+            if name in seen:
+                offender, other = (key, seen[name]) if key in output else (seen[name], key)
+                raise ConfigError(f"output.{offender}",
+                                  f"names the file {name!r} of output.{other} too; each output "
+                                  f"needs a file of its own")
+            seen[name] = key
 
         if not self.dt > 0:
             raise ConfigError("dt", f"must be positive, got {self.dt}")
@@ -254,25 +264,9 @@ class SimulationConfig:
             raise ConfigError(
                 "t_max", f"must allow at least one step of dt={self.dt}, got {self.t_max}"
             )
-        if self.representation != Representation.FULL_FOCK and (
-            self.n_max != 1 or self.window is not None
-        ):
-            offender = "n_max" if self.n_max != 1 else "window"
-            raise ConfigError(offender, "only meaningful for the full_fock representation")
-        if self.representation == Representation.MIRROR_RECURSION:
-            if self.coupling.shape != "mirror":
-                raise ConfigError("representation", "mirror_recursion requires a mirror coupling")
-            if not self.coupling.tau / self.dt > 0.5:  # rounds to no whole step; inf is over budget
-                raise ConfigError(
-                    "representation",
-                    f"mirror_recursion needs a delay of at least one step "
-                    f"(tau={self.coupling.tau}, dt={self.dt})",
-                )
-            if self.stepper != Stepper.SECOND_ORDER:
-                raise ConfigError("stepper", "mirror_recursion runs the second-order stepper only")
-        spec = self.coupling_spec()
-        self.check_run_budget(spec)
-        self.check_strengths(spec)
+        if self.representation != Representation.FULL_FOCK and self.n_max != 1:
+            raise ConfigError("n_max", "only meaningful for the full_fock representation")
+        self.check_run_budget(self.coupling_spec())
 
     def check_run_budget(self, spec: CouplingSpec) -> None:
         """Refuse a run whose kernel table, ancilla slots, register or work exceed a budget.
@@ -284,12 +278,14 @@ class SimulationConfig:
         ``dt`` when the reach alone is over budget, else ``n_steps`` or
         ``t_max``.  A collision is charged (L + 1)^2 for L stored lags, at
         most the number of deltas plus the smooth lags, so steps * (L + 1)^2
-        is held to WORK_BUDGET, again naming ``n_steps`` or ``t_max``.  A
-        full_fock run must then pass ``check_fock_budget`` over B modes, and
-        each collision is charged FOCK_COLLISION_FLOOR + R * D, for a register
-        of R = 2 (n_max + 1)^B amplitudes and a local propagator of dimension
-        D = 2 (n_max + 1)^min(B, L).  The counts are floats, so a t_max / dt
-        or a lag / dt too large for an integer is refused like any other.
+        is held to WORK_BUDGET, again naming ``n_steps`` or ``t_max``.  Then
+        ``check_strengths`` refuses overflowing strengths and gives the
+        kernel's span of B modes.  A full_fock run must pass
+        ``check_fock_budget`` over them, and each collision is charged
+        FOCK_COLLISION_FLOOR + R * D, for a register of R = 2 (n_max + 1)^B
+        amplitudes and a local propagator of dimension D = 2 (n_max + 1)^min(B,
+        L).  The counts are floats, so a t_max / dt or a lag / dt too large
+        for an integer is refused like any other.
         """
         dt = self.dt
         reach = max((lag / dt for lag, _ in spec.deltas), default=0.0)
@@ -331,23 +327,23 @@ class SimulationConfig:
 
         lags = len(spec.deltas) + (smooth_lags if spec.smooth is not None else 0)
         check_work((lags + 1) ** 2, f"over up to {_count(lags)} lags")
+        modes = self.check_strengths(spec)
         if self.representation == Representation.FULL_FOCK:
-            modes = self.check_fock_budget(grid_span(spec, dt))
+            self.check_fock_budget(modes)
             register, local = (2 * (self.n_max + 1) ** b for b in (modes, min(modes, int(lags))))
             check_work(FOCK_COLLISION_FLOOR + register * local,
                        f"on a full_fock register of up to {register} amplitudes")
 
-    def check_strengths(self, spec: CouplingSpec) -> None:
-        """Refuse overflowing strengths g = sqrt(gamma / dt) W, and a window below an exact span.
+    def check_strengths(self, spec: CouplingSpec) -> int:
+        """Refuse overflowing strengths g = sqrt(gamma / dt) W; return the kernel's span in steps.
 
         gamma / dt must be finite; the error names ``coupling.gamma`` or
         ``dt``, whichever is further from 1.  Without a smooth part, the table
-        is the summed deltas, found here once as ``run`` finds it: its span
-        max_lag - min_lag + 1 over the lags of nonzero g must fit in
-        ``window`` (naming ``window``), then each g must be finite (naming
-        ``coupling.deltas``).  A smooth part's weights come out of its
-        quadrature, so ``run`` checks that kernel's strengths before it builds
-        a propagator, and its window, with exit code 3.
+        is the summed deltas, found here once as ``run`` finds it: each g must
+        be finite (naming ``coupling.deltas``), and the span max_lag - min_lag
+        + 1 over the lags of nonzero g is exact.  A smooth part's weights come
+        out of its quadrature, so ``run`` checks that kernel's strengths, with
+        exit code 3, and its span is the bound of ``grid_span``.
         """
         gamma, dt = self.coupling.gamma, self.dt
         if math.isinf(gamma / dt):
@@ -355,35 +351,24 @@ class SimulationConfig:
                               f"gamma / dt = {gamma} / {dt} overflows, so every collision "
                               f"strength sqrt(gamma / dt) W would be infinite")
         if spec.smooth is not None:
-            return
+            return grid_span(spec, dt)
         table = coupling_strengths(collision_weights(spec, dt, 1), spec.gamma).lags
-        lags = sorted(table)
-        span = lags[-1] - lags[0] + 1 if lags else 0
-        if self.window is not None and self.window < span:
-            raise ConfigError(
-                "window",
-                f"the kernel spans {span} ancillas (lags {lags[0]}..{lags[-1]}) at dt={dt}, "
-                f"more than the window of {self.window}; raise the window or leave it out",
-            )
         for lag, g in table.items():
             if not cmath.isfinite(g):
                 raise ConfigError("coupling.deltas",
                                   f"the collision strength at lag {lag} overflows ({g}) at "
                                   f"gamma={gamma}, dt={dt}")
+        return max(table) - min(table) + 1 if table else 0
 
-    def check_fock_budget(self, span: int) -> int:
-        """Refuse a full_fock run whose register would exceed FOCK_BUDGET; return its modes.
+    def check_fock_budget(self, modes: int) -> None:
+        """Refuse a full_fock register of ``modes`` modes that would exceed FOCK_BUDGET.
 
         The register holds the qubit and one mode per ancilla of the kernel's
-        span, max_lag - min_lag + 1 in steps, or ``window`` modes if that is
-        fewer; sum_N size_N^2 over its excitation-number blocks bounds both
-        the register and the local propagator that ``_apply_local`` applies
-        to it.  The error names ``window`` when the window sets that size and
-        ``dt`` when the kernel's span in steps does.
+        span, max_lag - min_lag + 1 in steps; sum_N size_N^2 over its
+        excitation-number blocks bounds both the register and the local
+        propagator that ``_apply_local`` applies to it.  The error names
+        ``dt``, which sets the span in steps.
         """
-        modes, offender = span, "dt"
-        if self.window is not None and self.window <= modes:
-            modes, offender = self.window, "window"
         dim = 2
         for _ in range(modes):  # sum_N size_N^2 lies between dim and dim^2
             dim *= self.n_max + 1
@@ -391,16 +376,14 @@ class SimulationConfig:
                 break
         else:
             if dim**2 <= FOCK_BUDGET:
-                return modes
+                return
             if int((fock_block_sizes(self.n_max, modes) ** 2).sum()) <= FOCK_BUDGET:
-                return modes
+                return
         raise ConfigError(
-            offender,
-            f"a full_fock register of {modes} modes at n_max={self.n_max} needs a propagator "
-            f"of more than {FOCK_BUDGET} complex entries (64 MB); "
-            + ("lower the window or n_max" if offender == "window" else
-               f"the kernel spans {span} ancillas at dt={self.dt}; use a coarser dt or a "
-               f"lower n_max"),
+            "dt",
+            f"the kernel spans {modes} ancillas at dt={self.dt}, and a full_fock register of "
+            f"{modes} modes at n_max={self.n_max} needs a propagator of more than {FOCK_BUDGET} "
+            f"complex entries (64 MB); use a coarser dt or a lower n_max",
         )
 
     def coupling_spec(self) -> CouplingSpec:
@@ -434,8 +417,6 @@ class SimulationConfig:
         out["representation"] = self.representation.value
         if self.representation == Representation.FULL_FOCK:
             out["n_max"] = self.n_max
-            if self.window is not None:
-                out["window"] = self.window
         out["beta"] = [self.beta.real, self.beta.imag]
         out["rotating_frame"] = self.rotating_frame
         if self.output:
@@ -443,7 +424,8 @@ class SimulationConfig:
         return out
 
 
-_TOP_KEYS = tuple(f.name for f in fields(SimulationConfig))
+# "window" is an old full_fock key that parse_config checks and drops
+_TOP_KEYS = tuple(f.name for f in fields(SimulationConfig)) + ("window",)
 
 
 def _decode_complex(value: Any, field_name: str) -> Any:
@@ -494,8 +476,12 @@ def parse_config(data: Any) -> SimulationConfig:
 
     JSON adds only its own rules: unknown keys are errors, null never stands
     for an absent key, ``n_max`` and ``window`` may be written for
-    ``full_fock`` only, ``beta`` may be an [re, im] pair, and a
-    ``mirror_recursion`` config without ``stepper`` runs ``second_order``.
+    ``full_fock`` only, and ``beta`` may be an [re, im] pair.  Two old
+    spellings that change no run are read and dropped, since configs in use
+    still write them: ``window``, checked as a positive integer (the register
+    always spans the kernel), and the representation ``mirror_recursion``,
+    which is ``single_excitation`` with ``second_order`` as its default
+    stepper.
     """
     if not isinstance(data, Mapping):
         raise ConfigError("<root>", f"expected a JSON object, got {data!r}")
@@ -512,12 +498,17 @@ def parse_config(data: Any) -> SimulationConfig:
         if key in data and representation in ("single_excitation", "mirror_recursion"):
             raise ConfigError(key, "only meaningful for the full_fock representation")
     if representation == "mirror_recursion":
+        named["representation"] = "single_excitation"
         named.setdefault("stepper", "second_order")
+    window = named.pop("window", None)
     if "beta" in named:
         named["beta"] = _decode_complex(named["beta"], "beta")
     if not isinstance(named.get("output", {}), Mapping):
         raise ConfigError("output", f"expected an object, got {named['output']!r}")
-    return SimulationConfig(coupling, named.pop("dt", None), **named)
+    config = SimulationConfig(coupling, named.pop("dt", None), **named)
+    if window is not None:
+        _require_number(window, "window", "positive", int)
+    return config
 
 
 def load_config(path: Union[str, Path]) -> SimulationConfig:

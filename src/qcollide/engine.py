@@ -66,7 +66,6 @@ class Stepper(str, Enum):
 class Representation(str, Enum):
     SINGLE_EXCITATION = "single_excitation"
     FULL_FOCK = "full_fock"
-    MIRROR_RECURSION = "mirror_recursion"
 
     def __str__(self) -> str:
         return self.value
@@ -354,11 +353,6 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
     """
     lags = plan.lags
     width = int(lags[-1] - lags[0]) + 1 if len(lags) else 0
-    if config.window is not None and config.window < width:
-        raise ValueError(
-            f"the kernel spans {width} ancillas (lags {lags[0]}..{lags[-1]}), more than "
-            f"the window of {config.window}"
-        )
     n_max = config.n_max
     prop = _fock_propagator(plan, n_max, config.stepper)
     apply = np.matmul if isinstance(prop, np.ndarray) else _apply_local
@@ -453,7 +447,7 @@ def run(config: "SimulationConfig") -> Trajectory:
         if config.representation == Representation.FULL_FOCK:
             eps, norms, dim = _run_full_fock(config, plan, n_steps)
             notes.append(_fock_note(plan, config.n_max, dim))
-        else:  # mirror_recursion is the single-excitation core on a two-lag kernel
+        else:
             eps, norms = _run_single_excitation(config, plan, n_steps)
     wall_time = time.perf_counter() - start
     bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(norms)))

@@ -72,8 +72,7 @@ def test_criterion_4_oracle_equivalence():
     start = time.perf_counter()
     exact = run(make_config(**base))
     fock = run(make_config(**base, representation="full_fock"))
-    recursion = run(make_config(**base, representation="mirror_recursion",
-                                stepper="second_order"))
+    recursion = run(make_config(**base, stepper="second_order"))
     elapsed = time.perf_counter() - start
 
     fock_gap = float(np.max(np.abs(exact.eps - fock.eps)))
@@ -83,8 +82,7 @@ def test_criterion_4_oracle_equivalence():
     halved = dict(coupling={"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 0.4},
                   dt=0.05, n_steps=96)
     exact_h = run(make_config(**halved))
-    recursion_h = run(make_config(**halved, representation="mirror_recursion",
-                                  stepper="second_order"))
+    recursion_h = run(make_config(**halved, stepper="second_order"))
     gap_h = float(np.max(np.abs(recursion_h.eps - exact_h.eps)))
     ratio = recursion_gap / gap_h
 

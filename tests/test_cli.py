@@ -165,6 +165,26 @@ class TestConvergeCommand:
         for row in rows[1:]:
             assert float(row[2]) == pytest.approx(order, nan_ok=True)
 
+    @pytest.mark.parametrize("shape,coupling,dts", [
+        ("mirror", {"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0},
+         "0.125,0.0625,0.03125"),
+        ("white", {"shape": "white", "gamma": 1.0}, "0.02,0.01"),
+    ])
+    def test_errors_scale_with_beta(self, tmp_path, shape, coupling, dts):
+        # the reference is beta times the eps(0) = 1 solution, as the amplitude is linear in beta
+        def table(beta):
+            config = write_config(tmp_path, {"coupling": coupling, "dt": 0.125, "t_max": 4.0,
+                                             "beta": beta}, f"{shape}-{beta}.json")
+            out = tmp_path / f"{shape}-{beta}"
+            assert main(["converge", "--config", config, "--output", str(out),
+                         "--dt-list", dts, "--quiet"]) == 0
+            rows = (out / "convergence.csv").read_text().splitlines()[1:]
+            return np.array([[float(x) for x in row.split(",")] for row in rows])
+
+        unit, scaled = table([1.0, 0.0]), table([0.6, 0.3])
+        np.testing.assert_allclose(scaled[:, 1], abs(complex(0.6, 0.3)) * unit[:, 1], rtol=1e-12)
+        np.testing.assert_allclose(scaled[1:, 2], unit[1:, 2], rtol=1e-12)
+
     def test_white_converges_against_exponential(self, tmp_path):
         config = write_config(tmp_path, {
             "coupling": {"shape": "white", "gamma": 1.0}, "dt": 0.1, "t_max": 2.0,
@@ -250,24 +270,23 @@ class TestExitCodes:
                      "--output", str(tmp_path)]) == 2
 
     def test_runtime_failure_exits_three(self, tmp_path):
-        # a smooth kernel's span is known only from its quadrature, so a window
-        # too small for it is detected while running
+        # gamma*dt = 10: the second-order map grows until the norm overflows
         config = write_config(tmp_path, mirror_data(
-            dt=0.1, t_max=2.0,
-            coupling={"shape": "custom", "gamma": 0.5,
-                      "smooth": {"form": "exponential", "kappa": 1.0, "support": 0.4}},
-            representation="full_fock", window=2))
+            coupling={"shape": "mirror", "gamma": 100.0, "phi": 0.0, "tau": 1.0},
+            dt=0.1, n_steps=2000, stepper="second_order"))
         assert main(["simulate", "--config", config, "--output", str(tmp_path),
                      "--quiet"]) == 3
 
-    def test_window_below_a_delta_kernel_span_exits_two(self, tmp_path, capsys):
-        # a delta kernel's span is exact at parse time: the window is refused there
-        config = write_config(tmp_path, mirror_data(
-            dt=0.125, t_max=2.0, representation="full_fock", window=3))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
-        assert "'window'" in capsys.readouterr().err
-        assert not out.exists()
+    def test_window_below_a_delta_kernel_span_runs_the_full_span(self, tmp_path):
+        # the register always spans the kernel (9 modes): the window is checked and dropped
+        data = mirror_data(dt=0.125, t_max=2.0, representation="full_fock")
+        plain = write_config(tmp_path, data, "plain.json")
+        windowed = write_config(tmp_path, dict(data, window=3), "windowed.json")
+        for config, out in ((plain, "plain"), (windowed, "windowed")):
+            assert main(["simulate", "--config", config, "--output", str(tmp_path / out),
+                         "--quiet"]) == 0
+        assert (tmp_path / "windowed" / "trajectory.csv").read_bytes() == (
+            tmp_path / "plain" / "trajectory.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["simulate", "witness", "kernel"])
     def test_fock_register_over_budget_exits_two_and_writes_nothing(
@@ -334,11 +353,30 @@ class TestExitCodes:
         assert "'output.trajectory_csv'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_exact_recursion_exits_two_naming_stepper(self, tmp_path, capsys):
-        config = write_config(tmp_path, mirror_data(representation="mirror_recursion",
-                                                    stepper="exact"))
-        assert main(["simulate", "--config", config, "--output", str(tmp_path)]) == 2
-        assert "'stepper'" in capsys.readouterr().err
+    @pytest.mark.parametrize("stepper", ["exact", "second_order"])
+    def test_recursion_runs_the_single_excitation_sector(self, tmp_path, stepper):
+        # mirror_recursion is a JSON spelling of single_excitation
+        recursion = write_config(tmp_path, mirror_data(representation="mirror_recursion",
+                                                       stepper=stepper), "recursion.json")
+        sector = write_config(tmp_path, mirror_data(stepper=stepper), "sector.json")
+        for config, out in ((recursion, "recursion"), (sector, "sector")):
+            assert main(["simulate", "--config", config, "--output", str(tmp_path / out),
+                         "--quiet"]) == 0
+        assert (tmp_path / "recursion" / "trajectory.csv").read_bytes() == (
+            tmp_path / "sector" / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("output,field", [
+        ({"trajectory_csv": "same.txt", "summary_json": "same.txt"}, "output.summary_json"),
+        ({"trajectory_csv": "summary.json"}, "output.trajectory_csv"),
+    ])
+    def test_outputs_sharing_a_file_exit_two_and_write_nothing(self, tmp_path, capsys, output,
+                                                               field):
+        # simulate would write one output over the other
+        config = write_config(tmp_path, mirror_data(output=output))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "witness"])
     def test_overflow_exits_three_and_writes_nothing(self, tmp_path, command, capsys):

@@ -116,16 +116,17 @@ class TestValidation:
             parse_config(minimal(n_max=2))
         config = parse_config(minimal(representation="full_fock", n_max=2, window=4))
         assert config.n_max == 2
-        assert config.window == 4
+        # the register always spans the kernel, so a window is checked and dropped
+        assert config == parse_config(minimal(representation="full_fock", n_max=2))
 
-    def test_recursion_needs_mirror_with_delay(self):
-        with pytest.raises(ConfigError, match="mirror"):
-            parse_config(minimal(representation="mirror_recursion"))
-        with pytest.raises(ConfigError, match="delay"):
-            parse_config(minimal(
-                representation="mirror_recursion",
-                coupling={"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 0.001},
-            ))
+    @pytest.mark.parametrize("coupling", [
+        {"shape": "white", "gamma": 1.0},
+        {"shape": "mirror", "gamma": 1.0, "phi": 0.0, "tau": 0.001},  # under half a step
+        {"shape": "custom", "gamma": 1.0, "deltas": [[0.0, 1.0, 0.0], [0.05, 0.5, 0.0]]},
+    ])
+    def test_recursion_is_the_second_order_sector_on_any_kernel(self, coupling):
+        config = parse_config(minimal(representation="mirror_recursion", coupling=coupling))
+        assert config == parse_config(minimal(coupling=coupling, stepper="second_order"))
 
     def test_recursion_defaults_to_second_order(self):
         mirror = {"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}
@@ -133,18 +134,18 @@ class TestValidation:
         assert config.stepper == Stepper.SECOND_ORDER
         assert config.to_dict()["stepper"] == "second_order"
 
-    def test_recursion_rejects_exact_stepper(self):
+    def test_recursion_honours_the_exact_stepper(self):
         mirror = {"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}
-        with pytest.raises(ConfigError, match="stepper") as info:
-            parse_config(minimal(representation="mirror_recursion", coupling=mirror,
-                                 stepper="exact"))
-        assert info.value.field == "stepper"
+        config = parse_config(minimal(representation="mirror_recursion", coupling=mirror,
+                                      stepper="exact"))
+        assert config == parse_config(minimal(coupling=mirror))
 
     def test_direct_construction_is_validated(self):
-        # the same rules hold for configs built in code, not only for parsed JSON
-        with pytest.raises(ConfigError, match="requires a mirror coupling") as info:
-            SimulationConfig(coupling=CouplingConfig("white", 1.0), dt=0.1, n_steps=5,
-                             representation=Representation.MIRROR_RECURSION)
+        # the same rules hold for configs built in code, not only for parsed JSON;
+        # mirror_recursion is a JSON spelling that parse_config maps, not a representation
+        with pytest.raises(ConfigError, match="expected one of") as info:
+            SimulationConfig(coupling=CouplingConfig("mirror", 1.0, tau=1.0), dt=0.1, n_steps=5,
+                             representation="mirror_recursion")
         assert info.value.field == "representation"
 
     @pytest.mark.parametrize("overrides,field", [
@@ -153,9 +154,6 @@ class TestValidation:
         (dict(n_steps=5, dt=0.0), "dt"),
         (dict(t_max=0.05), "t_max"),
         (dict(n_steps=5, n_max=2), "n_max"),
-        (dict(n_steps=5, window=3), "window"),
-        (dict(n_steps=5, representation=Representation.MIRROR_RECURSION,
-              coupling=CouplingConfig("mirror", 1.0, tau=1.0)), "stepper"),
     ])
     def test_direct_construction_cross_field_rules(self, overrides, field):
         kwargs = dict(coupling=CouplingConfig("white", 1.0), dt=0.1)
@@ -272,11 +270,12 @@ BAD_CONFIGS = {
     "output-dot-name": (minimal(output={"summary_json": "."}), "output.summary_json"),
     "output-parent-name": (minimal(output={"witness_json": "a/.."}), "output.witness_json"),
     "output-null": (minimal(output=None), "output"),
-    "recursion-on-white": (minimal(representation="mirror_recursion"), "representation"),
-    "recursion-short-delay": (minimal(coupling=dict(MIRROR, tau=0.001),
-                                      representation="mirror_recursion"), "representation"),
-    "recursion-exact": (minimal(coupling=MIRROR, representation="mirror_recursion",
-                                stepper="exact"), "stepper"),
+    "output-same-file": (minimal(output={"trajectory_csv": "same.txt",
+                                         "summary_json": "same.txt"}), "output.summary_json"),
+    "output-default-name": (minimal(output={"trajectory_csv": "summary.json"}),
+                            "output.trajectory_csv"),
+    "output-same-normalised": (minimal(output={"weights_csv": "./a/../trajectory.csv"}),
+                               "output.weights_csv"),
     "shape-unknown": (with_coupling(shape="pink", gamma=1.0), "coupling.shape"),
     "shape-missing": (with_coupling(gamma=1.0), "coupling.shape"),
     "shape-null": (with_coupling(shape=None, gamma=1.0), "coupling.shape"),
@@ -327,8 +326,6 @@ BAD_CONFIGS = {
     "smooth-support-missing": (with_custom(smooth=without(SMOOTH, "support")),
                                "coupling.smooth.support"),
     "smooth-support-inf": (with_smooth(support=INF), "coupling.smooth.support"),
-    "fock-window-over-budget": (minimal(coupling=MIRROR, dt=1 / 64, window=12, **FOCK),
-                                "window"),
     "fock-span-over-budget": (minimal(coupling=MIRROR, dt=1 / 64, **FOCK), "dt"),
     "run-over-budget": (with_t_max(1e9, dt=1.0), "t_max"),
     "kernel-reach-over-budget": (with_t_max(4.0, coupling=MIRROR, dt=1e-9), "dt"),
@@ -360,8 +357,9 @@ BAD_BUILDS = {
     "beta-two": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, beta=2), "beta"),
     "n_max-zero": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, representation="full_fock",
                                             n_max=0), "n_max"),
-    "window-zero": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3,
-                                             representation="full_fock", window=0), "window"),
+    "output-same-file": (lambda: SimulationConfig(
+        WHITE, dt=0.1, n_steps=3, output={"witness_json": "x", "weights_csv": "x"}),
+        "output.witness_json"),
     "stepper-unknown": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, stepper="euler"),
                         "stepper"),
     "output-unknown-key": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3,
@@ -467,19 +465,9 @@ class TestFockBudget:
         assert info.value.field == "dt"
         assert peak < 1e6
 
-    @pytest.mark.parametrize("window,n_max", [(12, 1), (8, 2), (6, 3)])
-    def test_window_over_budget_names_window(self, window, n_max):
-        with pytest.raises(ConfigError, match=f"{window} modes at n_max={n_max}") as info:
-            parse_config(fock_mirror(1 / 64, window=window, n_max=n_max))
-        assert info.value.field == "window"
-
     @pytest.mark.parametrize("window,n_max", [(9, 1), (5, 2), (11, 1), (7, 2), (5, 3)])
     def test_budget_admits_registers_up_to_its_edge(self, window, n_max):
         parse_config(fock_mirror(1 / (window - 1), n_max=n_max))
-        # a smooth kernel's span is only bounded at parse time, so a window below
-        # that bound (66 modes here) is left to the run and sizes the budget
-        parse_config(minimal(coupling=smooth_kernel(1.0), dt=1 / 64, representation="full_fock",
-                             window=window, n_max=n_max))
 
     @pytest.mark.parametrize("coupling,dt,window", [
         ({"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}, 1 / 8, 3),  # span 9
@@ -487,11 +475,19 @@ class TestFockBudget:
         ({"shape": "custom", "gamma": 0.8, "deltas": [[0.2, 0.7, 0.0], [0.5, -0.4, 0.3]]},
          0.1, 3),  # lags 2 and 5: span 4
     ])
-    def test_window_below_an_exact_span_names_window(self, coupling, dt, window):
-        error = refused_without_allocating(minimal(
-            coupling=coupling, dt=dt, representation="full_fock", window=window))
-        assert error.field == "window"
-        assert "the kernel spans" in str(error)
+    def test_window_below_an_exact_span_is_dropped(self, coupling, dt, window):
+        # the register always spans the kernel: the windowed config parses to the
+        # same config, or is refused naming the same field (dt for 65 modes)
+        data = minimal(coupling=coupling, dt=dt, representation="full_fock")
+        try:
+            expected = parse_config(data)
+        except ConfigError as error:
+            expected = error.field
+        try:
+            windowed = parse_config(dict(data, window=window))
+        except ConfigError as error:
+            windowed = error.field
+        assert windowed == expected
 
     @pytest.mark.parametrize("coupling,window", [
         ({"shape": "custom", "gamma": 0.8, "deltas": [[0.2, 0.7, 0.0], [0.5, -0.4, 0.3]]}, 4),
@@ -499,7 +495,7 @@ class TestFockBudget:
         ({"shape": "custom", "gamma": 0.8,
           "deltas": [[0.2, 0.7, 0.0], [0.3, 0.1, 0.0], [0.5, -0.4, 0.0], [0.5, 0.4, 0.0]]}, 2),
         ({"shape": "mirror", "gamma": 0.0, "phi": 0.0, "tau": 1.0}, 1),  # no coupling: span 0
-        (smooth_kernel(0.4), 2),  # a smooth kernel's window is checked by the run
+        (smooth_kernel(0.4), 2),  # below the smooth kernel's span: dropped all the same
     ])
     def test_window_at_or_above_the_stored_span_is_admitted(self, coupling, window):
         parse_config(minimal(coupling=coupling, dt=0.1, representation="full_fock",
@@ -513,6 +509,22 @@ class TestFockBudget:
         with pytest.raises(ConfigError) as info:
             parse_config(fock_mirror(1 / 64, window=100))
         assert info.value.field == "dt"
+
+    def test_delta_kernel_is_sized_by_its_exact_span(self):
+        # gamma 0 stores no lag: the register is the qubit alone, where the grid
+        # bound of the mirror at dt = 1/64 is 65 modes
+        config = parse_config(minimal(coupling=dict(MIRROR, gamma=0.0), dt=1 / 64, **FOCK))
+        assert run(config).notes[-1].startswith("full_fock register: peak dimension 2,")
+
+    def test_smooth_kernel_is_sized_by_its_grid_bound(self):
+        # the end cell averages of kappa 5000 underflow, so the run would span fewer
+        # modes, but parse runs no quadrature: 66 modes, refused naming dt
+        coupling = {"shape": "custom", "gamma": 1.0,
+                    "smooth": {"form": "exponential", "kappa": 5000.0, "support": 1.0}}
+        error = refused_without_allocating(minimal(coupling=coupling, dt=1 / 64, window=11,
+                                                   **FOCK))
+        assert error.field == "dt"
+        assert "66 modes" in str(error)
 
     def test_smooth_kernel_reach_counts(self):
         smooth = {"shape": "custom", "gamma": 1.0, "deltas": [[0.0, 1.0, 0.0]],

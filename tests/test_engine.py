@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcollide import engine
-from qcollide.config import ConfigError
 from qcollide.coupling import (
     collision_weights,
     coupling_strengths,
@@ -526,7 +525,7 @@ class TestMirrorRecursion:
     def test_no_feedback_before_delay(self):
         gamma, dt, d = 0.5, 0.1, 5
         traj = run(make_config(coupling=mirror(gamma, 0.0, d * dt), dt=dt, n_steps=d,
-                               representation="mirror_recursion"))
+                               stepper="second_order"))
         values = traj.eps
         # pure damping until the first echo: eps_{n+1} = (1 - gamma*dt)*eps_n
         for n in range(d):
@@ -536,7 +535,7 @@ class TestMirrorRecursion:
         gamma, phi, omega0, dt, d = 0.5, 0.7, 0.4, 0.1, 4
         n_steps = 60
         config = make_config(coupling=mirror(gamma, phi, d * dt), dt=dt, n_steps=n_steps,
-                             omega0=omega0, representation="mirror_recursion")
+                             omega0=omega0, stepper="second_order")
         rec = run(config)
         plan = make_plan(config.coupling_spec(), dt, n_steps, omega0=omega0)
         eps, sector = explicit_second_order(plan, 1.0, n_steps)
@@ -549,7 +548,7 @@ class TestMirrorRecursion:
         gamma, phi, omega0, dt, d = 0.8, 0.5, 0.0, 0.01, 20
         n_steps = 200
         eps = run(make_config(coupling=mirror(gamma, phi, d * dt), dt=dt, n_steps=n_steps,
-                              omega0=omega0, representation="mirror_recursion")).eps
+                              omega0=omega0, stepper="second_order")).eps
         worst = 0.0
         for n in range(n_steps):
             lhs = (eps[n + 1] - eps[n]) / dt
@@ -557,12 +556,6 @@ class TestMirrorRecursion:
             rhs = -(1j * omega0 + gamma) * eps[n] + gamma * cmath.exp(1j * phi) * delayed
             worst = max(worst, abs(lhs - rhs))
         assert worst <= gamma**2 * dt
-
-    def test_zero_delay_rejected(self):
-        # a mirror with no delay has no echo for the recursion to feed back
-        with pytest.raises(ConfigError, match="delay of at least one step"):
-            make_config(coupling=mirror(0.5, 0.0, 0.0), dt=0.1, n_steps=5,
-                        representation="mirror_recursion")
 
 
 @st.composite
@@ -886,32 +879,19 @@ class TestRepresentationEquivalence:
         assert np.max(np.abs(sector.eps - fock.eps)) <= 1e-9
         assert np.max(np.abs(sector.norms - fock.norms)) <= 1e-9
 
-    # parse_config refuses a window below a delta kernel's span; a smooth
-    # kernel's span is known only after its quadrature, so run() checks it
-    def test_fock_window_too_small_rejected(self):
-        config = make_config(
-            dt=0.1, n_steps=10, representation="full_fock", window=2,
-            coupling=smooth_coupling(0.4),  # lags 0..4
-        )
-        with pytest.raises(ValueError, match="window"):
-            run(config)
-
-    @pytest.mark.parametrize("dt,n_steps,window", [
-        (1 / 8, 2, 8),  # span 9; the run ends before the register would fill
-        (1 / 8, 2, 3),
-        (1 / 64, 192, 5),  # span 65: a register of 2 * 2**65 amplitudes
+    # the register always spans the kernel, so a window below a smooth
+    # kernel's span changes nothing
+    @pytest.mark.parametrize("support,dt,n_steps,window", [
+        (0.4, 0.1, 10, 2),  # lags 0..4
+        (1.0, 1 / 8, 2, 8),  # span 9; the run ends before the register would fill
+        (1.0, 1 / 8, 2, 3),
     ])
-    def test_fock_window_below_the_span_refused_before_allocating(self, dt, n_steps, window):
-        config = make_config(dt=dt, n_steps=n_steps, representation="full_fock",
-                             window=window, coupling=smooth_coupling(1.0))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="window"):
-                run(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
+    def test_fock_window_below_a_smooth_span_is_dropped(self, support, dt, n_steps, window):
+        base = dict(dt=dt, n_steps=n_steps, representation="full_fock",
+                    coupling=smooth_coupling(support))
+        windowed, plain = run(make_config(**base, window=window)), run(make_config(**base))
+        assert np.array_equal(windowed.eps, plain.eps)
+        assert np.array_equal(windowed.norms, plain.norms)
 
 
 class TestTrajectoryRecord:
@@ -936,7 +916,7 @@ class TestTrajectoryRecord:
         # gamma*dt = 10: the second-order map grows by about 9 per step, and the
         # squared norm overflows first
         config = make_config(coupling=mirror(100.0, 0.0, 1.0), dt=0.1, n_steps=2000,
-                             representation="mirror_recursion")
+                             stepper="second_order")
         with pytest.raises(RuntimeError, match="not finite from step 162 on"):
             run(config)
 

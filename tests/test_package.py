@@ -71,3 +71,11 @@ def test_plan_is_a_record_of_lags_and_strengths():
 
 def test_deleted_module():
     assert importlib.util.find_spec("qcollide.states") is None
+
+
+def test_window_and_mirror_recursion_are_not_options():
+    # both stay JSON spellings that parse_config reads and drops; see test_benchmark_configs
+    assert [m.value for m in qcollide.Representation] == ["single_excitation", "full_fock"]
+    assert "window" not in [f.name for f in dataclasses.fields(SimulationConfig)]
+    with pytest.raises(TypeError, match="window"):
+        SimulationConfig(qcollide.CouplingConfig("white", 1.0), dt=0.1, n_steps=3, window=3)
