@@ -70,9 +70,10 @@ WORK_BUDGET = 2**35
 # WORK_BUDGET.  A full_fock collision is charged this plus R * D for a register
 # of R amplitudes and a local propagator of dimension D.  The value was set
 # when a white register of 4 amplitudes took 29 to 49 us a collision; it now
-# takes about 4 us (white, gamma 1, dt 0.01, 1 against 2,000 steps, best of 7,
-# one BLAS thread, 2-vCPU x86-64 host).  2**17 is kept so that every budget
-# edge stays where it is, until the budgets are re-based on measured costs.
+# takes 4.1 to 4.3 us, and an 11-mode mirror register of 4,096 amplitudes 22
+# to 23 us (gamma 1, dt 0.01 and 0.1, 1 against 2,001 steps, best of 7, one
+# BLAS thread, 2-vCPU x86-64 host).  2**17 is kept so that every budget edge
+# stays where it is, until the budgets are re-based on measured costs.
 FOCK_COLLISION_FLOOR = 2**17
 
 OUTPUT_KEYS = ("trajectory_csv", "summary_json", "weights_csv", "convergence_csv", "witness_json")
@@ -266,29 +267,42 @@ class SimulationConfig:
             )
         if self.representation != Representation.FULL_FOCK and self.n_max != 1:
             raise ConfigError("n_max", "only meaningful for the full_fock representation")
-        self.check_run_budget(self.coupling_spec())
+        self._size_run()
 
-    def check_run_budget(self, spec: CouplingSpec) -> None:
-        """Refuse a run whose kernel table, ancilla slots, register or work exceed a budget.
+    def _size_run(self) -> None:
+        """Refuse a run over a budget before anything is allocated, in a fixed order.
 
-        The smooth part of a kernel costs 2 * QUADRATURE_CELLS evaluations per
-        lag over floor(support / dt) + 2 lags (KERNEL_CALL_BUDGET; the error
-        names ``coupling.smooth.support``).  A run spans n_steps plus the
-        kernel's reach in steps of ancilla slots (RUN_BUDGET): the error names
-        ``dt`` when the reach alone is over budget, else ``n_steps`` or
-        ``t_max``.  A collision is charged (L + 1)^2 for L stored lags, at
-        most the number of deltas plus the smooth lags, so steps * (L + 1)^2
-        is held to WORK_BUDGET, again naming ``n_steps`` or ``t_max``.  Then
-        ``check_strengths`` refuses overflowing strengths and gives the
-        kernel's span of B modes.  A full_fock run must pass
-        ``check_fock_budget`` over them, and each collision is charged
-        FOCK_COLLISION_FLOOR + R * D, for a register of R = 2 (n_max + 1)^B
-        amplitudes and a local propagator of dimension D = 2 (n_max + 1)^min(B,
-        L).  The counts are floats, so a t_max / dt or a lag / dt too large
-        for an integer is refused like any other.
+        1. The smooth part of a kernel costs 2 * QUADRATURE_CELLS evaluations
+           per lag over floor(support / dt) + 2 lags (KERNEL_CALL_BUDGET,
+           naming ``coupling.smooth.support``).
+        2. Its reach in steps must fit RUN_BUDGET ancilla slots (naming ``dt``),
+        3. and so must n_steps plus the reach (naming ``n_steps`` or ``t_max``).
+        4. A collision is charged (L + 1)^2 for L stored lags, at most the
+           number of deltas plus the smooth lags, and steps times the charge
+           is held to WORK_BUDGET (naming ``n_steps`` or ``t_max``).
+        5. gamma / dt must be finite, naming ``coupling.gamma`` or ``dt``,
+           whichever is further from 1.  Without a smooth part the strengths
+           g = sqrt(gamma / dt) W of the summed deltas are found here as
+           ``run`` finds them: each must be finite (naming ``coupling.deltas``),
+           and the span max_lag - min_lag + 1 over the lags of nonzero g is
+           exact.  A smooth part's strengths come out of its quadrature, so
+           ``run`` checks them, with exit code 3, and its span is the bound
+           of ``grid_span``.
+        6. A full_fock register holds the qubit and one mode per ancilla of
+           that span; sum_N size_N^2 over its excitation-number blocks bounds
+           both the register and its local propagator, and must fit
+           FOCK_BUDGET (naming ``dt``, which sets the span in steps).
+        7. A full_fock collision is then charged FOCK_COLLISION_FLOOR + R * D
+           against WORK_BUDGET, for a register of R = 2 (n_max + 1)^B
+           amplitudes over a span of B modes and a local propagator of
+           dimension D = 2 (n_max + 1)^min(B, L).
+
+        The counts are floats, so a t_max / dt or a lag / dt too large for an
+        integer is refused like any other.
         """
-        dt = self.dt
+        spec, dt, gamma = self.coupling_spec(), self.dt, self.coupling.gamma
         reach = max((lag / dt for lag, _ in spec.deltas), default=0.0)
+        lags = len(spec.deltas)
         if spec.smooth is not None:
             smooth_lags = float(np.floor(spec.smooth_support / dt)) + 2
             if smooth_lags * 2 * QUADRATURE_CELLS > KERNEL_CALL_BUDGET:
@@ -299,7 +313,7 @@ class SimulationConfig:
                     f"kernel evaluations, more than {KERNEL_CALL_BUDGET}; shorten the support or "
                     f"use a coarser dt",
                 )
-            reach = max(reach, smooth_lags - 1)
+            reach, lags = max(reach, smooth_lags - 1), lags + smooth_lags
         steps = self.n_steps if self.n_steps is not None else self.t_max / dt
         if reach > RUN_BUDGET:
             raise ConfigError(
@@ -317,74 +331,42 @@ class SimulationConfig:
             )
 
         def check_work(per_collision: float, what: str) -> None:
-            work = steps * per_collision
-            if work > WORK_BUDGET:
-                raise ConfigError(
-                    offender,
-                    f"{_count(steps)} collisions {what} cost {work:.3g} multiply-adds, more than "
-                    f"{WORK_BUDGET}; shorten the run or use a coarser dt",
-                )
+            if steps * per_collision > WORK_BUDGET:
+                raise ConfigError(offender, f"{_count(steps)} collisions {what} cost "
+                                            f"{steps * per_collision:.3g} multiply-adds, more than "
+                                            f"{WORK_BUDGET}; shorten the run or use a coarser dt")
 
-        lags = len(spec.deltas) + (smooth_lags if spec.smooth is not None else 0)
         check_work((lags + 1) ** 2, f"over up to {_count(lags)} lags")
-        modes = self.check_strengths(spec)
-        if self.representation == Representation.FULL_FOCK:
-            self.check_fock_budget(modes)
-            register, local = (2 * (self.n_max + 1) ** b for b in (modes, min(modes, int(lags))))
-            check_work(FOCK_COLLISION_FLOOR + register * local,
-                       f"on a full_fock register of up to {register} amplitudes")
-
-    def check_strengths(self, spec: CouplingSpec) -> int:
-        """Refuse overflowing strengths g = sqrt(gamma / dt) W; return the kernel's span in steps.
-
-        gamma / dt must be finite; the error names ``coupling.gamma`` or
-        ``dt``, whichever is further from 1.  Without a smooth part, the table
-        is the summed deltas, found here once as ``run`` finds it: each g must
-        be finite (naming ``coupling.deltas``), and the span max_lag - min_lag
-        + 1 over the lags of nonzero g is exact.  A smooth part's weights come
-        out of its quadrature, so ``run`` checks that kernel's strengths, with
-        exit code 3, and its span is the bound of ``grid_span``.
-        """
-        gamma, dt = self.coupling.gamma, self.dt
         if math.isinf(gamma / dt):
             raise ConfigError("coupling.gamma" if gamma >= 1 / dt else "dt",
                               f"gamma / dt = {gamma} / {dt} overflows, so every collision "
                               f"strength sqrt(gamma / dt) W would be infinite")
         if spec.smooth is not None:
-            return grid_span(spec, dt)
-        table = coupling_strengths(collision_weights(spec, dt, 1), spec.gamma).lags
-        for lag, g in table.items():
-            if not cmath.isfinite(g):
-                raise ConfigError("coupling.deltas",
-                                  f"the collision strength at lag {lag} overflows ({g}) at "
-                                  f"gamma={gamma}, dt={dt}")
-        return max(table) - min(table) + 1 if table else 0
-
-    def check_fock_budget(self, modes: int) -> None:
-        """Refuse a full_fock register of ``modes`` modes that would exceed FOCK_BUDGET.
-
-        The register holds the qubit and one mode per ancilla of the kernel's
-        span, max_lag - min_lag + 1 in steps; sum_N size_N^2 over its
-        excitation-number blocks bounds both the register and the local
-        propagator that ``_apply_local`` applies to it.  The error names
-        ``dt``, which sets the span in steps.
-        """
-        dim = 2
-        for _ in range(modes):  # sum_N size_N^2 lies between dim and dim^2
-            dim *= self.n_max + 1
-            if dim > FOCK_BUDGET:
-                break
+            modes = grid_span(spec, dt)
         else:
-            if dim**2 <= FOCK_BUDGET:
-                return
-            if int((fock_block_sizes(self.n_max, modes) ** 2).sum()) <= FOCK_BUDGET:
-                return
-        raise ConfigError(
-            "dt",
-            f"the kernel spans {modes} ancillas at dt={self.dt}, and a full_fock register of "
-            f"{modes} modes at n_max={self.n_max} needs a propagator of more than {FOCK_BUDGET} "
-            f"complex entries (64 MB); use a coarser dt or a lower n_max",
-        )
+            table = coupling_strengths(collision_weights(spec, dt, 1), gamma).lags
+            for lag, g in table.items():
+                if not cmath.isfinite(g):
+                    raise ConfigError("coupling.deltas",
+                                      f"the collision strength at lag {lag} overflows ({g}) at "
+                                      f"gamma={gamma}, dt={dt}")
+            modes = max(table) - min(table) + 1 if table else 0
+        if self.representation != Representation.FULL_FOCK:
+            return
+        # sum_N size_N^2 lies between dim and dim^2; each mode at least doubles dim, so
+        # past FOCK_BUDGET.bit_length() modes dim is over FOCK_BUDGET anyway
+        dim = 2 * (self.n_max + 1) ** min(modes, FOCK_BUDGET.bit_length())
+        if dim > FOCK_BUDGET or dim**2 > FOCK_BUDGET and int(
+                (fock_block_sizes(self.n_max, modes) ** 2).sum()) > FOCK_BUDGET:
+            raise ConfigError(
+                "dt",
+                f"the kernel spans {modes} ancillas at dt={dt}, and a full_fock register of "
+                f"{modes} modes at n_max={self.n_max} needs a propagator of more than "
+                f"{FOCK_BUDGET} complex entries (64 MB); use a coarser dt or a lower n_max",
+            )
+        local = 2 * (self.n_max + 1) ** min(modes, int(lags))
+        check_work(FOCK_COLLISION_FLOOR + dim * local,
+                   f"on a full_fock register of up to {dim} amplitudes")
 
     def coupling_spec(self) -> CouplingSpec:
         return self.coupling.to_spec()

@@ -247,18 +247,13 @@ def _fock_propagator(plan: CollisionPlan, n_max: int, kind: Stepper):
     return _collision_map(h, plan.dt, kind)
 
 
-def _apply_local(prop, x: np.ndarray, out=None) -> np.ndarray:
-    """U_loc @ x for the register as a (local dimension, rest) matrix, into ``out`` if given."""
-    if isinstance(prop, np.ndarray):
-        return np.matmul(prop, x, out=out)
+def _apply_local(prop, x: np.ndarray, out: np.ndarray) -> None:
+    """U_loc @ x into ``out`` by excitation-number blocks, x the (local dimension, rest) register."""
     order, blocks = prop  # blocks are contiguous row slices once the local rows are in number order
     y = x[order]
     for start, stop, u in blocks:
         y[start:stop] = u @ y[start:stop]
-    if out is None:
-        out = np.empty_like(y)
     out[order] = y
-    return out
 
 
 @dataclass
@@ -287,7 +282,7 @@ class Trajectory:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
 
-def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
+def _run_single_excitation(config, plan) -> Tuple[np.ndarray, np.ndarray]:
     """eps and norms of a one-excitation run, by the recursion of ``_delay_recursion``.
 
     Within a block of at most min(D) collisions every s_k depends only on ds
@@ -297,6 +292,7 @@ def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.n
     |eps_k|^2 - |eps_{k-1}|^2 + 2 Re(conj(s_k) ds_k) + |ds_k|^2.
     """
     u2, gaps, r, block = _delay_recursion(plan, config.stepper)
+    n_steps = plan.n_steps
     (a, to_eps), (from_eps, to_s) = u2[0], u2[1] - (0, 1)
     pad = gaps[-1] if len(gaps) else 0
     ds = np.zeros(pad + n_steps, dtype=complex)  # ds_k at pad + k - 1; none before step 1
@@ -330,7 +326,7 @@ def _run_single_excitation(config, plan, n_steps: int) -> Tuple[np.ndarray, np.n
     return eps, np.sqrt(norms, out=norms)
 
 
-def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, int]:
+def _run_full_fock(config, plan) -> Tuple[np.ndarray, np.ndarray, int]:
     """eps and norms of a full_fock run, and the register dimension.
 
     The register holds one axis per ancilla the kernel can still reach, in
@@ -351,9 +347,8 @@ def _run_full_fock(config, plan, n_steps: int) -> Tuple[np.ndarray, np.ndarray, 
     weight is kept as retired.  The test suite pins this loop against a
     per-call register that moves the touched axes at every collision.
     """
-    lags = plan.lags
+    lags, n_steps, n_max = plan.lags, plan.n_steps, config.n_max
     width = int(lags[-1] - lags[0]) + 1 if len(lags) else 0
-    n_max = config.n_max
     prop = _fock_propagator(plan, n_max, config.stepper)
     apply = np.matmul if isinstance(prop, np.ndarray) else _apply_local
     # touched() order: axis 1, the largest lag's, is the last of the local axes
@@ -445,10 +440,10 @@ def run(config: "SimulationConfig") -> Trajectory:
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if config.representation == Representation.FULL_FOCK:
-            eps, norms, dim = _run_full_fock(config, plan, n_steps)
+            eps, norms, dim = _run_full_fock(config, plan)
             notes.append(_fock_note(plan, config.n_max, dim))
         else:
-            eps, norms = _run_single_excitation(config, plan, n_steps)
+            eps, norms = _run_single_excitation(config, plan)
     wall_time = time.perf_counter() - start
     bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(norms)))
     if bad.size:

@@ -38,7 +38,11 @@ class DdeSolution:
     is evaluated as one exponential of its logarithm, j Re(log b) - log j!
     + j log(t - j tau) - gamma t, so that b^j / j! (which overflows for long
     horizons and strong coupling) and e^{-gamma t} (which underflows) are
-    never formed on their own; its phase is j Im(log b) - omega0 t.
+    never formed on their own; its phase is j Im(log b) - omega0 t.  Term
+    j + 1 over term j is at most |b| t / (j + 1), so past j = |b| t_max + 1
+    the terms fall with j at every t <= t_max, and the sum stops at the first
+    of them that underflows to 0 on its whole tail.  So a short delay, with
+    t_max / tau terms, sums about |b| t_max of them.
     """
 
     omega0: float
@@ -64,6 +68,7 @@ class DdeSolution:
             if self.gamma > 0:  # with gamma = 0 every echo term vanishes
                 log_b_re = math.log(self.gamma) + self.gamma * self.tau
                 log_b_im = self.phi + self.omega0 * self.tau
+                falling = np.exp(log_b_re) * self.t_max + 1  # |b| t_max + 1, or inf
                 for j in range(1, self.segment(self.t_max) + 2):
                     # the term vanishes at t = j*tau and is absent before
                     lo = int(np.searchsorted(s, j * self.tau, side="right"))
@@ -72,6 +77,8 @@ class DdeSolution:
                     tail = s[lo:]
                     magnitude = np.exp(j * log_b_re - math.lgamma(j + 1)
                                        + j * np.log(tail - j * self.tau) - self.gamma * tail)
+                    if j > falling and not magnitude.any():
+                        break  # each later term is smaller at every t <= t_max, so 0 too
                     total[lo:] += magnitude * cmath.exp(1j * j * log_b_im)
             if self.omega0:
                 total *= np.exp(-1j * self.omega0 * s)

@@ -5,8 +5,9 @@ quadrature, the per-field float format of the CSV writers, the Choi-matrix
 channel family of the single-excitation reduced dynamics, the per-call
 dense one-excitation stepper that ``run()``'s delay recursion is checked
 against, the partially traced qubit state, an RK4 integrator of the
-delayed-feedback equation and the per-call truncated-Fock register that
-``run()``'s full_fock loop is checked against.
+delayed-feedback equation, its method-of-steps sum over every term, and
+the per-call truncated-Fock register that ``run()``'s full_fock loop is
+checked against.
 """
 
 import cmath
@@ -373,6 +374,49 @@ def dde_numeric_oracle(
     return np.arange(n + 1) * h, eps
 
 
+def dde_untruncated(solution, t):
+    """``DdeSolution.__call__`` summing every method-of-steps term j <= t_max / tau.
+
+    The library's sum stops at the first term past j = |b| t_max + 1 that is 0
+    on its whole tail; this one adds every term over its whole tail, so the
+    two must agree bit for bit.
+    """
+    self = solution
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0) or np.any(ts > self.t_max + 1e-9 * (1 + self.t_max)):
+        raise ValueError(f"evaluation time outside [0, {self.t_max}]")
+    # on sorted times term j lives on the tail t > j*tau, as a real exponential
+    # times the constant phase e^{i j Im(log b)}; e^{-i omega0 t} is applied last
+    order = np.argsort(ts, kind="stable")
+    s = ts[order]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        total = np.exp(-self.gamma * s).astype(complex)  # the j = 0 term
+        if self.gamma > 0:  # with gamma = 0 every echo term vanishes
+            log_b_re = math.log(self.gamma) + self.gamma * self.tau
+            log_b_im = self.phi + self.omega0 * self.tau
+            for j in range(1, self.segment(self.t_max) + 2):
+                # the term vanishes at t = j*tau and is absent before
+                lo = int(np.searchsorted(s, j * self.tau, side="right"))
+                if lo == len(s):
+                    break
+                tail = s[lo:]
+                magnitude = np.exp(j * log_b_re - math.lgamma(j + 1)
+                                   + j * np.log(tail - j * self.tau) - self.gamma * tail)
+                total[lo:] += magnitude * cmath.exp(1j * j * log_b_im)
+        if self.omega0:
+            total *= np.exp(-1j * self.omega0 * s)
+    out = np.empty_like(total)
+    out[order] = total
+    if not np.all(np.isfinite(out)):
+        raise ValueError(
+            f"the delay-equation reference is not finite (gamma={self.gamma}, "
+            f"tau={self.tau}, t_max={self.t_max})"
+        )
+    if np.isscalar(t) or np.asarray(t).ndim == 0:
+        return complex(out[0])
+    return out
+
+
 # ---- per-call truncated-Fock register: checks ``engine._run_full_fock``
 
 
@@ -524,6 +568,11 @@ def step_full(
     perm = front + [axis for axis in range(amp.ndim) if axis not in front]
     moved = amp.transpose(perm)
     local = 2 * (state.n_max + 1) ** (len(front) - 1)
-    x = engine._apply_local(prop, moved.reshape(local, -1))
-    state.amplitudes = x.reshape(moved.shape).transpose(np.argsort(perm))
+    x = moved.reshape(local, -1)
+    if isinstance(prop, np.ndarray):  # a dense U_loc
+        y = prop @ x
+    else:
+        y = np.empty_like(x)
+        engine._apply_local(prop, x, y)
+    state.amplitudes = y.reshape(moved.shape).transpose(np.argsort(perm))
     return state

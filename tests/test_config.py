@@ -541,11 +541,14 @@ class TestFockBudget:
         sector = run(parse_config(minimal(coupling=kernel, dt=0.1)))
         assert np.max(np.abs(fock.eps - sector.eps)) <= 1e-13
 
-    def test_checked_again_against_the_kernel_table(self):
-        config = parse_config(minimal(representation="full_fock"))
-        config.check_fock_budget(11)
+    def test_budget_edge_is_eleven_modes_at_n_max_one(self):
+        def deltas_at(lag):  # a span of lag / 0.1 + 1 modes
+            kernel = {"shape": "custom", "gamma": 1.0, "deltas": [[0.0, 1.0, 0.0], [lag, 0.5, 0.0]]}
+            return minimal(coupling=kernel, dt=0.1, n_steps=10, **FOCK)
+
+        parse_config(deltas_at(1.0))
         with pytest.raises(ConfigError, match=str(FOCK_BUDGET)) as info:
-            config.check_fock_budget(12)
+            parse_config(deltas_at(1.1))
         assert info.value.field == "dt"
 
 

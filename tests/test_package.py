@@ -66,7 +66,8 @@ def test_plan_is_a_record_of_lags_and_strengths():
         "lags", "gs", "omega0", "dt", "n_steps"]
     for name in ("strengths", "couplings", "_propagators"):
         assert not hasattr(CollisionPlan, name), name
-    assert not hasattr(SimulationConfig, "check_window")
+    for name in ("check_window", "check_run_budget", "check_strengths", "check_fock_budget"):
+        assert not hasattr(SimulationConfig, name), name
 
 
 def test_deleted_module():

@@ -5,7 +5,7 @@ import pytest
 
 from qcollide.reference import solve_dde, white_amplitude
 
-from conftest import dde_numeric_oracle
+from conftest import dde_numeric_oracle, dde_untruncated
 
 
 class TestSolveDde:
@@ -88,6 +88,39 @@ class TestSolveDde:
         sol = solve_dde(0.0, 0.5, 0.0, 1.0, 2.0)
         with pytest.raises(ValueError, match="outside"):
             sol(2.5)
+
+
+def on_grid(dt, t_max):
+    return np.arange(int(round(t_max / dt)) + 1) * dt
+
+
+class TestTermsStopAtUnderflow:
+    @pytest.mark.parametrize("delay_steps", [2, 3, 4])
+    @pytest.mark.parametrize("gamma,phi,omega0", [
+        (1.0, 0.3, 0.0), (0.5, 2.0, 0.7), (2.0, math.pi, 0.0),
+    ])
+    def test_short_delays_equal_the_full_sum_bitwise(self, delay_steps, gamma, phi, omega0):
+        dt, t_max = 0.005, 10.0
+        tau = delay_steps * dt
+        sol = solve_dde(omega0, gamma, phi, tau, t_max)
+        # the sum stops early: one of its last terms underflows at every t <= t_max
+        j = sol.segment(t_max) - 1
+        log_b = math.log(gamma) + gamma * tau
+        assert j > 2 * (math.exp(log_b) * t_max + 1)
+        assert j * log_b - math.lgamma(j + 1) + j * math.log(t_max - j * tau) < -746
+        for times in (on_grid(dt, t_max), on_grid(dt / 2, t_max)[::-1]):
+            assert sol(times).tobytes() == dde_untruncated(sol, times).tobytes()
+
+    @pytest.mark.parametrize("gamma,phi,d,t_max", [
+        (0.25, 0.0, 64, 20.0), (2.0, 0.0, 64, 20.0), (1.3, 4.0, 128, 20.0),
+        (0.7, 2.5, 512, 10.0), (2.0, math.pi, 3, 3.0), (1.1, 5.9, 8, 3.0),
+    ])
+    def test_delays_of_one_equal_the_full_sum_bitwise(self, gamma, phi, d, t_max):
+        # the benchmark's mirror configs: tau 1 at dt = 1/d
+        sol = solve_dde(0.0, gamma, phi, 1.0, t_max)
+        times = on_grid(1 / d, t_max)
+        assert sol(times).tobytes() == dde_untruncated(sol, times).tobytes()
+        assert sol(t_max / 3) == dde_untruncated(sol, t_max / 3)
 
 
 class TestWhiteAmplitude:
