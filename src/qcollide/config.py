@@ -55,9 +55,10 @@ FOCK_BUDGET = 2**22
 RUN_BUDGET = 2**22
 
 # Most smooth-kernel evaluations the quadrature of a weight table may make:
-# 2 * QUADRATURE_CELLS per smooth lag, so at most 1,024 smooth lags.  On a
-# 2-vCPU x86-64 host 1,023 lags took 0.63 s.
-KERNEL_CALL_BUDGET = 2**20
+# QUADRATURE_CELLS per smooth lag, so at most 1,024 smooth lags.  On a 2-vCPU
+# Intel Xeon x86-64 host (one BLAS thread, best of 7) the 1,023-lag table of
+# support 1021/1024 at dt = 1/1024 took 0.16 s.
+KERNEL_CALL_BUDGET = 2**19
 
 # Most collision work a run may take: steps * (L + 1)^2 for L lags, the
 # entries of a dense one-excitation collision map.  The delay recursion costs
@@ -272,9 +273,10 @@ class SimulationConfig:
     def _size_run(self) -> None:
         """Refuse a run over a budget before anything is allocated, in a fixed order.
 
-        1. The smooth part of a kernel costs 2 * QUADRATURE_CELLS evaluations
-           per lag over floor(support / dt) + 2 lags (KERNEL_CALL_BUDGET,
-           naming ``coupling.smooth.support``).
+        1. The smooth part of a kernel costs QUADRATURE_CELLS evaluations per
+           lag over floor(support / dt) + 2 lags, one midpoint pass over each
+           grid interval it covers (KERNEL_CALL_BUDGET, naming
+           ``coupling.smooth.support``).
         2. Its reach in steps must fit RUN_BUDGET ancilla slots (naming ``dt``),
         3. and so must n_steps plus the reach (naming ``n_steps`` or ``t_max``).
         4. A collision is charged (L + 1)^2 for L stored lags, at most the
@@ -305,11 +307,11 @@ class SimulationConfig:
         lags = len(spec.deltas)
         if spec.smooth is not None:
             smooth_lags = float(np.floor(spec.smooth_support / dt)) + 2
-            if smooth_lags * 2 * QUADRATURE_CELLS > KERNEL_CALL_BUDGET:
+            if smooth_lags * QUADRATURE_CELLS > KERNEL_CALL_BUDGET:
                 raise ConfigError(
                     "coupling.smooth.support",
                     f"a smooth part of support {spec.smooth_support} at dt={dt} spans "
-                    f"{_count(smooth_lags)} lags, {_count(smooth_lags * 2 * QUADRATURE_CELLS)} "
+                    f"{_count(smooth_lags)} lags, {_count(smooth_lags * QUADRATURE_CELLS)} "
                     f"kernel evaluations, more than {KERNEL_CALL_BUDGET}; shorten the support or "
                     f"use a coarser dt",
                 )

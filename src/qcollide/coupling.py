@@ -127,7 +127,6 @@ class WeightMatrix:
     """
 
     dt: float
-    n_steps: int
     lags: Mapping[int, complex] = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
 
@@ -145,40 +144,34 @@ class WeightMatrix:
     def lags_present(self) -> Tuple[int, ...]:
         return tuple(sorted(self.lags))
 
-    @property
-    def max_lag(self) -> int:
-        return max(self.lags, default=0)
 
-    def scaled(self, factor: float) -> "WeightMatrix":
-        with np.errstate(over="ignore", invalid="ignore"):  # run() refuses a non-finite g
-            scaled = {lag: factor * w for lag, w in self.lags.items() if factor * w != 0}
-        return WeightMatrix(dt=self.dt, n_steps=self.n_steps, lags=scaled, warnings=self.warnings)
-
-
-def _smooth_lag_weight(
-    kernel: SmoothKernel, support: float, lag: int, dt: float, cells: int = QUADRATURE_CELLS
-) -> complex:
-    """Cell average of the smooth kernel part for one integer lag.
+def _smooth_weights(kernel: SmoothKernel, support: float, dt: float) -> list[complex]:
+    """Cell averages of the smooth kernel part at lags 0 .. floor(support/dt) + 1.
 
     The double integral of f(s - t') over a stationary (n, m) grid cell
     reduces exactly to a 1-D integral of f against the triangular overlap
-    weight dt - |u - lag*dt| supported on [(lag-1)*dt, (lag+1)*dt].  Each of
-    the two kink-free subintervals, clipped to the kernel support, is
-    integrated by a composite midpoint rule with ``cells`` cells (error
-    O((dt/cells)^2) for smooth kernels).
+    weight dt - |u - lag*dt| supported on [(lag-1)*dt, (lag+1)*dt].  Grid
+    interval j, [j*dt, (j+1)*dt] clipped to the kernel support, is the
+    falling half of lag j's triangle and the rising half of lag j + 1's, so
+    each interval is integrated once, by a composite midpoint rule with
+    QUADRATURE_CELLS cells (error O((dt/cells)^2) for smooth kernels), and
+    split between the two lags.
     """
-    peak = lag * dt
-    total = 0j
-    for lo, hi in ((peak - dt, peak), (peak, peak + dt)):
-        lo = max(lo, 0.0)
-        hi = min(hi, support)
+    totals = [0j] * (int(math.floor(support / dt)) + 2)
+    for j in range(len(totals) - 1):
+        lo, hi = j * dt, min((j + 1) * dt, support)
         if hi <= lo:
             continue
-        h = (hi - lo) / cells
-        us = lo + (np.arange(cells) + 0.5) * h
-        vals = np.fromiter((complex(kernel(float(u))) for u in us), complex, count=cells)
-        total += h * np.sum(vals * (dt - np.abs(us - peak)))
-    return total / dt
+        h = (hi - lo) / QUADRATURE_CELLS
+        us = lo + (np.arange(QUADRATURE_CELLS) + 0.5) * h
+        vals = np.fromiter((complex(kernel(float(u))) for u in us), complex,
+                           count=QUADRATURE_CELLS)
+        # each weight is dt - |u - peak| taken from its own lag's peak: lo for
+        # lag j, whose rising half came from the interval before, and
+        # (j + 1) * dt for lag j + 1
+        totals[j] += h * np.sum(vals * (dt - (us - lo)))
+        totals[j + 1] += h * np.sum(vals * (dt - ((j + 1) * dt - us)))
+    return [total / dt for total in totals]
 
 
 def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatrix:
@@ -190,7 +183,9 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
     Each delta (lag L, weight w) contributes w at the integer lag round(L/dt);
     a lag further than 1e-9*dt from the grid sets a discretization-mismatch
     warning, and two deltas landing on the same grid lag set a merge warning.
-    The smooth part is cell-averaged per lag (see ``_smooth_lag_weight``).
+    The smooth part is cell-averaged per lag (see ``_smooth_weights``).
+    ``n_steps`` is only checked: the table is stationary, the same for any run
+    length.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -216,15 +211,13 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
         lags[ell] = lags.get(ell, 0j) + weight
 
     if spec.smooth is not None:
-        last = int(math.floor(spec.smooth_support / dt)) + 1
         with np.errstate(over="ignore", invalid="ignore"):  # run() refuses inf and nan
-            for ell in range(0, last + 1):
-                w = _smooth_lag_weight(spec.smooth, spec.smooth_support, ell, dt)
+            for ell, w in enumerate(_smooth_weights(spec.smooth, spec.smooth_support, dt)):
                 if w != 0:
                     lags[ell] = lags.get(ell, 0j) + w
 
     lags = {ell: w for ell, w in lags.items() if w != 0}
-    return WeightMatrix(dt=dt, n_steps=n_steps, lags=lags, warnings=tuple(warnings))
+    return WeightMatrix(dt=dt, lags=lags, warnings=tuple(warnings))
 
 
 def grid_span(spec: CouplingSpec, dt: float) -> int:
@@ -244,4 +237,7 @@ def coupling_strengths(weights: WeightMatrix, gamma: float) -> WeightMatrix:
     """Scale collision weights into coupling strengths g = sqrt(gamma/dt) * W."""
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    return weights.scaled(math.sqrt(gamma / weights.dt))
+    factor = math.sqrt(gamma / weights.dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # run() refuses a non-finite g
+        lags = {lag: factor * w for lag, w in weights.lags.items() if factor * w != 0}
+    return WeightMatrix(dt=weights.dt, lags=lags, warnings=weights.warnings)

@@ -58,11 +58,11 @@ class DivisibilityReport:
         }
 
 
-def analyze(trajectory, rel_tol: float = CP_RTOL) -> DivisibilityReport:
+def analyze(trajectory) -> DivisibilityReport:
     """Scan a trajectory for non-CP intermediate maps and population revivals.
 
     A step counts as a revival when the excited population grows by more than
-    ``rel_tol`` relative; the same threshold drives the CP flags, so the
+    ``CP_RTOL`` relative; the same threshold drives the CP flags, so the
     witness is zero exactly when every flag is CP.  The scan stops early with
     a note if the amplitude hits zero (the next intermediate map would be
     singular).
@@ -84,7 +84,7 @@ def analyze(trajectory, rel_tol: float = CP_RTOL) -> DivisibilityReport:
         n = truncated_at = int(zeros[0])
         note = f"amplitude vanished at step {n}: intermediate maps beyond it are singular"
     gain = pop[1:n + 1] - pop[:n]
-    significant = gain > rel_tol * pop[:n]
+    significant = gain > CP_RTOL * pop[:n]
     steps = np.flatnonzero(significant) + 1
     gains = gain[significant]
     # np.cumsum adds in sequence, as the running totals of a scalar scan would

@@ -1,7 +1,8 @@
 """Shared helpers: config builders and the oracles that library code is checked against.
 
 The oracles are independent of the code under test: the brute-force kernel
-quadrature, the per-field float format of the CSV writers, the Choi-matrix
+quadrature, the per-lag midpoint rule that integrates every grid interval
+twice, the per-field float format of the CSV writers, the Choi-matrix
 channel family of the single-excitation reduced dynamics, the per-call
 dense one-excitation stepper that ``run()``'s delay recursion is checked
 against, the partially traced qubit state, an RK4 integrator of the
@@ -26,6 +27,7 @@ import numpy as np  # noqa: E402
 
 from qcollide import engine
 from qcollide.config import parse_config
+from qcollide.coupling import QUADRATURE_CELLS
 from qcollide.divisibility import CP_RTOL
 from qcollide.engine import _DARK_BRANCH_TOL, CollisionPlan, Stepper
 
@@ -66,6 +68,35 @@ def brute_force_lag_weight(kernel, support, lag, dt, nodes=320):
         vals = np.array([kernel(s - tp) for s in ss], dtype=complex)
         outer[j] = np.trapezoid(vals, ss)
     return complex(np.trapezoid(outer, t_primes) / dt)
+
+
+def two_pass_lag_weight(kernel, support, lag, dt, cells=QUADRATURE_CELLS):
+    """Cell average of the smooth kernel part for one integer lag, both halves at once.
+
+    The per-lag midpoint rule that ``collision_weights`` replaced with one
+    pass over the grid intervals: each lag integrates the rising and the
+    falling half of its own triangle, so every interval is integrated twice.
+    At a power-of-two dt the two rules must agree bit for bit.
+
+    The double integral of f(s - t') over a stationary (n, m) grid cell
+    reduces exactly to a 1-D integral of f against the triangular overlap
+    weight dt - |u - lag*dt| supported on [(lag-1)*dt, (lag+1)*dt].  Each of
+    the two kink-free subintervals, clipped to the kernel support, is
+    integrated by a composite midpoint rule with ``cells`` cells (error
+    O((dt/cells)^2) for smooth kernels).
+    """
+    peak = lag * dt
+    total = 0j
+    for lo, hi in ((peak - dt, peak), (peak, peak + dt)):
+        lo = max(lo, 0.0)
+        hi = min(hi, support)
+        if hi <= lo:
+            continue
+        h = (hi - lo) / cells
+        us = lo + (np.arange(cells) + 0.5) * h
+        vals = np.fromiter((complex(kernel(float(u))) for u in us), complex, count=cells)
+        total += h * np.sum(vals * (dt - np.abs(us - peak)))
+    return total / dt
 
 
 def fmt(x: float) -> str:

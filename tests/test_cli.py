@@ -308,7 +308,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,data,field", [
-        # a billion white-noise steps; a smooth table of about 2e8 kernel evaluations
+        # a billion white-noise steps; a smooth table of about 1e8 kernel evaluations
         ("simulate", {"coupling": {"shape": "white", "gamma": 1.0}, "dt": 1.0, "t_max": 1e9},
          "t_max"),
         ("kernel", {"coupling": {"shape": "custom", "gamma": 1.0, "smooth": {

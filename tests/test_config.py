@@ -581,7 +581,7 @@ class TestRunBudget:
         (minimal(n_steps=RUN_BUDGET + 1), "n_steps"),
         # t_max / dt overflows to inf: refused, not an OverflowError
         (timed(minimal(dt=1e-10), 1e300), "t_max"),
-        # support 2 at dt = 1e-5: about 2e8 kernel evaluations
+        # support 2 at dt = 1e-5: about 1e8 kernel evaluations
         (minimal(coupling=smooth_kernel(2.0), dt=1e-5), "coupling.smooth.support"),
         (minimal(coupling=smooth_kernel(1e300), dt=1e-10), "coupling.smooth.support"),
     ])

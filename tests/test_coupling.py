@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.coupling import (
+    QUADRATURE_CELLS,
     collision_weights,
     coupling_strengths,
     custom_coupling,
@@ -14,7 +16,7 @@ from qcollide.coupling import (
     white_coupling,
 )
 
-from conftest import brute_force_lag_weight
+from conftest import brute_force_lag_weight, two_pass_lag_weight
 
 
 class TestCouplingSpec:
@@ -150,6 +152,52 @@ class TestCollisionWeights:
         for n in range(1, 8):
             for m in range(n + 1, 8):
                 assert weights.entry(n, m) == 0
+
+
+def damped(kappa):
+    return lambda u: kappa * cmath.exp(-(kappa + 1j) * u)
+
+
+def two_pass_table(kernel, support, dt, deltas):
+    """The weight table as the per-lag rule builds it: deltas, then each smooth lag."""
+    lags = {round(lag / dt): complex(w) for lag, w in deltas}
+    for ell in range(math.floor(support / dt) + 2):
+        w = two_pass_lag_weight(kernel, support, ell, dt)
+        if w != 0:
+            lags[ell] = lags.get(ell, 0j) + w
+    return {ell: w for ell, w in lags.items() if w != 0}
+
+
+class TestOnePassQuadrature:
+    """Each grid interval is integrated once and split between its two lags."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("dt", [1 / 8, 1 / 32, 0.03, 0.05, 0.1])
+    # on the grid, off it, and twice short of dt = 1/8, where the rising weight
+    # rounds differently unless it is taken from the lag's own peak
+    @pytest.mark.parametrize("support", [2.0, 2.3, 0.07, 0.02])
+    @pytest.mark.parametrize("deltas", [(), ((0.0, 0.7 - 0.2j),)], ids=["smooth", "with-delta"])
+    def test_matches_the_per_lag_rule(self, kappa, dt, support, deltas):
+        kernel = damped(kappa)
+        spec = custom_coupling(1.0, deltas, smooth=kernel, smooth_support=support)
+        got = collision_weights(spec, dt, 1).lags
+        want = two_pass_table(kernel, support, dt, deltas)
+        assert sorted(got) == sorted(want)
+        got, want = (np.array([table[ell] for ell in sorted(want)]) for table in (got, want))
+        if math.frexp(dt)[0] == 0.5:  # a power of two: every interval end is exact
+            assert got.tobytes() == want.tobytes()
+        else:  # the rules round the interval ends j*dt and (j+1)*dt - dt apart
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("dt,support,intervals", [
+        (1 / 8, 2.0, 16), (1 / 8, 2.3, 19), (0.1, 0.25, 3), (0.1, 2.0, 20)])
+    def test_one_kernel_call_per_cell_of_each_nonempty_interval(self, dt, support, intervals):
+        calls = []
+        spec = custom_coupling(1.0, smooth=lambda u: calls.append(u) or 1.0,
+                               smooth_support=support)
+        collision_weights(spec, dt, 1)
+        assert len(calls) == QUADRATURE_CELLS * intervals
+        assert 0 < min(calls) and max(calls) < support
 
 
 @st.composite

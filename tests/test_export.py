@@ -180,7 +180,7 @@ class TestGoldenTables:
     def test_weights_csv(self, n):
         rng = np.random.default_rng(n)
         w = complex_values(rng, n)
-        weights = WeightMatrix(dt=0.1, n_steps=n, lags=dict(zip(rng.permutation(3 * n)[:n], w)))
+        weights = WeightMatrix(dt=0.1, lags=dict(zip(rng.permutation(3 * n)[:n], w)))
         assert export.weights_csv(weights) == reference_weights_csv(weights)
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
@@ -191,7 +191,7 @@ class TestGoldenTables:
 
     def test_empty_tables_are_the_header(self):
         assert export.convergence_csv([]) == "dt,max_abs_error,observed_order\n"
-        assert export.weights_csv(WeightMatrix(dt=0.1, n_steps=1)) == "lag,re_w,im_w\n"
+        assert export.weights_csv(WeightMatrix(dt=0.1)) == "lag,re_w,im_w\n"
 
     def test_abs_eps_is_abs_of_the_complex_not_np_abs(self):
         eps = np.array([-2.5556650313141818 + 0.8150446704972311j])  # np.abs is 1 ulp off

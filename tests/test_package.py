@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 
 import pytest
@@ -28,7 +29,7 @@ NOT_IN_PACKAGE = (
     "TruncatedFockState", "embed_single_excitation", "step_full",
     "SingleExcitationState", "init_single_excitation", "touched", "dense_propagator",
     "step_single_excitation", "BLOCK_MIN_GAP", "_collide", "_collide_steps", "_collide_blocks",
-    "build_plan", "_exact_strengths",
+    "build_plan", "_exact_strengths", "_smooth_lag_weight",
 )
 
 MODULES = [
@@ -80,3 +81,14 @@ def test_window_and_mirror_recursion_are_not_options():
     assert "window" not in [f.name for f in dataclasses.fields(SimulationConfig)]
     with pytest.raises(TypeError, match="window"):
         SimulationConfig(qcollide.CouplingConfig("white", 1.0), dt=0.1, n_steps=3, window=3)
+
+
+def test_weight_matrix_holds_only_what_is_read():
+    assert [f.name for f in dataclasses.fields(qcollide.WeightMatrix)] == [
+        "dt", "lags", "warnings"]
+    for name in ("n_steps", "max_lag", "scaled"):
+        assert not hasattr(qcollide.WeightMatrix, name), name
+
+
+def test_analyze_reads_the_cp_tolerance_directly():
+    assert list(inspect.signature(qcollide.analyze).parameters) == ["trajectory"]
