@@ -49,9 +49,10 @@ __all__ = [
 FOCK_BUDGET = 2**22
 
 # Most ancilla slots a run may span: n_steps plus the kernel's reach in steps.
-# The one-excitation recursion keeps one complex ds per slot, and a run keeps
-# about 80 bytes per step in all (white, 2**20 steps: an 84 MB tracemalloc
-# peak), so the budget caps a run near 0.34 GB.
+# The one-excitation recursion keeps one complex ds per slot.  A white run of
+# 2**20 steps peaks at 80 bytes per step (an 80 MiB tracemalloc peak of
+# ``run``), and its trajectory keeps 24 (eps and norms), so the budget caps a
+# run near 0.34 GB.
 RUN_BUDGET = 2**22
 
 # Most smooth-kernel evaluations the quadrature of a weight table may make:

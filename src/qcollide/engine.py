@@ -258,20 +258,35 @@ def _apply_local(prop, x: np.ndarray, out: np.ndarray) -> None:
 
 @dataclass
 class Trajectory:
-    """Per-collision record of a simulation run."""
+    """Per-collision record of a simulation run.
 
-    steps: np.ndarray
-    times: np.ndarray
+    A run stores the amplitude eps_k and the norm of each step k = 0..n_steps,
+    and the step size; the step index, the time k dt and the excited
+    population |eps_k|^2 are computed from them on access.
+    """
+
     eps: np.ndarray
-    excited_population: np.ndarray
     norms: np.ndarray
+    dt: float
     wall_time_s: float
     config: dict
     notes: Tuple[str, ...] = ()
 
     @property
+    def steps(self) -> np.ndarray:
+        return np.arange(len(self.eps))
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.steps * self.dt
+
+    @property
+    def excited_population(self) -> np.ndarray:
+        return np.abs(self.eps) ** 2
+
+    @property
     def n_steps(self) -> int:
-        return len(self.steps) - 1
+        return len(self.eps) - 1
 
     @property
     def final_eps(self) -> complex:
@@ -453,13 +468,10 @@ def run(config: "SimulationConfig") -> Trajectory:
             f"this dt"
         )
 
-    steps = np.arange(n_steps + 1)
     return Trajectory(
-        steps=steps,
-        times=steps * config.dt,
         eps=eps,
-        excited_population=np.abs(eps) ** 2,
         norms=norms,
+        dt=config.dt,
         wall_time_s=wall_time,
         config=config.to_dict(),
         notes=tuple(notes),

@@ -18,7 +18,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Iterable, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def _group_shapes() -> np.ndarray:
 
 
 def _exponent_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per X + _X0: digits before the point, prefix words and exponent words.
+    """Per X + _X0: digits before the point, and the prefix and the exponent as one uint64 each.
 
     The prefix is the sign (rows + 1000 for a negative x) and the "0.000" of
     1e-4 <= |x| < 1; the exponent is "e+XX" outside %g's fixed notation,
@@ -154,7 +154,7 @@ def _exponent_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     exponent[:, ~narrow, 5] = sep
     exponent[:, fixed] = 0
     exponent[:, fixed, 0] = sep
-    return whole, _words(prefix).reshape(2000, 2), _words(exponent).reshape(2000, 2)
+    return whole, prefix.view(np.uint64).ravel(), exponent.view(np.uint64).ravel()
 
 
 _P10 = _powers_of_ten()
@@ -238,12 +238,15 @@ def _float_words(v: np.ndarray, ends_line: np.ndarray) -> np.ndarray:
             d[i] = x[i] = 0
             negative[i] &= value == value
 
-    groups = np.empty((6, len(d)), dtype=np.intp)  # "0" + D in groups of three
-    for k, unit in enumerate((10 ** 15, 10 ** 12, 10 ** 9, 10 ** 6, 1000)):
-        np.floor_divide(d, unit, out=groups[k])
-        d -= groups[k] * unit
-    groups[5] = d
-    del d
+    groups = np.empty((6, len(d)), dtype=np.int32)  # "0" + D in groups of three
+    high = d // 10 ** 9  # D < 10^17: both halves fit int32
+    d -= high * 10 ** 9
+    for half, rows in ((high.astype(np.int32), groups[:3]), (d.astype(np.int32), groups[3:])):
+        np.floor_divide(half, 10 ** 6, out=rows[0])
+        half -= rows[0] * 10 ** 6
+        np.floor_divide(half, 1000, out=rows[1])
+        np.subtract(half, rows[1] * 1000, out=rows[2])
+    del d, high
     end = (_LAST_NONZERO.take(groups) + _GROUP_START).max(axis=0)  # last nonzero position
 
     x += _X0
@@ -252,51 +255,57 @@ def _float_words(v: np.ndarray, ends_line: np.ndarray) -> np.ndarray:
     np.maximum(end, 1, out=end)  # and the "0" of zero
     end += 18 * whole
     words = np.empty((len(v), 10), dtype=np.uint32)
-    words[:, 0:2] = _PREFIX.take(1000 * negative + x, axis=0)
+    wide = words.view(np.uint64)  # words 0-1 and 8-9 are one table entry each
+    wide[:, 0] = _PREFIX.take(1000 * negative + x)
     codes = _SHAPES.take(end, axis=0)
     codes += groups.T
     del groups
     words[:, 2:8] = _GROUPS.take(codes)
     del codes
-    words[:, 8:10] = _EXPONENT.take(x + ends_line, axis=0)
+    x += ends_line
+    wide[:, 4] = _EXPONENT.take(x)
     for i, is_nan in special:
         words[i, 2:8] = 0
         words[i, 2] = _NAN_INF[0 if is_nan else 1]
     return words
 
 
-def _rows(columns, lo: int, hi: int) -> str:
-    """Rows lo..hi-1 of the table, every column as %.17g."""
-    values = np.empty((hi - lo, len(columns)))
+def _rows(columns: Sequence[np.ndarray]) -> str:
+    """The rows of one chunk's columns, every field as %.17g."""
+    values = np.empty((len(columns[0]), len(columns)))
     for i, column in enumerate(columns):
-        values[:, i] = column[lo:hi]
-    ends_line = np.zeros(len(columns), dtype=np.intp)
-    ends_line[-1] = 1000
-    words = _float_words(values.ravel(), np.tile(ends_line, hi - lo))
-    return words.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _table(header: str, *columns: np.ndarray) -> str:
-    """CSV text: ``header``, then one row per index of the columns.
-
-    Every field is ``%.17g``: the same bytes as Python's ``%`` formatting,
-    field by field.  An integer column must stay within +-2^53, where each
-    value converts to a double exactly and ``%.17g`` writes it as ``%d``;
-    min and max are checked, as np.abs(-2^63) wraps.
-    """
-    for column in columns:
-        if column.dtype.kind in "iu" and len(column) and (
+        if column.dtype.kind in "iu" and (
                 column.min() < -_EXACT_INT or column.max() > _EXACT_INT):
             raise ValueError(f"integer column beyond +-2^53 ({column.min()}..{column.max()}): "
                              f"its values have no exact double")
-    n_rows = len(columns[0])
+        values[:, i] = column
+    ends_line = np.zeros(len(columns), dtype=np.intp)
+    ends_line[-1] = 1000
+    words = _float_words(values.ravel(), np.tile(ends_line, len(values)))
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _table(header: str, n_rows: int, chunk: Callable[[int, int], Sequence[np.ndarray]]) -> str:
+    """CSV text: ``header``, then rows 0..n_rows-1, whose columns ``chunk(lo, hi)`` gives.
+
+    The rows are asked for and formatted _CHUNK_ROWS at a time.  Every field
+    is ``%.17g``: the same bytes as Python's ``%`` formatting, field by field.
+    An integer column must stay within +-2^53, where each value converts to a
+    double exactly and ``%.17g`` writes it as ``%d``; min and max are checked,
+    as np.abs(-2^63) wraps.
+    """
     return "".join([header + "\n"] + [
-        _rows(columns, lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)])
+        _rows(chunk(lo, min(lo + _CHUNK_ROWS, n_rows))) for lo in range(0, n_rows, _CHUNK_ROWS)])
+
+
+def _sliced(*columns: np.ndarray) -> Callable[[int, int], Sequence[np.ndarray]]:
+    """``_table``'s chunk of whole columns: rows lo..hi-1 of each."""
+    return lambda lo, hi: [column[lo:hi] for column in columns]
 
 
 # numpy keeps a dispatch cache per ufunc and dtype signature: one small table
 # now puts those few kB in place at import, not during the first export
-_table("", np.arange(2), np.array([1.5, math.nan]), np.array([0.0, 1e300]))
+_table("", 2, _sliced(np.arange(2), np.array([1.5, math.nan]), np.array([0.0, 1e300])))
 
 
 def write_text(path: Union[str, Path], text: str) -> Path:
@@ -318,31 +327,41 @@ def write_text(path: Union[str, Path], text: str) -> Path:
 def weights_csv(weights: WeightMatrix) -> str:
     lags = weights.lags_present
     w = np.array([weights.w(lag) for lag in lags], dtype=complex)
-    return _table("lag,re_w,im_w", np.array(lags, dtype=int), w.real, w.imag)
+    return _table("lag,re_w,im_w", len(lags), _sliced(np.array(lags, dtype=int), w.real, w.imag))
+
+
+_TRAJECTORY_HEADER = "n,t,re_eps,im_eps,abs_eps,pop_e,norm"
+
+
+def _trajectory_rows(traj: Trajectory, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+    """Rows lo..hi-1 of the trajectory table, made from that slice of eps and norms.
+
+    n, t and pop_e take the values of ``Trajectory.steps``, ``times`` and
+    ``excited_population`` without forming those arrays whole.  abs_eps is
+    np.hypot, what abs(complex) computes; np.abs(eps) differs from it in the
+    last bit.
+    """
+    eps, n = traj.eps[lo:hi], np.arange(lo, hi)
+    with np.errstate(over="ignore"):  # a population past the largest double is inf
+        pop = np.abs(eps) ** 2
+    return n, n * traj.dt, eps.real, eps.imag, np.hypot(eps.real, eps.imag), pop, traj.norms[lo:hi]
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    eps = traj.eps
-    # hypot is what abs(complex) computes; np.abs(eps) differs from it in the last bit
-    return _table("n,t,re_eps,im_eps,abs_eps,pop_e,norm", traj.steps, traj.times, eps.real,
-                  eps.imag, np.hypot(eps.real, eps.imag), traj.excited_population, traj.norms)
+    return _table(_TRAJECTORY_HEADER, len(traj.eps), lambda lo, hi: _trajectory_rows(traj, lo, hi))
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
-    """JSON-ready run summary; carries the config snapshot for provenance."""
-    final = traj.final_eps
+    """JSON-ready run summary; carries the config snapshot for provenance.
+
+    ``final`` is the last row of ``trajectory_csv``.
+    """
+    n = traj.n_steps
+    last = [column.item() for column in _trajectory_rows(traj, n, n + 1)]
     return {
         "config": traj.config,
-        "n_steps": traj.n_steps,
-        "final": {
-            "n": int(traj.steps[-1]),
-            "t": float(traj.times[-1]),
-            "re_eps": final.real,
-            "im_eps": final.imag,
-            "abs_eps": abs(final),
-            "pop_e": float(traj.excited_population[-1]),
-            "norm": float(traj.norms[-1]),
-        },
+        "n_steps": n,
+        "final": dict(zip(_TRAJECTORY_HEADER.split(","), last)),
         "max_norm_drift": traj.max_norm_drift,
         "wall_time_s": traj.wall_time_s,
         "notes": list(traj.notes),
@@ -353,7 +372,7 @@ def convergence_csv(rows: Iterable[Tuple[float, float, float]]) -> str:
     """Table of (dt, max_abs_error, observed_order); order is nan on the first row
     and next to an error of 0."""
     table = np.array(list(rows), dtype=float).reshape(-1, 3)
-    return _table("dt,max_abs_error,observed_order", *table.T)
+    return _table("dt,max_abs_error,observed_order", len(table), _sliced(*table.T))
 
 
 def report_json(report: DivisibilityReport, config: dict) -> str:

@@ -15,13 +15,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
 __all__ = ["DdeSolution", "solve_dde", "white_amplitude"]
 
 ArrayLike = Union[float, np.ndarray]
+
+# math.exp(x) and np.exp(x) are 0.0 for x below about -745.1332
+_EXP_UNDERFLOW = -745.2
+_NEWTON_STEPS = 8  # at most, from each end of a tail; the test cases need three
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,9 @@ class DdeSolution:
     j + 1 over term j is at most |b| t / (j + 1), so past j = |b| t_max + 1
     the terms fall with j at every t <= t_max, and the sum stops at the first
     of them that underflows to 0 on its whole tail.  So a short delay, with
-    t_max / tau terms, sums about |b| t_max of them.
+    t_max / tau terms, sums about |b| t_max of them.  A term whose exponent
+    is below exp's underflow at either end of its tail is evaluated only on
+    the interval where it is not (see ``_above_underflow``).
     """
 
     omega0: float
@@ -69,17 +75,23 @@ class DdeSolution:
                 log_b_re = math.log(self.gamma) + self.gamma * self.tau
                 log_b_im = self.phi + self.omega0 * self.tau
                 falling = np.exp(log_b_re) * self.t_max + 1  # |b| t_max + 1, or inf
+                gamma, last = self.gamma, s.item(-1)
                 for j in range(1, self.segment(self.t_max) + 2):
                     # the term vanishes at t = j*tau and is absent before
-                    lo = int(np.searchsorted(s, j * self.tau, side="right"))
-                    if lo == len(s):
+                    start = j * self.tau
+                    lo, hi = int(s.searchsorted(start, side="right")), len(s)
+                    if lo == hi:
                         break
-                    tail = s[lo:]
-                    magnitude = np.exp(j * log_b_re - math.lgamma(j + 1)
-                                       + j * np.log(tail - j * self.tau) - self.gamma * tail)
+                    scale = j * log_b_re - math.lgamma(j + 1)
+                    first = s.item(lo)
+                    if min(scale + j * math.log(first - start) - gamma * first,
+                           scale + j * math.log(last - start) - gamma * last) < _EXP_UNDERFLOW:
+                        lo, hi = _above_underflow(scale, j, start, gamma, s, lo)
+                    tail = s[lo:hi]
+                    magnitude = np.exp(scale + j * np.log(tail - start) - gamma * tail)
                     if j > falling and not magnitude.any():
                         break  # each later term is smaller at every t <= t_max, so 0 too
-                    total[lo:] += magnitude * cmath.exp(1j * j * log_b_im)
+                    total[lo:hi] += magnitude * cmath.exp(1j * j * log_b_im)
             if self.omega0:
                 total *= np.exp(-1j * self.omega0 * s)
         out = np.empty_like(total)
@@ -92,6 +104,51 @@ class DdeSolution:
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return complex(out[0])
         return out
+
+
+def _above_underflow(scale: float, j: int, start: float, gamma: float, s: np.ndarray,
+                     lo: int) -> Tuple[int, int]:
+    """Rows lo..hi-1 of the sorted times s, outside which echo term j is 0.
+
+    The term's log-magnitude f(t) = scale + j log(t - start) - gamma t is
+    concave on the tail s[lo:], in t and in log(t - start) alike, so where it
+    exceeds a cut below exp's underflow it does so on one interval.  Newton
+    steps on f from each end of the tail that is below the cut find the
+    interval's edge: in log(t - start) from the left end, next to the pole,
+    and in t from the right.  A tangent lies above a concave f, so each step
+    stays outside the interval, and f is below the cut from every step
+    outward.  A step past the peak or past the other end proves the term 0
+    on the whole tail, and the rows are then empty.  The cut sits below the
+    underflow by a margin that covers the rounding of f, here and in the
+    caller; a step that rounding carries well over the cut is not taken.
+    """
+    ends = s.item(lo), s.item(-1)
+    logs = [math.log(t - start) for t in ends]
+    cut = _EXP_UNDERFLOW - 1.0 - 1e-12 * (abs(scale) + j * max(map(abs, logs)) + gamma * ends[1])
+    edges = []
+    for t, log, side in zip(ends, logs, (1, -1)):
+        f = scale + j * log - gamma * t
+        for _ in range(_NEWTON_STEPS):
+            if f >= cut - 1.0:  # near enough: the interval starts within 1/|f'| of here
+                break
+            d = t - start
+            slope = j - gamma * d  # df / dlog(t - start), of the sign of f'(t)
+            if side * slope <= 0:
+                return len(s), len(s)  # the peak is behind: f is below the cut throughout
+            if side > 0:  # in log(t - start), where f is nearly linear next to the pole;
+                # a step cut short where exp would overflow stays outside too
+                step = start + d * math.exp(min((cut - f) / slope, 700.0))
+            else:  # in t, where f is nearly linear far from it
+                step = t + (cut - f) * d / slope
+            if not ends[0] <= step <= ends[1]:
+                return len(s), len(s)
+            value = scale + j * math.log(step - start) - gamma * step
+            if value > cut + 0.5:  # rounding went far over: keep the step before
+                break
+            t, f = step, value
+        edges.append(t)
+    first, last = np.searchsorted(s, edges, side="right")
+    return (lo if edges[0] == ends[0] else int(first)), int(last)
 
 
 def solve_dde(omega0: float, gamma: float, phi: float, tau: float, t_max: float) -> DdeSolution:

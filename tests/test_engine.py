@@ -903,6 +903,21 @@ class TestTrajectoryRecord:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.excited_population == pytest.approx(np.abs(traj.eps) ** 2)
 
+    @pytest.mark.parametrize("extra", [
+        {}, {"stepper": "second_order"}, {"representation": "full_fock"},
+        {"coupling": {"shape": "white", "gamma": 1.0}},
+    ])
+    def test_stores_eps_and_norms_only(self, extra):
+        # 24 bytes a step: a complex eps and a float norm; the step index, the time
+        # and the population are computed on access, each a new array
+        traj = run(make_config(**{"dt": 0.125, "n_steps": 64, **extra}))
+        stored = [v for v in vars(traj).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in stored) == 24 * (traj.n_steps + 1)
+        assert traj.times is not traj.times
+        assert np.array_equal(traj.steps, np.arange(65))
+        assert traj.times.tobytes() == (np.arange(65) * 0.125).tobytes()
+        assert traj.excited_population.tobytes() == (np.abs(traj.eps) ** 2).tobytes()
+
     def test_incremental_norm_matches_full_recompute(self):
         config = make_config(dt=1 / 32, n_steps=64, stepper="second_order")
         traj = run(config)

@@ -71,6 +71,14 @@ def test_plan_is_a_record_of_lags_and_strengths():
         assert not hasattr(SimulationConfig, name), name
 
 
+def test_trajectory_stores_eps_and_norms():
+    # steps, times and excited_population are properties computed from these
+    assert [f.name for f in dataclasses.fields(qcollide.Trajectory)] == [
+        "eps", "norms", "dt", "wall_time_s", "config", "notes"]
+    for name in ("steps", "times", "excited_population"):
+        assert isinstance(getattr(qcollide.Trajectory, name), property), name
+
+
 def test_deleted_module():
     assert importlib.util.find_spec("qcollide.states") is None
 

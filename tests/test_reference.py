@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcollide import reference
 from qcollide.reference import solve_dde, white_amplitude
 
 from conftest import dde_numeric_oracle, dde_untruncated
@@ -121,6 +122,55 @@ class TestTermsStopAtUnderflow:
         times = on_grid(1 / d, t_max)
         assert sol(times).tobytes() == dde_untruncated(sol, times).tobytes()
         assert sol(t_max / 3) == dde_untruncated(sol, t_max / 3)
+
+
+class TestTermsOnTheirSupport:
+    """Each echo term is evaluated only on the rows where it does not underflow."""
+
+    # gamma, tau, dt, t_max, and which edges the search finds: a left cut, a
+    # right cut, a term that underflows on its whole tail
+    CASES = {
+        "left": (1.0, 0.004, 0.002, 40.0, {"left", "empty"}),
+        "both": (6.0, 0.01, 0.1, 150.0, {"left", "right"}),
+        "empty": (2000.0, 0.001, 0.5, 5.0, {"left", "right", "empty"}),
+        "tau-1": (0.7, 1.0, 1 / 512, 10.0, set()),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_hold_every_nonzero_value(self, case):
+        gamma, tau, dt, t_max, kinds = self.CASES[case]
+        s = on_grid(dt, t_max)
+        log_b_re = math.log(gamma) + gamma * tau
+        found = set()
+        for j in range(1, int(t_max / tau) + 2):
+            start = j * tau
+            lo = int(np.searchsorted(s, start, side="right"))
+            if lo == len(s):
+                break
+            scale = j * log_b_re - math.lgamma(j + 1)
+            exponent = scale + j * np.log(s[lo:] - start) - gamma * s[lo:]
+            with np.errstate(over="ignore"):
+                nonzero = lo + np.flatnonzero(np.exp(exponent))
+            first, last = reference._above_underflow(scale, j, start, gamma, s, lo)
+            if first == last:
+                found.add("empty")
+            else:
+                found |= {"left"} if first > lo else set()
+                found |= {"right"} if last < len(s) else set()
+            if not nonzero.size and j > math.exp(log_b_re) * t_max + 1:
+                break  # where the sum stops
+            if nonzero.size:
+                assert first <= nonzero[0] and nonzero[-1] < last
+                # and no row far below the underflow (about -745.13) is evaluated
+                assert exponent[first - lo:last - lo].min() >= -748
+        assert found == kinds
+
+    @pytest.mark.parametrize("case", ["both", "empty"])
+    def test_cut_terms_sum_as_the_full_ones(self, case):
+        gamma, tau, dt, t_max, _ = self.CASES[case]
+        sol = solve_dde(0.3, gamma, 0.3, tau, t_max)
+        times = on_grid(dt, t_max)
+        assert sol(times).tobytes() == dde_untruncated(sol, times).tobytes()
 
 
 class TestWhiteAmplitude:
