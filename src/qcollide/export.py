@@ -38,6 +38,7 @@ __all__ = [
 
 
 _CHUNK_ROWS = 448  # rows formatted at a time; bounds the scratch memory beside the text
+_WRITE_SLICE = 2**16  # characters encoded and written at a time
 _EXACT_INT = 2**53  # integers up to this magnitude are exact doubles
 
 # ---- %.17g with numpy digit arithmetic, byte-identical to Python's
@@ -159,7 +160,7 @@ def _exponent_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _P10 = _powers_of_ten()
 _GROUPS = _digit_groups()
-_SHAPES = _group_shapes()
+_SHAPES = np.ascontiguousarray(_group_shapes().T)  # group-major: row k is group k's shapes
 _GROUP_START = np.arange(0, 18, 3, dtype=np.int8)[:, None]
 # position of the last nonzero digit of "%03d" % v, and far below 0 for v = 0
 _LAST_NONZERO = np.where(_D3[:, 2] > 48, 2, np.where(_D3[:, 1] > 48, 1,
@@ -257,11 +258,10 @@ def _float_words(v: np.ndarray, ends_line: np.ndarray) -> np.ndarray:
     words = np.empty((len(v), 10), dtype=np.uint32)
     wide = words.view(np.uint64)  # words 0-1 and 8-9 are one table entry each
     wide[:, 0] = _PREFIX.take(1000 * negative + x)
-    codes = _SHAPES.take(end, axis=0)
-    codes += groups.T
-    del groups
-    words[:, 2:8] = _GROUPS.take(codes)
-    del codes
+    for k, group in enumerate(groups):  # one group at a time keeps the lookups 1-D
+        code = _SHAPES[k].take(end)
+        code += group
+        words[:, 2 + k] = _GROUPS.take(code)
     x += ends_line
     wide[:, 4] = _EXPONENT.take(x)
     for i, is_nan in special:
@@ -271,7 +271,11 @@ def _float_words(v: np.ndarray, ends_line: np.ndarray) -> np.ndarray:
 
 
 def _rows(columns: Sequence[np.ndarray]) -> str:
-    """The rows of one chunk's columns, every field as %.17g."""
+    """The rows of one chunk's columns, every field as %.17g.
+
+    Its scratch, a few hundred kB for a chunk of seven columns, is freed before
+    ``_table`` appends the rows to the text.
+    """
     values = np.empty((len(columns[0]), len(columns)))
     for i, column in enumerate(columns):
         if column.dtype.kind in "iu" and (
@@ -288,14 +292,18 @@ def _rows(columns: Sequence[np.ndarray]) -> str:
 def _table(header: str, n_rows: int, chunk: Callable[[int, int], Sequence[np.ndarray]]) -> str:
     """CSV text: ``header``, then rows 0..n_rows-1, whose columns ``chunk(lo, hi)`` gives.
 
-    The rows are asked for and formatted _CHUNK_ROWS at a time.  Every field
-    is ``%.17g``: the same bytes as Python's ``%`` formatting, field by field.
-    An integer column must stay within +-2^53, where each value converts to a
-    double exactly and ``%.17g`` writes it as ``%d``; min and max are checked,
-    as np.abs(-2^63) wraps.
+    The rows are asked for and formatted _CHUNK_ROWS at a time, and each
+    chunk's rows are appended to one string, which CPython grows in place
+    while nothing else refers to it: the text is held once, never beside a
+    list of its chunks.  Every field is ``%.17g``: the same bytes as Python's
+    ``%`` formatting, field by field.  An integer column must stay within
+    +-2^53, where each value converts to a double exactly and ``%.17g``
+    writes it as ``%d``; min and max are checked, as np.abs(-2^63) wraps.
     """
-    return "".join([header + "\n"] + [
-        _rows(chunk(lo, min(lo + _CHUNK_ROWS, n_rows))) for lo in range(0, n_rows, _CHUNK_ROWS)])
+    text = header + "\n"
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        text += _rows(chunk(lo, min(lo + _CHUNK_ROWS, n_rows)))
+    return text
 
 
 def _sliced(*columns: np.ndarray) -> Callable[[int, int], Sequence[np.ndarray]]:
@@ -309,17 +317,20 @@ _table("", 2, _sliced(np.arange(2), np.array([1.5, math.nan]), np.array([0.0, 1e
 
 
 def write_text(path: Union[str, Path], text: str) -> Path:
-    """Write ``text`` to ``path``, overwriting any old content in place.
+    """Write ``text`` to ``path`` as UTF-8, overwriting any old content in place.
 
-    The file is not truncated to zero before the write, only cut to the new
-    length after it.  On ext4 (``auto_da_alloc``, the default) a file truncated
-    to zero and rewritten starts a writeback when it is closed; for a file
-    rewritten at every run that cost about 1 ms a close, with a long tail.
+    The text is encoded and written _WRITE_SLICE characters at a time, so no
+    encoded copy of the whole text is made beside it.  The file is not
+    truncated to zero before the write, only cut to the new length after it.
+    On ext4 (``auto_da_alloc``, the default) a file truncated to zero and
+    rewritten starts a writeback when it is closed; for a file rewritten at
+    every run that cost about 1 ms a close, with a long tail.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as handle:
-        handle.write(text)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        for lo in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[lo:lo + _WRITE_SLICE].encode())
         handle.truncate()
     return path
 
@@ -389,7 +400,7 @@ def report_json(report: DivisibilityReport, config: dict) -> str:
     cut = text.index('\n  "revival_intervals": ')
     words = map({True: "true", False: "false"}.__getitem__, flags)
     flags_text = "[\n    " + ",\n    ".join(words) + "\n  ]" if flags else "[]"
-    return text[:cut] + '\n  "cp_flags": ' + flags_text + "," + text[cut:] + "\n"
+    return "".join((text[:cut], '\n  "cp_flags": ', flags_text, ",", text[cut:], "\n"))
 
 
 def summary_json(summary: dict) -> str:
