@@ -40,17 +40,11 @@ def _write(config: SimulationConfig, outdir: Path, key: str, text: str) -> Path:
 def cmd_kernel(config: SimulationConfig, outdir: Path, quiet: bool) -> int:
     spec = config.coupling_spec()
     n_steps, _ = config.effective_steps()
-    weights = collision_weights(spec, config.dt, n_steps)
-    for lag in weights.lags_present:  # as run() refuses the strengths of a table that overflowed
-        if not np.isfinite(weights.w(lag)):
-            raise RuntimeError(
-                f"the collision weight at lag {lag} is not finite ({weights.w(lag)}); the "
-                f"kernel's weight there overflows at dt={config.dt}"
-            )
+    weights = collision_weights(spec, config.dt, n_steps)  # raises on a weight that overflowed
     for warning in weights.warnings:  # after the refusal: its message is the error alone
         print(f"warning: {warning}", file=sys.stderr)
     path = _write(config, outdir, "weights_csv", export.weights_csv(weights))
-    _say(quiet, f"wrote {path} ({len(weights.lags_present)} lags)")
+    _say(quiet, f"wrote {path} ({len(weights.lags)} lags)")
     return EXIT_OK
 
 

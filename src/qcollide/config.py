@@ -284,13 +284,13 @@ class SimulationConfig:
            number of deltas plus the smooth lags, and steps times the charge
            is held to WORK_BUDGET (naming ``n_steps`` or ``t_max``).
         5. gamma / dt must be finite, naming ``coupling.gamma`` or ``dt``,
-           whichever is further from 1.  Without a smooth part the strengths
-           g = sqrt(gamma / dt) W of the summed deltas are found here as
-           ``run`` finds them: each must be finite (naming ``coupling.deltas``),
-           and the span max_lag - min_lag + 1 over the lags of nonzero g is
-           exact.  A smooth part's strengths come out of its quadrature, so
-           ``run`` checks them, with exit code 3, and its span is the bound
-           of ``grid_span``.
+           whichever is further from 1.  Without a smooth part the strength
+           table is built here as ``run`` builds it, and the RuntimeError of a
+           weight or a strength that is not finite becomes a refusal naming
+           ``coupling.deltas``; the span lags[-1] - lags[0] + 1 over its lags
+           is exact.  A smooth part's table needs the quadrature, so ``run``
+           builds and checks it (exit code 3), and its span is the bound of
+           ``grid_span``.
         6. A full_fock register holds the qubit and one mode per ancilla of
            that span; sum_N size_N^2 over its excitation-number blocks bounds
            both the register and its local propagator, and must fit
@@ -347,13 +347,11 @@ class SimulationConfig:
         if spec.smooth is not None:
             modes = grid_span(spec, dt)
         else:
-            table = coupling_strengths(collision_weights(spec, dt, 1), gamma).lags
-            for lag, g in table.items():
-                if not cmath.isfinite(g):
-                    raise ConfigError("coupling.deltas",
-                                      f"the collision strength at lag {lag} overflows ({g}) at "
-                                      f"gamma={gamma}, dt={dt}")
-            modes = max(table) - min(table) + 1 if table else 0
+            try:
+                stored, _ = coupling_strengths(collision_weights(spec, dt, 1), gamma)
+            except RuntimeError as exc:
+                raise ConfigError("coupling.deltas", f"{exc} (gamma={gamma}, dt={dt})") from None
+            modes = int(stored[-1] - stored[0]) + 1 if len(stored) else 0
         if self.representation != Representation.FULL_FOCK:
             return
         # sum_N size_N^2 lies between dim and dim^2; each mode at least doubles dim, so

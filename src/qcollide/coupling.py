@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -117,32 +117,19 @@ def custom_coupling(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Stationary banded weight table W(n, m) = W(n - m).
+    """Stationary weight table W(n, m) = W(n - m) of a kernel on the dt grid.
 
-    Weights are stored per integer lag; the full matrix entry accessor
-    enforces stationarity structurally and returns 0 above the diagonal
-    (kernels here are causal: all lags are nonnegative).
+    ``lags`` holds the lags of nonzero weight in ascending order (``np.intp``)
+    and ``w`` their complex weights; W is zero at every other lag, and above
+    the diagonal, since every lag is nonnegative (the kernels are causal).
     """
 
     dt: float
-    lags: Mapping[int, complex] = field(default_factory=dict)
+    lags: np.ndarray
+    w: np.ndarray
     warnings: Tuple[str, ...] = ()
-
-    def w(self, lag: int) -> complex:
-        """Weight at integer lag; zero where the kernel has no support."""
-        return self.lags.get(lag, 0j)
-
-    def entry(self, n: int, m: int) -> complex:
-        """Matrix element W(n, m); depends on n - m only."""
-        if m > n:
-            return 0j
-        return self.w(n - m)
-
-    @property
-    def lags_present(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.lags))
 
 
 def _smooth_weights(kernel: SmoothKernel, support: float, dt: float) -> list[complex]:
@@ -183,9 +170,11 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
     Each delta (lag L, weight w) contributes w at the integer lag round(L/dt);
     a lag further than 1e-9*dt from the grid sets a discretization-mismatch
     warning, and two deltas landing on the same grid lag set a merge warning.
-    The smooth part is cell-averaged per lag (see ``_smooth_weights``).
-    ``n_steps`` is only checked: the table is stationary, the same for any run
-    length.
+    The smooth part is cell-averaged per lag (see ``_smooth_weights``).  A
+    weight that is not finite (summed deltas or an overflowing quadrature)
+    raises a RuntimeError naming its lag.  ``n_steps`` is only checked, as the
+    table is the same for any run length; it stays while the benchmark's
+    ``weight_table`` passes it, until the benchmark is next revised.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -193,7 +182,7 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
 
     warnings: list[str] = []
-    lags: Dict[int, complex] = {}
+    table: Dict[int, complex] = {}
     seen: Dict[int, float] = {}
     for lag_time, weight in spec.deltas:
         ell = int(round(lag_time / dt))
@@ -208,16 +197,19 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
             )
         else:
             seen[ell] = lag_time
-        lags[ell] = lags.get(ell, 0j) + weight
+        table[ell] = table.get(ell, 0j) + weight
 
     if spec.smooth is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # run() refuses inf and nan
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
             for ell, w in enumerate(_smooth_weights(spec.smooth, spec.smooth_support, dt)):
                 if w != 0:
-                    lags[ell] = lags.get(ell, 0j) + w
+                    table[ell] = table.get(ell, 0j) + w
 
-    lags = {ell: w for ell, w in lags.items() if w != 0}
-    return WeightMatrix(dt=dt, lags=lags, warnings=tuple(warnings))
+    lags = np.array(sorted(ell for ell, w in table.items() if w != 0), dtype=np.intp)
+    w = np.array([table[ell] for ell in lags.tolist()], dtype=complex)
+    _refuse_non_finite("collision weight", lags, w,
+                       f"the kernel's weight there overflows at dt={dt}")
+    return WeightMatrix(dt=dt, lags=lags, w=w, warnings=tuple(warnings))
 
 
 def grid_span(spec: CouplingSpec, dt: float) -> int:
@@ -233,11 +225,25 @@ def grid_span(spec: CouplingSpec, dt: float) -> int:
     return max(grid) - min(grid) + 1 if grid else 0
 
 
-def coupling_strengths(weights: WeightMatrix, gamma: float) -> WeightMatrix:
-    """Scale collision weights into coupling strengths g = sqrt(gamma/dt) * W."""
+def coupling_strengths(weights: WeightMatrix, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The ascending lags of nonzero g = sqrt(gamma/dt) * W and their g, the
+    arrays of a run's ``CollisionPlan``; raises a RuntimeError on a g that is
+    not finite, as the collision maps would fail on it or hold nan."""
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    factor = math.sqrt(gamma / weights.dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # run() refuses a non-finite g
-        lags = {lag: factor * w for lag, w in weights.lags.items() if factor * w != 0}
-    return WeightMatrix(dt=weights.dt, lags=lags, warnings=weights.warnings)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        gs = math.sqrt(gamma / weights.dt) * weights.w
+    _refuse_non_finite("coupling strength", weights.lags, gs, "the kernel's weight there, or "
+                       "that weight times sqrt(gamma/dt), overflows")
+    if np.count_nonzero(gs) == len(gs):
+        return weights.lags, gs
+    keep = gs != 0  # gamma is 0, or scales a weight below the smallest double
+    return weights.lags[keep], gs[keep]
+
+
+def _refuse_non_finite(what: str, lags: np.ndarray, values: np.ndarray, why: str) -> None:
+    """Raise a RuntimeError naming the smallest lag whose value is not finite."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < len(values):
+        i = np.argmin(finite)  # the first False
+        raise RuntimeError(f"the {what} at lag {lags[i]} is not finite ({values[i]}); {why}")

@@ -10,7 +10,6 @@ feedback arrives.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -19,7 +18,9 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from .coupling import collision_weights, coupling_strengths
+# module access: perfbench's tracer counts the lags of an ``engine.collision_weights``
+# by the dict table's old ``lags_present``, so this module binds neither name
+from . import coupling
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
@@ -341,8 +342,8 @@ def _run_single_excitation(config, plan) -> Tuple[np.ndarray, np.ndarray]:
     return eps, np.sqrt(norms, out=norms)
 
 
-def _run_full_fock(config, plan) -> Tuple[np.ndarray, np.ndarray, int]:
-    """eps and norms of a full_fock run, and the register dimension.
+def _run_full_fock(config, plan, prop) -> Tuple[np.ndarray, np.ndarray, int]:
+    """eps and norms of a full_fock run by U_loc ``prop``, and the register dimension.
 
     The register holds one axis per ancilla the kernel can still reach, in
     age order: before collision k, axis 1 holds ancilla k - max_lag (the
@@ -364,7 +365,6 @@ def _run_full_fock(config, plan) -> Tuple[np.ndarray, np.ndarray, int]:
     """
     lags, n_steps, n_max = plan.lags, plan.n_steps, config.n_max
     width = int(lags[-1] - lags[0]) + 1 if len(lags) else 0
-    prop = _fock_propagator(plan, n_max, config.stepper)
     apply = np.matmul if isinstance(prop, np.ndarray) else _apply_local
     # touched() order: axis 1, the largest lag's, is the last of the local axes
     front = [0] + [1 + plan.max_lag - int(lag) for lag in lags]
@@ -419,6 +419,52 @@ def _fock_note(plan: CollisionPlan, n_max: int, dim: int) -> str:
     )
 
 
+def _growth_note(plan: CollisionPlan, prop) -> str:
+    """rho, the most one second-order collision can scale the state's norm by.
+
+    Without a full_fock local map ``prop`` the collision is 1 + V (u2 - 1) V^dagger
+    of ``_delay_recursion``, of norm max(1, rho) = rho, where u2 = (1 - x/2) -
+    i dt H2 with x = |g|^2 dt^2 is normal: rho = hypot(1 - x/2, dt lambda), for
+    lambda = (|omega0| + sqrt(omega0^2 + 4 |g|^2)) / 2 the largest |eigenvalue|
+    of H2.  With ``prop``, rho is the largest 2-norm of the dense map or of its
+    number blocks.  The norm after n collisions is at most rho^n times the
+    first; the note gives n log10 rho, as rho^n can overflow.
+    """
+    if prop is None:
+        size = math.hypot(*np.abs(plan.gs).tolist())
+        lam = (abs(plan.omega0) + math.hypot(plan.omega0, 2 * size)) / 2
+        x = (size * plan.dt) * (size * plan.dt)
+        rho = math.hypot(1 - x / 2, plan.dt * lam)
+    else:
+        maps = [prop] if isinstance(prop, np.ndarray) else [u for _, _, u in prop[1]]
+        rho = max(float(np.linalg.norm(u, 2)) for u in maps)
+    return (f"second-order stepper: a collision can scale the state's norm by up to rho = "
+            f"{rho:.6g}, so {plan.n_steps} steps by up to 10^{plan.n_steps * math.log10(rho):.4g} "
+            f"(n log10 rho)")
+
+
+def _rotating_note(config: "SimulationConfig", plan: CollisionPlan) -> str:
+    """What a rotating-frame run leaves out of the lab frame.
+
+    In the lab frame eps = exp(-i omega0 t) u, where u sees the weight at each
+    lag times exp(-i omega0 lag dt).  The run keeps the weights as given, which
+    changes eps only through the phases between two stored lags: with one
+    stored lag, the recipe holds up to the stepper's O(dt) splitting.
+    """
+    omega0 = config.omega0
+    if len(plan.lags) < 2:
+        return (f"rotating frame: dynamics run with omega0=0; multiply eps by "
+                f"exp(-i*{omega0!r}*t) to recover lab-frame amplitudes")
+    note = (f"rotating frame: dynamics run with omega0=0 and the kernel's weights as given; the "
+            f"lab frame also multiplies the weight at each lag by exp(-i*{omega0!r}*lag*dt), so "
+            f"exp(-i*{omega0!r}*t) * eps is not the lab-frame amplitude")
+    coupling = config.coupling
+    if coupling.shape == "mirror":
+        note += (f"; in the lab frame this mirror's feedback phase is phi + omega0*tau = "
+                 f"{coupling.phi + omega0 * coupling.tau!r}, not phi = {coupling.phi!r}")
+    return note
+
+
 def run(config: "SimulationConfig") -> Trajectory:
     """Run a full collision sequence and record the trajectory.
 
@@ -431,33 +477,21 @@ def run(config: "SimulationConfig") -> Trajectory:
     n_steps, note = config.effective_steps()
     notes: List[str] = [] if note is None else [note]
 
-    weights = collision_weights(spec, config.dt, n_steps)
+    weights = coupling.collision_weights(spec, config.dt, n_steps)
     notes.extend(weights.warnings)
-    table = sorted(coupling_strengths(weights, spec.gamma).lags.items())  # nonzero g only
-    for lag, g in table:  # eigh would fail on them, or return nan
-        if not cmath.isfinite(g):
-            raise RuntimeError(
-                f"the coupling strength at lag {lag} is not finite ({g}); the kernel's "
-                f"weight there, or that weight times sqrt(gamma/dt), overflows"
-            )
-    omega0 = 0.0 if config.rotating_frame else config.omega0
+    lags, gs = coupling.coupling_strengths(weights, spec.gamma)
+    plan = CollisionPlan(lags=lags, gs=gs, omega0=0.0 if config.rotating_frame else config.omega0,
+                         dt=config.dt, n_steps=n_steps)
     if config.rotating_frame and config.omega0 != 0:
-        notes.append(
-            f"rotating frame: dynamics run with omega0=0; multiply eps by "
-            f"exp(-i*{config.omega0!r}*t) to recover lab-frame amplitudes"
-        )
-    plan = CollisionPlan(
-        lags=np.array([lag for lag, _ in table], dtype=np.intp),
-        gs=np.array([g for _, g in table], dtype=complex),
-        omega0=omega0, dt=config.dt, n_steps=n_steps,
-    )
+        notes.append(_rotating_note(config, plan))
 
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if config.representation == Representation.FULL_FOCK:
-            eps, norms, dim = _run_full_fock(config, plan)
-            notes.append(_fock_note(plan, config.n_max, dim))
+            prop = _fock_propagator(plan, config.n_max, config.stepper)
+            eps, norms, dim = _run_full_fock(config, plan, prop)
         else:
+            prop = None
             eps, norms = _run_single_excitation(config, plan)
     wall_time = time.perf_counter() - start
     bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(norms)))
@@ -467,6 +501,10 @@ def run(config: "SimulationConfig") -> Trajectory:
             f"(eps = {eps[bad[0]]}, norm = {norms[bad[0]]}); the stepper is unstable at "
             f"this dt"
         )
+    if config.stepper == Stepper.SECOND_ORDER:
+        notes.append(_growth_note(plan, prop))
+    if prop is not None:
+        notes.append(_fock_note(plan, config.n_max, dim))
 
     return Trajectory(
         eps=eps,

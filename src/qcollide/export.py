@@ -336,9 +336,8 @@ def write_text(path: Union[str, Path], text: str) -> Path:
 
 
 def weights_csv(weights: WeightMatrix) -> str:
-    lags = weights.lags_present
-    w = np.array([weights.w(lag) for lag in lags], dtype=complex)
-    return _table("lag,re_w,im_w", len(lags), _sliced(np.array(lags, dtype=int), w.real, w.imag))
+    w = weights.w
+    return _table("lag,re_w,im_w", len(w), _sliced(weights.lags, w.real, w.imag))
 
 
 _TRAJECTORY_HEADER = "n,t,re_eps,im_eps,abs_eps,pop_e,norm"

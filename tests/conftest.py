@@ -99,6 +99,14 @@ def two_pass_lag_weight(kernel, support, lag, dt, cells=QUADRATURE_CELLS):
     return total / dt
 
 
+def weight_at(table, lag: int) -> complex:
+    """W(lag) of a ``WeightMatrix``, or g(lag) of the (lags, gs) of
+    ``coupling_strengths``: the stored value, or 0 where no lag is stored."""
+    lags, values = (table.lags, table.w) if hasattr(table, "w") else table
+    i = int(np.searchsorted(lags, lag))
+    return complex(values[i]) if i < len(lags) and lags[i] == lag else 0j
+
+
 def fmt(x: float) -> str:
     """Full-precision decimal form of a float, one field of a CSV row."""
     return format(float(x), ".17g")

@@ -16,7 +16,9 @@ from qcollide.coupling import (
     white_coupling,
 )
 
-from conftest import brute_force_lag_weight, two_pass_lag_weight
+from qcollide.export import weights_csv
+
+from conftest import brute_force_lag_weight, two_pass_lag_weight, weight_at
 
 
 class TestCouplingSpec:
@@ -68,7 +70,7 @@ class TestCouplingSpec:
     def test_gamma_zero_is_valid(self):
         spec = white_coupling(0.0)
         weights = collision_weights(spec, 0.1, 10)
-        assert coupling_strengths(weights, spec.gamma).lags == {}
+        assert coupling_strengths(weights, spec.gamma)[0].size == 0
 
 
 class TestTimeKernel:
@@ -92,26 +94,26 @@ class TestCollisionWeights:
     def test_white_kronecker(self):
         for dt in (0.1, 0.01, 0.5):
             weights = collision_weights(white_coupling(1.0), dt, 50)
-            assert weights.lags == {0: 1.0 + 0j}
+            assert weights.lags.tolist() == [0] and weights.w.tolist() == [1.0 + 0j]
             assert weights.warnings == ()
 
     def test_mirror_exact_on_grid(self):
         weights = collision_weights(mirror_coupling(1.0, 0.0, 0.3), 0.1, 20)
-        assert weights.w(0) == 1.0
-        assert weights.w(3) == -1.0
-        assert all(weights.w(ell) == 0 for ell in (1, 2, 4, 5))
+        assert weight_at(weights, 0) == 1.0
+        assert weight_at(weights, 3) == -1.0
+        assert all(weight_at(weights, ell) == 0 for ell in (1, 2, 4, 5))
         assert weights.warnings == ()
 
     def test_off_grid_lag_warns(self):
         spec = custom_coupling(1.0, [(0.37, 1.0)])
         weights = collision_weights(spec, 0.1, 20)
-        assert weights.w(4) == 1.0
+        assert weight_at(weights, 4) == 1.0
         assert any("discretization mismatch" in w for w in weights.warnings)
 
     def test_sub_step_delay_merges_with_warning(self):
         phi = 1.1
         weights = collision_weights(mirror_coupling(1.0, phi, 0.04), 0.1, 20)
-        assert weights.w(0) == pytest.approx(1 - cmath.exp(-1j * phi))
+        assert weight_at(weights, 0) == pytest.approx(1 - cmath.exp(-1j * phi))
         assert any("merged deltas" in w for w in weights.warnings)
         assert any("discretization mismatch" in w for w in weights.warnings)
 
@@ -130,7 +132,7 @@ class TestCollisionWeights:
         assert 0 in weights.lags
         for lag in (0, 1, 2, 5, 17, 40):
             oracle = brute_force_lag_weight(decay, support, lag, dt)
-            assert weights.w(lag) == pytest.approx(oracle, abs=1e-8)
+            assert weight_at(weights, lag) == pytest.approx(oracle, abs=1e-8)
 
     def test_smooth_support_edge(self):
         # support ends inside a lag window; the clipped cell average must follow
@@ -138,20 +140,28 @@ class TestCollisionWeights:
         spec = custom_coupling(1.0, smooth=decay, smooth_support=0.25)
         weights = collision_weights(spec, 0.1, 10)
         oracle = brute_force_lag_weight(decay, 0.25, 2, 0.1)
-        assert weights.w(2) == pytest.approx(oracle, abs=1e-8)
-        assert weights.w(4) == 0
+        assert weight_at(weights, 2) == pytest.approx(oracle, abs=1e-8)
+        assert weight_at(weights, 4) == 0
 
-    def test_stationarity_structural(self):
-        weights = collision_weights(mirror_coupling(1.0, 0.5, 0.3), 0.1, 12)
-        for n in range(1, 12):
-            for m in range(1, 12):
-                assert weights.entry(n, m) == weights.entry(n + 1, m + 1)
+    def test_stationary_causal_table(self):
+        # one weight per lag is stationarity, W(n, m) = W(n - m); nonnegative lags
+        # are causality, zeros above the diagonal
+        decay = lambda u: math.exp(-u)  # noqa: E731
+        for spec in (mirror_coupling(1.0, 0.5, 0.3),
+                     custom_coupling(1.0, [(0.3, 0.5)], smooth=decay, smooth_support=0.45)):
+            lags = collision_weights(spec, 0.1, 12).lags
+            assert lags.dtype == np.intp
+            assert np.all(np.diff(lags) > 0) and np.all(lags >= 0)
 
-    def test_causal_zeros_above_diagonal(self):
-        weights = collision_weights(mirror_coupling(1.0, 0.5, 0.3), 0.1, 12)
-        for n in range(1, 8):
-            for m in range(n + 1, 8):
-                assert weights.entry(n, m) == 0
+    @pytest.mark.parametrize("deltas,smooth,lag", [
+        ([(0.1, 1e308), (0.12, 1e308)], None, 1),  # merged deltas sum to inf at lag 1
+        ([(0.0, 1.0), (0.5, 1.0)], lambda u: 2.0 * math.exp(-2.0 * u), 0),  # quadrature at dt 1e306
+    ], ids=["merged-deltas", "quadrature"])
+    def test_non_finite_weight_raises_naming_its_lag(self, deltas, smooth, lag):
+        spec = custom_coupling(1.0, deltas, smooth=smooth, smooth_support=1.0 if smooth else 0.0)
+        dt = 0.1 if smooth is None else 1.25e306
+        with pytest.raises(RuntimeError, match=f"collision weight at lag {lag} is not finite"):
+            collision_weights(spec, dt, 1)
 
 
 def damped(kappa):
@@ -180,7 +190,8 @@ class TestOnePassQuadrature:
     def test_matches_the_per_lag_rule(self, kappa, dt, support, deltas):
         kernel = damped(kappa)
         spec = custom_coupling(1.0, deltas, smooth=kernel, smooth_support=support)
-        got = collision_weights(spec, dt, 1).lags
+        weights = collision_weights(spec, dt, 1)
+        got = dict(zip(weights.lags.tolist(), weights.w.tolist()))
         want = two_pass_table(kernel, support, dt, deltas)
         assert sorted(got) == sorted(want)
         got, want = (np.array([table[ell] for ell in sorted(want)]) for table in (got, want))
@@ -234,8 +245,8 @@ class TestGridSpan:
             1.0, deltas, smooth=None if support is None else (lambda u: math.exp(-u)),
             smooth_support=support or 0.0,
         )
-        lags = collision_weights(spec, dt, 1).lags_present
-        if lags:
+        lags = collision_weights(spec, dt, 1).lags
+        if len(lags):
             assert lags[-1] - lags[0] + 1 <= grid_span(spec, dt)
 
 
@@ -248,7 +259,8 @@ class TestLinearity:
         w_b = collision_weights(custom_coupling(1.0, deltas_b), dt, n_steps)
         w_ab = collision_weights(custom_coupling(1.0, deltas_a + deltas_b), dt, n_steps)
         for lag in set(w_a.lags) | set(w_b.lags) | set(w_ab.lags):
-            assert w_ab.w(lag) == pytest.approx(w_a.w(lag) + w_b.w(lag), abs=1e-12)
+            assert weight_at(w_ab, lag) == pytest.approx(
+                weight_at(w_a, lag) + weight_at(w_b, lag), abs=1e-12)
 
     def test_smooth_weights_additive(self):
         dt, support = 0.05, 1.5
@@ -261,24 +273,25 @@ class TestLinearity:
             custom_coupling(1.0, smooth=both, smooth_support=support), dt, 40
         )
         for lag in w_fg.lags:
-            assert w_fg.w(lag) == pytest.approx(w_f.w(lag) + w_g.w(lag), abs=1e-12)
+            assert weight_at(w_fg, lag) == pytest.approx(
+                weight_at(w_f, lag) + weight_at(w_g, lag), abs=1e-12)
 
 
 class TestCouplingStrengths:
     def test_unit_scaling(self):
         weights = collision_weights(white_coupling(1.0), 1.0, 5)
-        assert coupling_strengths(weights, 1.0).w(0) == 1.0
+        assert weight_at(coupling_strengths(weights, 1.0), 0) == 1.0
 
     def test_mirror_strengths(self):
         phi = 0.4
         weights = collision_weights(mirror_coupling(0.5, phi, 0.3), 0.1, 20)
         strengths = coupling_strengths(weights, 0.5)
-        assert strengths.w(0) == pytest.approx(math.sqrt(5.0))
-        assert strengths.w(3) == pytest.approx(-math.sqrt(5.0) * cmath.exp(-1j * phi))
+        assert weight_at(strengths, 0) == pytest.approx(math.sqrt(5.0))
+        assert weight_at(strengths, 3) == pytest.approx(-math.sqrt(5.0) * cmath.exp(-1j * phi))
 
     def test_decoupled_limit(self):
         weights = collision_weights(mirror_coupling(0.0, 0.1, 0.3), 0.1, 20)
-        assert coupling_strengths(weights, 0.0).lags == {}
+        assert coupling_strengths(weights, 0.0)[0].size == 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=10.0))
@@ -286,8 +299,9 @@ class TestCouplingStrengths:
         weights = collision_weights(mirror_coupling(gamma, 0.2, 0.3), 0.1, 20)
         single = coupling_strengths(weights, gamma)
         doubled = coupling_strengths(weights, 2 * gamma)
-        for lag in single.lags:
-            assert doubled.w(lag) == pytest.approx(math.sqrt(2) * single.w(lag), rel=1e-12)
+        for lag in single[0]:
+            assert weight_at(doubled, lag) == pytest.approx(
+                math.sqrt(2) * weight_at(single, lag), rel=1e-12)
 
     def test_negative_gamma_rejected(self):
         weights = collision_weights(white_coupling(1.0), 0.1, 5)
@@ -295,7 +309,39 @@ class TestCouplingStrengths:
             coupling_strengths(weights, -1.0)
 
 
-class TestWarningsPropagation:
-    def test_scaled_matrix_keeps_warnings(self):
-        weights = collision_weights(custom_coupling(1.0, [(0.37, 1.0)]), 0.1, 10)
-        assert coupling_strengths(weights, 2.0).warnings == weights.warnings
+    def test_non_finite_strength_raises_naming_its_lag(self):
+        # both weights are finite; sqrt(gamma / dt) = sqrt(8) takes the lag-3 one past 1.8e308
+        spec = custom_coupling(1.0, [(0.0, 1.0), (0.375, 7.1e307)])
+        weights = collision_weights(spec, 0.125, 1)
+        with pytest.raises(RuntimeError, match=r"coupling strength at lag 3 is not finite \(\(inf"):
+            coupling_strengths(weights, 1.0)
+
+    def test_strengths_that_underflow_are_dropped(self):
+        # 1e-320 * sqrt(1e-10 / 0.5) rounds to 0: no strength is stored at lag 2
+        spec = custom_coupling(1.0, [(0.0, 1.0), (1.0, 1e-320)])
+        weights = collision_weights(spec, 0.5, 1)
+        lags, gs = coupling_strengths(weights, 1e-10)
+        assert weights.lags.tolist() == [0, 2]
+        assert lags.tolist() == [0] and gs.tolist() == [math.sqrt(2e-10)]
+
+
+@st.composite
+def kernels(draw):
+    """Delta kernels of up to four lags, some coincident, with an optional smooth part."""
+    weights = st.complex_numbers(max_magnitude=2.0, allow_nan=False)
+    deltas = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0]), weights),
+                           max_size=4))
+    support = draw(st.one_of(st.none(), st.floats(0.05, 1.0)))
+    smooth = None if support is None else damped(draw(st.floats(0.5, 4.0)))
+    return custom_coupling(1.0, deltas, smooth=smooth, smooth_support=support or 0.0)
+
+
+class TestWeightTable:
+    @settings(max_examples=60, deadline=None)
+    @given(kernels(), st.sampled_from([0.05, 0.1, 0.25]))
+    def test_arrays_hold_the_nonzero_weights_in_lag_order(self, spec, dt):
+        weights = collision_weights(spec, dt, 1)
+        assert len(weights.lags) == len(weights.w)
+        assert np.all(weights.w != 0) and np.all(np.isfinite(weights.w))
+        rows = weights_csv(weights).splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == sorted(weights.lags.tolist())

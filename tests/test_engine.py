@@ -23,6 +23,7 @@ from conftest import (
     TruncatedFockState,
     embed_single_excitation,
     init_single_excitation,
+    last_built,
     make_config,
     step_full,
     step_single_excitation,
@@ -32,11 +33,8 @@ from conftest import (
 
 def make_plan(spec, dt, n_steps, omega0=0.0):
     """The record run() builds: the nonzero strengths of the kernel's table, by lag."""
-    weights = collision_weights(spec, dt, n_steps)
-    table = sorted(coupling_strengths(weights, spec.gamma).lags.items())
-    return CollisionPlan(lags=np.array([lag for lag, _ in table], dtype=np.intp),
-                         gs=np.array([g for _, g in table], dtype=complex),
-                         omega0=float(omega0), dt=dt, n_steps=n_steps)
+    lags, gs = coupling_strengths(collision_weights(spec, dt, n_steps), spec.gamma)
+    return CollisionPlan(lags=lags, gs=gs, omega0=float(omega0), dt=dt, n_steps=n_steps)
 
 
 def explicit_second_order(plan, beta, n_steps):
@@ -426,8 +424,12 @@ def per_call_fock_run(config):
             fock.recycle_mode(k - plan.max_lag, k + width - plan.max_lag)
         eps.append(fock.excited_vacuum_amplitude())
         norms.append(fock.norm())
+    notes = weights.warnings
+    if config.stepper == Stepper.SECOND_ORDER:  # before the register note, as run() orders them
+        prop = last_built(engine._fock_propagator, plan, config.n_max, config.stepper)
+        notes += (engine._growth_note(plan, prop),)
     note = engine._fock_note(plan, config.n_max, fock.amplitudes.size)
-    return np.array(eps), np.array(norms), weights.warnings + (note,)
+    return np.array(eps), np.array(norms), notes + (note,)
 
 
 FOUR_LAGS = [[0.0, 1.0, 0.0], [0.125, 0.0, 0.5], [0.375, -0.7, 0.0], [0.5, 0.3, 0.4]]
@@ -841,6 +843,40 @@ class TestRunMirror:
         assert np.array_equal(lab.eps, rotating.eps)
         assert any("rotating frame" in note for note in rotating.notes)
 
+    @pytest.mark.parametrize("coupling", [
+        {"shape": "white", "gamma": 1.0},
+        # one stored lag, away from 0: its phase in the lab frame is a phase of the
+        # ancillas, which eps does not see
+        {"shape": "custom", "gamma": 1.0, "deltas": [[0.5, 1.0, 0.0]]},
+    ], ids=["white", "one-delayed-lag"])
+    def test_rotating_recipe_holds_with_one_stored_lag(self, coupling):
+        omega0 = 0.5
+        for dt in (1 / 16, 1 / 32):
+            base = dict(coupling=coupling, dt=dt, t_max=5.0, omega0=omega0)
+            lab = run(make_config(**base))
+            rotating = run(make_config(**base, rotating_frame=True))
+            recipe = np.exp(-1j * omega0 * rotating.times) * rotating.eps
+            assert np.max(np.abs(lab.eps - recipe)) <= 0.1 * dt  # 3.9e-3 at dt 1/16, white
+            assert rotating.notes == (f"rotating frame: dynamics run with omega0=0; multiply "
+                                      f"eps by exp(-i*{omega0!r}*t) to recover lab-frame "
+                                      f"amplitudes",)
+
+    def test_rotating_note_names_the_mirrors_lab_frame_phase(self):
+        phi, tau, omega0 = 0.3, 1.0, 0.5
+        base = dict(dt=1 / 32, t_max=5.0, omega0=omega0,
+                    coupling={"shape": "mirror", "gamma": 1.0, "phi": phi, "tau": tau})
+        lab = run(make_config(**base))
+        rotating = run(make_config(**base, rotating_frame=True))
+        shift = np.exp(-1j * omega0 * rotating.times)
+        assert np.max(np.abs(lab.eps - shift * rotating.eps)) >= 0.4  # 0.480
+        (note,) = rotating.notes
+        assert "exp(-i*0.5*lag*dt)" in note and "is not the lab-frame amplitude" in note
+        assert f"phi + omega0*tau = {phi + omega0 * tau!r}, not phi = {phi!r}" in note
+        # the phase the note names is the lab frame's, up to the stepper's O(dt)
+        coupling = dict(base["coupling"], phi=phi + omega0 * tau)
+        named = run(make_config(**dict(base, coupling=coupling), rotating_frame=True))
+        assert np.max(np.abs(lab.eps - shift * named.eps)) <= 0.3 * base["dt"]  # 5.9e-3
+
 
 class TestRepresentationEquivalence:
     def test_fock_matches_exact_sector_mirror(self):
@@ -973,3 +1009,59 @@ class TestTrajectoryRecord:
         fock = run(make_config(coupling=coupling, dt=0.1, n_steps=12,
                                representation="full_fock", window=window))
         assert fock.notes[-1].startswith(f"full_fock register: peak dimension {dim},")
+
+
+def growth_bound(traj):
+    """rho and n log10 rho, as the second-order note of ``traj`` gives them."""
+    (note,) = [note for note in traj.notes if note.startswith("second-order stepper")]
+    found = re.search(r"rho = (\S+), so \d+ steps by up to 10\^(\S+) \(n log10 rho\)", note)
+    return float(found[1]), float(found[2])
+
+
+WHITE_PROBE = {"shape": "white", "gamma": 0.1}
+MIRROR_PROBE = {"shape": "mirror", "gamma": 50.0, "phi": 0.0, "tau": 1.0}
+
+
+class TestGrowthBound:
+    """Every second-order run notes rho, the most one collision can scale the norm by."""
+
+    def test_white_probe(self):
+        # omega0 dt = 1 makes rho = hypot(1 - x/2, dt lambda) = 1.418: 1.418^200 = 2e30
+        traj = run(make_config(coupling=WHITE_PROBE, omega0=10.0, dt=0.1, t_max=20.0,
+                               stepper="second_order"))
+        rho, decades = growth_bound(traj)
+        assert round(rho, 3) == 1.418
+        assert decades == pytest.approx(200 * math.log10(rho), rel=1e-3)
+        assert 29 < math.log10(np.max(np.abs(traj.eps))) <= decades
+
+    def test_mirror_probe(self):
+        # |g|^2 = 2 gamma / dt = 1000: 1 - x/2 = -4 and dt lambda = sqrt(10), so rho = sqrt(26)
+        traj = run(make_config(coupling=MIRROR_PROBE, dt=0.1, t_max=5.0, stepper="second_order"))
+        rho, decades = growth_bound(traj)
+        assert rho == pytest.approx(math.sqrt(26), rel=1e-5)
+        assert 25 < math.log10(np.max(np.abs(traj.eps))) <= decades
+
+    @pytest.mark.parametrize("coupling,omega0,n_max", [
+        (WHITE_PROBE, 10.0, 1), (WHITE_PROBE, 10.0, 2), (MIRROR_PROBE, 0.0, 1)])
+    def test_full_fock_takes_its_largest_block(self, coupling, omega0, n_max):
+        # the one-excitation map is one number block of the local map.  For the white
+        # kernel at n_max 1 the only other nontrivial block is |e, 1>, of norm
+        # hypot(1, omega0 dt) = 1.414 < 1.418, so the two read the same rho
+        base = dict(coupling=coupling, omega0=omega0, dt=0.1, n_steps=4, stepper="second_order")
+        sector = growth_bound(run(make_config(**base)))[0]
+        fock = growth_bound(run(make_config(**base, representation="full_fock", n_max=n_max)))[0]
+        if coupling is WHITE_PROBE and n_max == 1:
+            assert fock == sector
+        assert fock >= sector
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 5.0), st.floats(-20.0, 20.0), st.sampled_from([0.01, 0.1, 0.5]),
+           st.booleans())
+    def test_closed_form_is_the_norm_of_the_collision_map(self, gamma, omega0, dt, mirror_kernel):
+        coupling = ({"shape": "mirror", "gamma": gamma, "phi": 0.7, "tau": 2 * dt}
+                    if mirror_kernel else {"shape": "white", "gamma": gamma})
+        config = make_config(coupling=coupling, omega0=omega0, dt=dt, n_steps=3,
+                             stepper="second_order")
+        plan = make_plan(config.coupling_spec(), dt, 3, omega0)
+        u2 = engine._delay_recursion(plan, Stepper.SECOND_ORDER)[0]
+        assert growth_bound(run(config))[0] == pytest.approx(np.linalg.norm(u2, 2), rel=1e-5)

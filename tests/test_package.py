@@ -93,8 +93,8 @@ def test_window_and_mirror_recursion_are_not_options():
 
 def test_weight_matrix_holds_only_what_is_read():
     assert [f.name for f in dataclasses.fields(qcollide.WeightMatrix)] == [
-        "dt", "lags", "warnings"]
-    for name in ("n_steps", "max_lag", "scaled"):
+        "dt", "lags", "w", "warnings"]
+    for name in ("n_steps", "max_lag", "scaled", "entry", "lags_present"):
         assert not hasattr(qcollide.WeightMatrix, name), name
 
 
