@@ -143,15 +143,27 @@ class TestCollisionWeights:
         assert weight_at(weights, 2) == pytest.approx(oracle, abs=1e-8)
         assert weight_at(weights, 4) == 0
 
-    def test_stationary_causal_table(self):
-        # one weight per lag is stationarity, W(n, m) = W(n - m); nonnegative lags
-        # are causality, zeros above the diagonal
+    @staticmethod
+    def mirror_and_smooth_tables():
         decay = lambda u: math.exp(-u)  # noqa: E731
         for spec in (mirror_coupling(1.0, 0.5, 0.3),
                      custom_coupling(1.0, [(0.3, 0.5)], smooth=decay, smooth_support=0.45)):
-            lags = collision_weights(spec, 0.1, 12).lags
-            assert lags.dtype == np.intp
-            assert np.all(np.diff(lags) > 0) and np.all(lags >= 0)
+            yield collision_weights(spec, 0.1, 12)
+
+    def test_stationarity_structural(self):
+        # one weight per lag is stationarity, W(n, m) = W(n - m)
+        for weights in self.mirror_and_smooth_tables():
+            assert weights.lags.dtype == np.intp
+            assert len(weights.lags) == len(weights.w)
+            assert np.all(np.diff(weights.lags) > 0)
+
+    def test_causal_zeros_above_diagonal(self):
+        # nonnegative lags are causality: W(n, m) = 0 for m > n
+        for weights in self.mirror_and_smooth_tables():
+            assert np.all(weights.lags >= 0)
+            for n in range(1, 8):
+                for m in range(n + 1, 8):
+                    assert weight_at(weights, n - m) == 0
 
     @pytest.mark.parametrize("deltas,smooth,lag", [
         ([(0.1, 1e308), (0.12, 1e308)], None, 1),  # merged deltas sum to inf at lag 1
