@@ -30,7 +30,7 @@ from .coupling import (
     mirror_coupling,
     white_coupling,
 )
-from .engine import Representation, Stepper, fock_block_sizes
+from .engine import Representation, Stepper
 
 __all__ = [
     "ConfigError",
@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 # Most complex entries a full_fock register may size up to (2**22 entries,
-# 64 MB): sum_N size_N^2 over the excitation-number blocks of the qubit and
-# W modes.  That sum bounds both the register (sum_N size_N amplitudes) and
-# the local collision propagator, whose blocks are those of the qubit and
-# the T <= W touched modes, so it is a conservative bound on each.  At
-# n_max = 1 it admits 11 modes, at n_max = 2 seven.
+# 64 MB): sum_N C(W + 1, N)^2 = C(2W + 2, W + 1) over the excitation-number
+# blocks of the qubit and W two-level modes.  That sum bounds both the
+# register (2^(W + 1) amplitudes) and the local collision propagator, whose
+# blocks are those of the qubit and the T <= W touched modes, so it is a
+# conservative bound on each.  It admits 11 modes.
 FOCK_BUDGET = 2**22
 
 # Most ancilla slots a run may span: n_steps plus the kernel's reach in steps.
@@ -210,7 +210,6 @@ class SimulationConfig:
     t_max: Optional[float] = None
     stepper: Stepper = Stepper.EXACT
     representation: Representation = Representation.SINGLE_EXCITATION
-    n_max: int = 1
     beta: complex = 1.0 + 0j
     rotating_frame: bool = False
     output: Tuple[Tuple[str, str], ...] = ()
@@ -236,7 +235,6 @@ class SimulationConfig:
             except (TypeError, ValueError):
                 raise ConfigError(name, f"expected one of {[m.value for m in kind]}, "
                                         f"got {getattr(self, name)!r}") from None
-        _set(self, "n_max", _require_number(self.n_max, "n_max", "positive", int))
         _set(self, "beta", _require_number(self.beta, "beta", cast=complex))
         if abs(self.beta) > 1 + 1e-12:
             raise ConfigError("beta", f"must satisfy |beta| <= 1, got |beta| = {abs(self.beta)}")
@@ -267,8 +265,6 @@ class SimulationConfig:
             raise ConfigError(
                 "t_max", f"must allow at least one step of dt={self.dt}, got {self.t_max}"
             )
-        if self.representation != Representation.FULL_FOCK and self.n_max != 1:
-            raise ConfigError("n_max", "only meaningful for the full_fock representation")
         self._size_run()
 
     def _size_run(self) -> None:
@@ -291,14 +287,14 @@ class SimulationConfig:
            is exact.  A smooth part's table needs the quadrature, so ``run``
            builds and checks it (exit code 3), and its span is the bound of
            ``grid_span``.
-        6. A full_fock register holds the qubit and one mode per ancilla of
-           that span; sum_N size_N^2 over its excitation-number blocks bounds
-           both the register and its local propagator, and must fit
-           FOCK_BUDGET (naming ``dt``, which sets the span in steps).
+        6. A full_fock register holds the qubit and one two-level mode per
+           ancilla of that span of B modes; sum_N C(B + 1, N)^2 = C(2B + 2,
+           B + 1) over its excitation-number blocks bounds both the register
+           and its local propagator, and must fit FOCK_BUDGET (naming ``dt``,
+           which sets the span in steps).
         7. A full_fock collision is then charged FOCK_COLLISION_FLOOR + R * D
-           against WORK_BUDGET, for a register of R = 2 (n_max + 1)^B
-           amplitudes over a span of B modes and a local propagator of
-           dimension D = 2 (n_max + 1)^min(B, L).
+           against WORK_BUDGET, for a register of R = 2^(B + 1) amplitudes
+           and a local propagator of dimension D = 2^(min(B, L) + 1).
 
         The counts are floats, so a t_max / dt or a lag / dt too large for an
         integer is refused like any other.
@@ -354,18 +350,18 @@ class SimulationConfig:
             modes = int(stored[-1] - stored[0]) + 1 if len(stored) else 0
         if self.representation != Representation.FULL_FOCK:
             return
-        # sum_N size_N^2 lies between dim and dim^2; each mode at least doubles dim, so
-        # past FOCK_BUDGET.bit_length() modes dim is over FOCK_BUDGET anyway
-        dim = 2 * (self.n_max + 1) ** min(modes, FOCK_BUDGET.bit_length())
-        if dim > FOCK_BUDGET or dim**2 > FOCK_BUDGET and int(
-                (fock_block_sizes(self.n_max, modes) ** 2).sum()) > FOCK_BUDGET:
+        # the block sum is at least the register's 2^(B + 1) amplitudes, so past
+        # FOCK_BUDGET.bit_length() modes it is over FOCK_BUDGET anyway
+        span = min(modes, FOCK_BUDGET.bit_length())
+        if math.comb(2 * span + 2, span + 1) > FOCK_BUDGET:
             raise ConfigError(
                 "dt",
                 f"the kernel spans {modes} ancillas at dt={dt}, and a full_fock register of "
-                f"{modes} modes at n_max={self.n_max} needs a propagator of more than "
-                f"{FOCK_BUDGET} complex entries (64 MB); use a coarser dt or a lower n_max",
+                f"{modes} modes needs a propagator of more than {FOCK_BUDGET} complex entries "
+                f"(64 MB); use a coarser dt",
             )
-        local = 2 * (self.n_max + 1) ** min(modes, int(lags))
+        dim = 2 << modes
+        local = 2 << min(modes, int(lags))
         check_work(FOCK_COLLISION_FLOOR + dim * local,
                    f"on a full_fock register of up to {dim} amplitudes")
 
@@ -398,8 +394,6 @@ class SimulationConfig:
             out["t_max"] = self.t_max
         out["stepper"] = self.stepper.value
         out["representation"] = self.representation.value
-        if self.representation == Representation.FULL_FOCK:
-            out["n_max"] = self.n_max
         out["beta"] = [self.beta.real, self.beta.imag]
         out["rotating_frame"] = self.rotating_frame
         if self.output:
@@ -407,8 +401,9 @@ class SimulationConfig:
         return out
 
 
-# "window" is an old full_fock key that parse_config checks and drops
-_TOP_KEYS = tuple(f.name for f in fields(SimulationConfig)) + ("window",)
+# old full_fock keys that parse_config checks and drops
+_OLD_KEYS = ("n_max", "window")
+_TOP_KEYS = tuple(f.name for f in fields(SimulationConfig)) + _OLD_KEYS
 
 
 def _decode_complex(value: Any, field_name: str) -> Any:
@@ -458,13 +453,14 @@ def parse_config(data: Any) -> SimulationConfig:
     """Decode parsed JSON data into a SimulationConfig, which checks every value.
 
     JSON adds only its own rules: unknown keys are errors, null never stands
-    for an absent key, ``n_max`` and ``window`` may be written for
-    ``full_fock`` only, and ``beta`` may be an [re, im] pair.  Two old
-    spellings that change no run are read and dropped, since configs in use
-    still write them: ``window``, checked as a positive integer (the register
-    always spans the kernel), and the representation ``mirror_recursion``,
-    which is ``single_excitation`` with ``second_order`` as its default
-    stepper.
+    for an absent key, and ``beta`` may be an [re, im] pair.  Old spellings
+    that change no run are read and dropped, since configs in use still write
+    them.  ``window`` and ``n_max`` may be written for ``full_fock`` only, and
+    each is checked as a positive integer: the register always spans the
+    kernel, and no mode ever holds two photons, as the emitter starts with at
+    most one excitation, the ancillas in vacuum, and H conserves the
+    excitation number.  The representation ``mirror_recursion`` is
+    ``single_excitation`` with ``second_order`` as its default stepper.
     """
     if not isinstance(data, Mapping):
         raise ConfigError("<root>", f"expected a JSON object, got {data!r}")
@@ -477,21 +473,19 @@ def parse_config(data: Any) -> SimulationConfig:
         if value is None:
             raise ConfigError(key, "expected a value, got null")
     representation = data.get("representation", "single_excitation")
-    for key in ("n_max", "window"):
-        if key in data and representation in ("single_excitation", "mirror_recursion"):
-            raise ConfigError(key, "only meaningful for the full_fock representation")
+    for key in _OLD_KEYS:
+        if key in named:
+            if representation in ("single_excitation", "mirror_recursion"):
+                raise ConfigError(key, "only meaningful for the full_fock representation")
+            _require_number(named.pop(key), key, "positive", int)
     if representation == "mirror_recursion":
         named["representation"] = "single_excitation"
         named.setdefault("stepper", "second_order")
-    window = named.pop("window", None)
     if "beta" in named:
         named["beta"] = _decode_complex(named["beta"], "beta")
     if not isinstance(named.get("output", {}), Mapping):
         raise ConfigError("output", f"expected an object, got {named['output']!r}")
-    config = SimulationConfig(coupling, named.pop("dt", None), **named)
-    if window is not None:
-        _require_number(window, "window", "positive", int)
-    return config
+    return SimulationConfig(coupling, named.pop("dt", None), **named)
 
 
 def load_config(path: Union[str, Path]) -> SimulationConfig:

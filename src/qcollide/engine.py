@@ -25,8 +25,9 @@ from . import coupling
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
 
-# amplitude of an occupied branch outside |g> x vacuum above which retiring a
-# full_fock mode would be lossy and is refused
+# weight of a retiring full_fock mode's occupied branch outside |g> x vacuum,
+# relative to the register's squared norm, above which retiring it would be
+# lossy and is refused
 _DARK_BRANCH_TOL = 1e-12
 
 # Largest local collision space (the qubit and the touched modes) that
@@ -36,9 +37,8 @@ _DARK_BRANCH_TOL = 1e-12
 # amplitudes, 553 / 406 at 64, 2,949 / 845 at 128 and 4,391 / 961 at 162; and
 # to apply to a (D, 8) register at every collision, 3.3 / 17.3 us, 6.7 / 21.8,
 # 20.6 / 32.3 and 31.3 / 43.6.  So above about 64 amplitudes the whole form
-# costs more to build and less to apply.  A mirror's local space has
-# 2 (n_max + 1)^2 amplitudes, so up to n_max = 7 only kernels with three or
-# more lags reach the blocks.
+# costs more to build and less to apply.  A local space of T touched modes has
+# 2^(T + 1) amplitudes, so only kernels with seven or more lags reach the blocks.
 FOCK_DENSE_MAX = 128
 
 # lag pairs that ``_delay_recursion`` sums at once: its memory stays bounded
@@ -157,47 +157,32 @@ def _delay_recursion(plan: CollisionPlan, kind: Stepper):
     return u2, gaps, r[gaps], block
 
 
-def fock_block_sizes(n_max: int, n_modes: int) -> np.ndarray:
-    """Sizes of the excitation-number blocks of the qubit and ``n_modes`` modes.
-
-    Entry N counts the basis states with N excitations (qubit plus photons,
-    at most ``n_max`` per mode): the coefficients of
-    (1 + x)(1 + x + ... + x^n_max)^n_modes.
-    """
-    sizes = np.ones(2, dtype=np.int64)
-    for _ in range(n_modes):
-        sizes = np.convolve(sizes, np.ones(n_max + 1, dtype=np.int64))
-    return sizes
-
-
 def _fock_hamiltonian(
-    n_max: int, n_modes: int, omega0: float, slots_gs: tuple
+    n_modes: int, omega0: float, slots_gs: tuple
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """H on the qubit and ``n_modes`` modes as index arithmetic, in register order.
+    """H on the qubit and ``n_modes`` two-level modes as index arithmetic, in register order.
 
     H = omega0 |e><e| + sum over touched slots of g (|g><e| adag_slot + h.c.).
     Returns its diagonal, omega0 on the excited qubit (the second half of the
-    flat indices), and its hops: for each touched slot, g sqrt(n + 1) from
-    |e, n> at flat index ``src`` to |g, n + 1> at ``dst``.
+    flat indices), and its hops: for each touched slot, g from |e, 0> at flat
+    index ``src`` to |g, 1> at ``dst``.
     """
-    base = n_max + 1
-    half = base ** n_modes
+    half = 1 << n_modes
     diag = np.zeros(2 * half)
     diag[half:] = omega0
     modes = np.arange(half)  # the modes' flat index, under the excited qubit
     src, dst, amp = [modes[:0]], [modes[:0]], [np.zeros(0, dtype=complex)]
     for slot, g in slots_gs:
-        stride = base ** (n_modes - 1 - slot)
-        n = modes // stride % base
-        hop = np.flatnonzero(n < n_max)  # |e, n> with room for one more photon
+        stride = 1 << (n_modes - 1 - slot)
+        hop = np.flatnonzero((modes & stride) == 0)  # |e, 0> on the slot
         src.append(half + hop)
         dst.append(hop + stride)
-        amp.append(g * np.sqrt(n[hop] + 1.0))
+        amp.append(np.full(hop.size, g, dtype=complex))
     return diag, np.concatenate(src), np.concatenate(dst), np.concatenate(amp)
 
 
 def _fock_blocks(
-    n_max: int, n_modes: int, omega0: float, dt: float, slots_gs: tuple, kind: Stepper
+    n_modes: int, omega0: float, dt: float, slots_gs: tuple, kind: Stepper
 ) -> Tuple[np.ndarray, List[Tuple[int, int, np.ndarray]]]:
     """The stepper's map of H on the qubit and ``n_modes`` modes, one number block at a time.
 
@@ -207,12 +192,12 @@ def _fock_blocks(
     block, its (start, stop) in the order and its map.  No matrix of the full
     register dimension is formed.
     """
-    shape = (2,) + (n_max + 1,) * n_modes
+    shape = (2,) * (n_modes + 1)
     number = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
     order = np.argsort(number, kind="stable")
     place = np.empty_like(order)  # position of each flat index in the order
     place[order] = np.arange(order.size)
-    diag, src, dst, amp = _fock_hamiltonian(n_max, n_modes, omega0, slots_gs)
+    diag, src, dst, amp = _fock_hamiltonian(n_modes, omega0, slots_gs)
     src, dst = place[src], place[dst]
     by_src = np.argsort(src, kind="stable")  # each block's hops: one slice
     src, dst, amp, diag = src[by_src], dst[by_src], amp[by_src], diag[order]
@@ -228,7 +213,7 @@ def _fock_blocks(
     return order, blocks
 
 
-def _fock_propagator(plan: CollisionPlan, n_max: int, kind: Stepper):
+def _fock_propagator(plan: CollisionPlan, kind: Stepper):
     """U_loc of a full_fock collision: the stepper's map of H on the local space.
 
     The local space is the qubit and one mode per stored lag, in lag order.
@@ -239,9 +224,9 @@ def _fock_propagator(plan: CollisionPlan, n_max: int, kind: Stepper):
     """
     slots_gs = tuple(enumerate(plan.gs))  # touched() order
     n_modes = len(slots_gs)
-    if 2 * (n_max + 1) ** n_modes > FOCK_DENSE_MAX:
-        return _fock_blocks(n_max, n_modes, plan.omega0, plan.dt, slots_gs, kind)
-    diag, src, dst, amp = _fock_hamiltonian(n_max, n_modes, plan.omega0, slots_gs)
+    if 2 << n_modes > FOCK_DENSE_MAX:
+        return _fock_blocks(n_modes, plan.omega0, plan.dt, slots_gs, kind)
+    diag, src, dst, amp = _fock_hamiltonian(n_modes, plan.omega0, slots_gs)
     h = np.diag(diag).astype(complex)
     h[dst, src] = amp
     h[src, dst] = np.conj(amp)
@@ -359,26 +344,28 @@ def _run_full_fock(config, plan, prop) -> Tuple[np.ndarray, np.ndarray, int]:
     axis W is never written, so the newest ancilla starts in vacuum.  The
     oldest ancilla's occupied branch is what the copy leaves behind, so its
     weight is vdot(y, y) - vdot(x, x), two contiguous reductions.  That
-    branch must be dark (qubit down, every other mode in vacuum), and its
-    weight is kept as retired.  The test suite pins this loop against a
-    per-call register that moves the touched axes at every collision.
+    branch must be dark (qubit down, every other mode in vacuum) up to
+    _DARK_BRANCH_TOL of vdot(y, y), and its weight is kept as retired.  The
+    test suite pins this loop against a per-call register that moves the
+    touched axes at every collision.
     """
-    lags, n_steps, n_max = plan.lags, plan.n_steps, config.n_max
+    lags, n_steps = plan.lags, plan.n_steps
     width = int(lags[-1] - lags[0]) + 1 if len(lags) else 0
     apply = np.matmul if isinstance(prop, np.ndarray) else _apply_local
     # touched() order: axis 1, the largest lag's, is the last of the local axes
     front = [0] + [1 + plan.max_lag - int(lag) for lag in lags]
     perm = front + [axis for axis in range(1, width + 1) if axis not in front]
-    shape = (2,) + (n_max + 1,) * width  # in perm order too: every mode axis has n_max + 1
-    size = 2 * (n_max + 1) ** width
-    rest = size // (2 * (n_max + 1) ** len(lags))
+    shape = (2,) * (width + 1)  # in perm order too: every axis has two levels
+    size = 2 << width
+    rest = size >> (len(lags) + 1)
     x = np.zeros((size // rest, rest), dtype=complex)
     y = np.empty_like(x)
     if width:
         back = np.argsort(perm)
         t_out, t_next = (a.reshape(shape).transpose(back) for a in (y, x))
-        # rows of y with axis 1 occupied, the qubit down and every other mode in vacuum
-        dark = y[1:n_max + 1, 0]
+        # the row of y with axis 1 occupied, the qubit down and every other mode in
+        # vacuum, as a view that each product refills (y[1, 0] would be a snapshot)
+        dark = y[1:2, 0]
     # |g, vac> and |e, vac> sit at flat indices 0 and size // 2 in either layout
     flat, half = x.reshape(-1), size // 2
     beta = complex(config.beta)
@@ -395,7 +382,7 @@ def _run_full_fock(config, plan, prop) -> Tuple[np.ndarray, np.ndarray, int]:
             kept = np.vdot(x, x).real
             weight = np.vdot(y, y).real - kept  # of y's rows with axis 1 occupied
             bright = abs(weight - np.vdot(dark, dark).real)
-            if bright > _DARK_BRANCH_TOL:
+            if bright > _DARK_BRANCH_TOL * (kept + weight):
                 raise RuntimeError(
                     f"mode {k - plan.max_lag} is still entangled with the active dynamics; "
                     f"retiring it would lose {bright:.3e} of coherent weight"
@@ -409,13 +396,16 @@ def _run_full_fock(config, plan, prop) -> Tuple[np.ndarray, np.ndarray, int]:
     return eps, norms, size
 
 
-def _fock_note(plan: CollisionPlan, n_max: int, dim: int) -> str:
-    """Register and propagator sizes of a full_fock run; no wall-clock value."""
-    n_touched = len(plan.lags)
+def _fock_note(plan: CollisionPlan, dim: int) -> str:
+    """Register and propagator sizes of a full_fock run; no wall-clock value.
+
+    The qubit and T touched modes have C(T + 1, N) basis states with N
+    excitations, most at N = floor((T + 1) / 2).
+    """
+    n_local = len(plan.lags) + 1
     return (
         f"full_fock register: peak dimension {dim}, local propagator dimension "
-        f"{2 * (n_max + 1) ** n_touched} (largest excitation-number block "
-        f"{int(fock_block_sizes(n_max, n_touched).max())})"
+        f"{1 << n_local} (largest excitation-number block {math.comb(n_local, n_local // 2)})"
     )
 
 
@@ -488,7 +478,7 @@ def run(config: "SimulationConfig") -> Trajectory:
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         if config.representation == Representation.FULL_FOCK:
-            prop = _fock_propagator(plan, config.n_max, config.stepper)
+            prop = _fock_propagator(plan, config.stepper)
             eps, norms, dim = _run_full_fock(config, plan, prop)
         else:
             prop = None
@@ -504,7 +494,7 @@ def run(config: "SimulationConfig") -> Trajectory:
     if config.stepper == Stepper.SECOND_ORDER:
         notes.append(_growth_note(plan, prop))
     if prop is not None:
-        notes.append(_fock_note(plan, config.n_max, dim))
+        notes.append(_fock_note(plan, dim))
 
     return Trajectory(
         eps=eps,

@@ -510,8 +510,9 @@ class TruncatedFockState:
         """Retire mode ``old``, which can no longer couple, and reuse its axis as ``new``.
 
         The occupied branch must be dark (all of its weight on the qubit
-        ground state with the other modes in vacuum), otherwise retiring it
-        would not be exact and a RuntimeError is raised.  Its weight moves to
+        ground state with the other modes in vacuum, up to _DARK_BRANCH_TOL of
+        the register's squared norm), otherwise retiring it would not be
+        exact and a RuntimeError is raised.  Its weight moves to
         ``retired_weight`` and the branch is zeroed in place, which leaves the
         axis in vacuum for the fresh mode ``new``.
         """
@@ -519,7 +520,7 @@ class TruncatedFockState:
         occupied = self.amplitudes.swapaxes(axis, -1)[..., 1:]  # a view; the qubit stays first
         weight = float(np.sum(np.abs(occupied) ** 2))
         dark = float(np.sum(np.abs(occupied[(0,) + (0,) * (occupied.ndim - 2)]) ** 2))
-        if abs(weight - dark) > _DARK_BRANCH_TOL:
+        if abs(weight - dark) > _DARK_BRANCH_TOL * float(np.sum(np.abs(self.amplitudes) ** 2)):
             raise RuntimeError(
                 f"mode {old} is still entangled with the active dynamics; retiring it would "
                 f"lose {abs(weight - dark):.3e} of coherent weight"
@@ -592,8 +593,11 @@ def step_full(
     (local dimension, rest) and moves the axes back.  It is the reference of
     the run loop in ``engine._run_full_fock``, which keeps those axes in
     place for the whole run.  Every touched ancilla must already sit inside
-    the active window.
+    the active window, and the register must hold two levels a mode, as the
+    engine's propagator does.
     """
+    if state.n_max != 1:
+        raise ValueError(f"the engine's modes have two levels, got n_max = {state.n_max}")
     front = [0]
     for m, _ in touched(plan, step):
         if m not in state.active_modes:
@@ -602,11 +606,11 @@ def step_full(
                 f"{state.active_modes}"
             )
         front.append(state.mode_axis(m))
-    prop = last_built(engine._fock_propagator, plan, state.n_max, Stepper(kind))
+    prop = last_built(engine._fock_propagator, plan, Stepper(kind))
     amp = state.amplitudes
     perm = front + [axis for axis in range(amp.ndim) if axis not in front]
     moved = amp.transpose(perm)
-    local = 2 * (state.n_max + 1) ** (len(front) - 1)
+    local = 1 << len(front)
     x = moved.reshape(local, -1)
     if isinstance(prop, np.ndarray):  # a dense U_loc
         y = prop @ x

@@ -114,10 +114,12 @@ class TestValidation:
     def test_fock_only_keys(self):
         with pytest.raises(ConfigError, match="n_max"):
             parse_config(minimal(n_max=2))
-        config = parse_config(minimal(representation="full_fock", n_max=2, window=4))
-        assert config.n_max == 2
-        # the register always spans the kernel, so a window is checked and dropped
-        assert config == parse_config(minimal(representation="full_fock", n_max=2))
+        plain = parse_config(minimal(representation="full_fock"))
+        assert "n_max" not in plain.to_dict()
+        # the register always spans the kernel and no mode ever holds two photons, so
+        # a window and n_max are checked (see BAD_CONFIGS and MALFORMED) and dropped
+        for extra in (dict(n_max=2, window=4), dict(n_max=2), dict(n_max=3)):
+            assert parse_config(minimal(representation="full_fock", **extra)) == plain
 
     @pytest.mark.parametrize("coupling", [
         {"shape": "white", "gamma": 1.0},
@@ -153,7 +155,6 @@ class TestValidation:
         (dict(), "n_steps"),
         (dict(n_steps=5, dt=0.0), "dt"),
         (dict(t_max=0.05), "t_max"),
-        (dict(n_steps=5, n_max=2), "n_max"),
     ])
     def test_direct_construction_cross_field_rules(self, overrides, field):
         kwargs = dict(coupling=CouplingConfig("white", 1.0), dt=0.1)
@@ -355,8 +356,6 @@ BAD_BUILDS = {
     "t_max-nan": (lambda: SimulationConfig(WHITE, dt=0.1, t_max=NAN), "t_max"),
     "omega0-nan": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, omega0=NAN), "omega0"),
     "beta-two": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, beta=2), "beta"),
-    "n_max-zero": (lambda: SimulationConfig(WHITE, dt=0.1, n_steps=3, representation="full_fock",
-                                            n_max=0), "n_max"),
     "output-same-file": (lambda: SimulationConfig(
         WHITE, dt=0.1, n_steps=3, output={"witness_json": "x", "weights_csv": "x"}),
         "output.witness_json"),
@@ -386,8 +385,8 @@ class TestOneValidator:
         built = SimulationConfig(
             CouplingConfig("custom", 1, deltas=[(0, 1), (1, 0.5j)], smooth_form="exponential",
                            smooth_kappa=2, smooth_support=1),
-            dt=1, n_steps=4, stepper="second_order", representation="full_fock", n_max=2,
-            beta=1, output={"weights_csv": "w.csv", "trajectory_csv": "t.csv"})
+            dt=1, n_steps=4, stepper="second_order", representation="full_fock", beta=1,
+            output={"weights_csv": "w.csv", "trajectory_csv": "t.csv"})
         parsed = parse_config({
             "coupling": {"shape": "custom", "gamma": 1.0,
                          "deltas": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5]],

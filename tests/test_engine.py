@@ -94,15 +94,14 @@ def excitation_numbers(n_max, n_modes):
 
 @st.composite
 def fock_layouts(draw):
-    n_max = draw(st.integers(1, 3))
-    n_modes = draw(st.integers(0, 4))
+    n_modes = draw(st.integers(0, 7))
     slots = draw(st.lists(st.integers(0, max(n_modes - 1, 0)), min_size=min(1, n_modes),
                           max_size=min(3, n_modes), unique=True))
     slots_gs = tuple(
         (slot, draw(st.floats(0.0, 3.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
         for slot in slots
     )
-    return n_max, n_modes, draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 0.5)), slots_gs
+    return n_modes, draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 0.5)), slots_gs
 
 
 class TestBuildPlan:
@@ -239,16 +238,16 @@ class TestFullFockStepper:
             step_full(fock, plan, 3)
 
     def test_excitation_number_conserved(self):
-        for n_max, n_steps in ((1, 5), (2, 3)):
+        for multi, n_steps in ((False, 5), (True, 3)):
             plan = make_plan(mirror_coupling(0.8, 0.6, 0.2), 0.1, n_steps, omega0=0.5)
             state = init_single_excitation(n_steps, 0.7, n_history=plan.max_lag)
             window = range(1 - plan.max_lag, n_steps + 1)
-            fock = embed_single_excitation(state, n_max, window)
-            if n_max == 2:  # |e> with one, then two photons in ancilla 1: N = 2 and 3
+            fock = embed_single_excitation(state, 1, window)
+            if multi:  # |e> with a photon in ancilla 1, then in ancillas 1 and 2: N = 2 and 3
                 photons = [0] * len(window)
                 photons[window.index(1)] = 1
                 fock.amplitudes[(1, *photons)] = 0.4
-                photons[window.index(1)] = 2
+                photons[window.index(2)] = 1
                 fock.amplitudes[(1, *photons)] = 0.3j
                 fock.amplitudes /= fock.norm()
             mean0, var0 = fock.excitation_moments()
@@ -263,40 +262,43 @@ class TestFockNumberBlocks:
     @settings(max_examples=40, deadline=None)
     @given(fock_layouts())
     def test_blocks_match_dense_builder(self, layout):
-        n_max, n_modes, omega0, dt, slots_gs = layout
-        order, blocks = engine._fock_blocks(n_max, n_modes, omega0, dt, slots_gs, Stepper.EXACT)
-        assert sorted(order) == list(range(2 * (n_max + 1) ** n_modes))
-        number = excitation_numbers(n_max, n_modes)[order]
+        n_modes, omega0, dt, slots_gs = layout
+        order, blocks = engine._fock_blocks(n_modes, omega0, dt, slots_gs, Stepper.EXACT)
+        assert sorted(order) == list(range(2 << n_modes))
+        number = excitation_numbers(1, n_modes)[order]
         for start, stop, _ in blocks:
             assert np.all(number[start:stop] == number[start])
-        assert [stop - start for start, stop, _ in blocks] == list(
-            engine.fock_block_sizes(n_max, n_modes))
-        reference = dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs)
+        assert [stop - start for start, stop, _ in blocks] == [
+            math.comb(n_modes + 1, n) for n in range(n_modes + 2)]
+        reference = dense_fock_unitary(1, n_modes, omega0, dt, slots_gs)
         assert np.max(np.abs(scatter_blocks(order, blocks) - reference)) <= 1e-12
 
-    # registers of 54 and 162 amplitudes, around FOCK_DENSE_MAX; the 18-amplitude local
-    # propagator is one dense matrix in both (TestLocalPropagator covers the block branch)
+    # registers of 16 and 32 amplitudes; the 8-amplitude local propagator is one dense
+    # matrix in both (TestLocalPropagator covers the block branch)
     @pytest.mark.parametrize("n_modes", [3, 4])
     def test_multi_excitation_sectors_evolve(self, n_modes):
-        n_max, dt, omega0 = 2, 0.1, 0.5
+        dt, omega0 = 0.1, 0.5
         plan = make_plan(mirror_coupling(0.8, 0.6, 0.2), dt, 5, omega0=omega0)
         modes = tuple(range(4 - n_modes, 4))  # collision 3 touches ancillas 3 and 1
-        number = excitation_numbers(n_max, n_modes)
+        number = excitation_numbers(1, n_modes)
         rng = np.random.default_rng(7)
         psi = (rng.normal(size=number.size) + 1j * rng.normal(size=number.size)) * (number >= 2)
         psi /= np.linalg.norm(psi)
-        fock = TruncatedFockState(psi.reshape((2,) + (n_max + 1,) * n_modes), modes, n_max)
-        assert (fock.amplitudes.size > engine.FOCK_DENSE_MAX) == (n_modes == 4)
+        fock = TruncatedFockState(psi.reshape((2,) * (n_modes + 1)), modes)
         step_full(fock, plan, 3)
         slots_gs = tuple((modes.index(m), g) for m, g in touched(plan, 3))
-        expected = dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs) @ psi
+        expected = dense_fock_unitary(1, n_modes, omega0, dt, slots_gs) @ psi
         out = fock.amplitudes.ravel()
         assert np.max(np.abs(out - expected)) <= 1e-12
-        assert np.max(np.abs(out - psi)) > 1e-2  # the multi-photon sectors do evolve
+        assert np.max(np.abs(out - psi)) > 1e-2  # the multi-excitation sectors do evolve
         for n in range(number.max() + 1):
             weight = np.sum(np.abs(out[number == n]) ** 2)
             assert weight == pytest.approx(np.sum(np.abs(psi[number == n]) ** 2), abs=1e-12)
         assert np.sum(np.abs(out[number >= 2]) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+# distinct complex weights for up to seven delta lags
+LAG_WEIGHTS = [1.0, 0.5j, -0.7, 0.3 + 0.4j, -0.2 - 0.6j, 0.45 - 0.25j, -0.35 + 0.15j]
 
 
 def delta_plan(lags, weights, gamma, omega0, dt, n_steps):
@@ -305,25 +307,24 @@ def delta_plan(lags, weights, gamma, omega0, dt, n_steps):
     return make_plan(spec, dt, n_steps, omega0=omega0)
 
 
-def check_local_collision(n_max, plan, step, modes, seed):
+def check_local_collision(plan, step, modes, seed):
     """step_full on a random register over ``modes`` against the whole-register kron reference."""
     rng = np.random.default_rng(seed)
-    dim = 2 * (n_max + 1) ** len(modes)
+    dim = 2 << len(modes)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    fock = TruncatedFockState(psi.reshape((2,) + (n_max + 1,) * len(modes)), modes, n_max)
+    fock = TruncatedFockState(psi.reshape((2,) * (len(modes) + 1)), modes)
     step_full(fock, plan, step)
     slots_gs = tuple((modes.index(m), g) for m, g in touched(plan, step))
-    expected = dense_fock_unitary(n_max, len(modes), plan.omega0, plan.dt, slots_gs) @ psi
+    expected = dense_fock_unitary(1, len(modes), plan.omega0, plan.dt, slots_gs) @ psi
     assert fock.active_modes == modes
     assert np.max(np.abs(fock.amplitudes.ravel() - expected)) <= 1e-12
 
 
 @st.composite
 def local_collisions(draw):
-    n_max = draw(st.integers(1, 3))
-    n_modes = draw(st.integers(1, 5 if n_max < 3 else 4))  # registers of at most 512 amplitudes
-    lags = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=min(4, n_modes),
+    n_modes = draw(st.integers(1, 8))  # registers of at most 512 amplitudes
+    lags = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=min(7, n_modes),
                                 unique=True)))
     weights = [draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
                for _ in lags]
@@ -335,7 +336,7 @@ def local_collisions(draw):
     modes = tuple(draw(st.permutations(touched + spectators)))
     plan = delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)),
                       draw(st.floats(0.01, 0.5)), step)
-    return n_max, plan, step, modes, draw(st.integers(0, 2**32 - 1))
+    return plan, step, modes, draw(st.integers(0, 2**32 - 1))
 
 
 class TestLocalPropagator:
@@ -346,31 +347,29 @@ class TestLocalPropagator:
     def test_matches_whole_register_unitary(self, collision):
         check_local_collision(*collision)
 
-    @pytest.mark.parametrize("n_max,lags,modes,dense", [
-        (1, (0, 3), (5, 2, 6, -1, 8), True),  # local dimension 8
-        (3, (0, 1, 4), (7, 9, 4, 8), True),  # 128, the largest joined into one matrix
-        (2, (0, 1, 3, 4), (4, 2, 8, 5, 7), False),  # 162
-        (3, (0, 1, 2, 5), (6, 3, 8, 7), False),  # 512: the whole register
+    @pytest.mark.parametrize("lags,modes,dense", [
+        ((0, 3), (5, 2, 6, -1, 8), True),  # local dimension 8
+        ((0, 1, 2, 4, 5, 7), (7, 9, 4, 1, 8, 6, 3), True),  # 128, the largest one matrix
+        ((0, 1, 2, 3, 4, 5, 7), (4, 1, 8, 5, 7, 6, 3, 9), False),  # 256 of a register of 512
+        ((0, 1, 2, 3, 4, 5, 6), (6, 3, 8, 7, 2, 5, 4), False),  # 256: the whole register
     ])
-    def test_dense_and_block_branches(self, n_max, lags, modes, dense):
+    def test_dense_and_block_branches(self, lags, modes, dense):
         # collision 8 touches ancillas 8 - lag, scattered over the register's axes
-        plan = delta_plan(lags, [1.0, 0.5j, -0.7, 0.3 + 0.4j][:len(lags)], 0.8, 0.4, 0.1, 8)
-        assert (2 * (n_max + 1) ** len(lags) <= engine.FOCK_DENSE_MAX) == dense
+        plan = delta_plan(lags, LAG_WEIGHTS[:len(lags)], 0.8, 0.4, 0.1, 8)
+        assert (2 << len(lags) <= engine.FOCK_DENSE_MAX) == dense
         for seed in (1, 2):
-            check_local_collision(n_max, plan, 8, modes, seed)
-        assert isinstance(engine._fock_propagator(plan, n_max, Stepper.EXACT), np.ndarray) == dense
+            check_local_collision(plan, 8, modes, seed)
+        assert isinstance(engine._fock_propagator(plan, Stepper.EXACT), np.ndarray) == dense
 
 
 @st.composite
 def small_local_spaces(draw):
-    """Plans of 0-3 delta lags at n_max 1-3: local spaces of 2 to 128 amplitudes."""
-    n_max = draw(st.integers(1, 3))
-    lags = sorted(draw(st.lists(st.integers(0, 6), max_size=3, unique=True)))
+    """Plans of 0-6 delta lags: local spaces of 2 to 128 amplitudes."""
+    lags = sorted(draw(st.lists(st.integers(0, 6), max_size=6, unique=True)))
     weights = [draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
                for _ in lags]
-    plan = delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)),
+    return delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)),
                       draw(st.floats(0.01, 0.5)), 8)
-    return n_max, plan
 
 
 class TestWholeSpaceExponential:
@@ -378,22 +377,21 @@ class TestWholeSpaceExponential:
 
     @settings(max_examples=60, deadline=None)
     @given(small_local_spaces())
-    def test_one_exponential_without_number_blocks(self, layout):
-        n_max, plan = layout
+    def test_one_exponential_without_number_blocks(self, plan):
         n_modes = len(plan.lags)
-        assert 2 * (n_max + 1) ** n_modes <= engine.FOCK_DENSE_MAX
+        assert 2 << n_modes <= engine.FOCK_DENSE_MAX
 
         def refuse(*args):
             raise AssertionError("a small local space went through the number blocks")
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_fock_blocks", refuse)
-            u = engine._fock_propagator(plan, n_max, Stepper.EXACT)
+            u = engine._fock_propagator(plan, Stepper.EXACT)
         slots_gs = tuple(enumerate(plan.gs))
-        reference = dense_fock_unitary(n_max, n_modes, plan.omega0, plan.dt, slots_gs)
+        reference = dense_fock_unitary(1, n_modes, plan.omega0, plan.dt, slots_gs)
         assert np.max(np.abs(u - reference)) <= 1e-12
         # nothing assumes [H, N] = 0: the number sectors stay apart to roundoff
-        number = excitation_numbers(n_max, n_modes)
+        number = excitation_numbers(1, n_modes)
         assert np.max(np.abs(u[number[:, None] != number]), initial=0.0) <= 1e-14
 
 
@@ -415,7 +413,7 @@ def per_call_fock_run(config):
     weights = collision_weights(spec, config.dt, n_steps)
     plan = make_plan(spec, config.dt, n_steps, omega0=config.omega0)
     width = int(plan.lags[-1] - plan.lags[0]) + 1 if len(plan.lags) else 0
-    fock = embed_single_excitation(init_single_excitation(0, config.beta), config.n_max,
+    fock = embed_single_excitation(init_single_excitation(0, config.beta), 1,
                                    range(1 - plan.max_lag, 1 - plan.max_lag + width))
     eps, norms = [fock.excited_vacuum_amplitude()], [fock.norm()]
     for k in range(1, n_steps + 1):
@@ -426,13 +424,14 @@ def per_call_fock_run(config):
         norms.append(fock.norm())
     notes = weights.warnings
     if config.stepper == Stepper.SECOND_ORDER:  # before the register note, as run() orders them
-        prop = last_built(engine._fock_propagator, plan, config.n_max, config.stepper)
+        prop = last_built(engine._fock_propagator, plan, config.stepper)
         notes += (engine._growth_note(plan, prop),)
-    note = engine._fock_note(plan, config.n_max, fock.amplitudes.size)
+    note = engine._fock_note(plan, fock.amplitudes.size)
     return np.array(eps), np.array(norms), notes + (note,)
 
 
-FOUR_LAGS = [[0.0, 1.0, 0.0], [0.125, 0.0, 0.5], [0.375, -0.7, 0.0], [0.5, 0.3, 0.4]]
+# seven lags at dt = 0.125: a local space of 2 * 2**7 = 256 > FOCK_DENSE_MAX amplitudes
+SEVEN_LAGS = [[0.125 * lag, w.real, w.imag] for lag, w in enumerate(LAG_WEIGHTS)]
 
 
 @st.composite
@@ -448,7 +447,7 @@ def fock_run_configs(draw):
             deltas.append([lag * dt, w.real, w.imag])
         coupling = {"shape": "custom", "gamma": draw(st.floats(0.1, 1.5)), "deltas": deltas}
     return dict(coupling=coupling, dt=dt, n_steps=draw(st.integers(1, 16)),
-                omega0=draw(st.floats(-1.0, 1.0)), n_max=draw(st.integers(1, 2)),
+                omega0=draw(st.floats(-1.0, 1.0)),
                 beta=[draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))])
 
 
@@ -457,19 +456,19 @@ class TestRegisterLoop:
 
     @settings(max_examples=40, deadline=None)
     @given(fock_run_configs())
-    # four lags at n_max = 2: a local space of 162 > FOCK_DENSE_MAX, the number-block path
-    @example(dict(coupling={"shape": "custom", "gamma": 0.8, "deltas": FOUR_LAGS}, dt=0.125,
-                  n_steps=12, omega0=0.4, n_max=2, beta=[0.6, 0.3]))
+    # seven lags: a local space of 256 > FOCK_DENSE_MAX, the number-block path
+    @example(dict(coupling={"shape": "custom", "gamma": 0.8, "deltas": SEVEN_LAGS}, dt=0.125,
+                  n_steps=12, omega0=0.4, beta=[0.6, 0.3]))
     # lags 2 and 5: the smallest lag is above 0 and two axes are never touched
     @example(dict(coupling={"shape": "custom", "gamma": 0.8,
                             "deltas": [[0.25, 0.7, 0.0], [0.625, -0.4, 0.3]]},
-                  dt=0.125, n_steps=14, omega0=-0.3, n_max=1, beta=[0.5, -0.5]))
+                  dt=0.125, n_steps=14, omega0=-0.3, beta=[0.5, -0.5]))
     # no stored lag: a register of the qubit alone (W = 0)
     @example(dict(coupling={"shape": "white", "gamma": 0.0}, dt=0.125, n_steps=6, omega0=0.5,
-                  n_max=1, beta=[0.6, 0.3]))
+                  beta=[0.6, 0.3]))
     # the second-order map, by number blocks
-    @example(dict(coupling={"shape": "custom", "gamma": 0.8, "deltas": FOUR_LAGS}, dt=0.125,
-                  n_steps=12, omega0=0.4, n_max=2, beta=[0.6, 0.3], stepper="second_order"))
+    @example(dict(coupling={"shape": "custom", "gamma": 0.8, "deltas": SEVEN_LAGS}, dt=0.125,
+                  n_steps=12, omega0=0.4, beta=[0.6, 0.3], stepper="second_order"))
     def test_matches_per_call_register(self, data):
         config = make_config(representation="full_fock", **data)
         traj = run(config)
@@ -478,20 +477,19 @@ class TestRegisterLoop:
         assert np.max(np.abs(traj.norms - norms)) <= 1e-15
         assert traj.notes == notes
 
-    @pytest.mark.parametrize("coupling,dt,n_max,local", [
-        (mirror(1.0, 0.3, 1.0), 0.25, 1, 8),  # one dense map
-        ({"shape": "custom", "gamma": 0.8, "deltas": FOUR_LAGS}, 0.125, 2, 162),  # number blocks
+    @pytest.mark.parametrize("coupling,dt,local", [
+        (mirror(1.0, 0.3, 1.0), 0.25, 8),  # one dense map
+        ({"shape": "custom", "gamma": 0.8, "deltas": SEVEN_LAGS}, 0.125, 256),  # number blocks
     ])
-    def test_second_order_matches_the_sector(self, coupling, dt, n_max, local):
+    def test_second_order_matches_the_sector(self, coupling, dt, local):
         # full_fock honours the stepper: 1 - i H dt - V^2 dt^2 / 2 on the local space is,
         # in the one-excitation sector, the sector's own second-order map
         base = dict(coupling=coupling, dt=dt, n_steps=12, omega0=0.4, beta=[0.6, 0.3])
         sector = run(make_config(**base, stepper="second_order"))
-        fock = run(make_config(**base, stepper="second_order", representation="full_fock",
-                               n_max=n_max))
-        exact = run(make_config(**base, representation="full_fock", n_max=n_max))
+        fock = run(make_config(**base, stepper="second_order", representation="full_fock"))
+        exact = run(make_config(**base, representation="full_fock"))
         assert f"local propagator dimension {local} " in fock.notes[-1]
-        assert (local > engine.FOCK_DENSE_MAX) == (n_max == 2)
+        assert (local > engine.FOCK_DENSE_MAX) == (coupling["shape"] == "custom")
         assert np.max(np.abs(fock.eps - sector.eps)) <= 1e-12
         assert np.max(np.abs(fock.norms - sector.norms)) <= 1e-12
         assert np.max(np.abs(fock.eps - exact.eps)) > 1e-3  # not the exponential
@@ -502,7 +500,7 @@ class TestRegisterLoop:
         config = make_config(dt=0.25, n_steps=8, representation="full_fock")
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        monkeypatch.setattr(engine, "_fock_propagator", lambda plan, n_max, kind: q)
+        monkeypatch.setattr(engine, "_fock_propagator", lambda plan, kind: q)
         with pytest.raises(RuntimeError, match="still entangled") as loop:
             run(config)
         with pytest.raises(RuntimeError, match="still entangled") as per_call:
@@ -581,12 +579,12 @@ class TestCoreAgainstOracles:
     @given(delta_kernel_configs())
     def test_exact_core_matches_fock_register(self, base):
         sector = run(make_config(**base, stepper="exact"))
-        fock = run(make_config(**base, representation="full_fock", n_max=1))
+        fock = run(make_config(**base, representation="full_fock"))
         assert np.max(np.abs(sector.eps - fock.eps)) < 1e-9
         assert np.max(np.abs(sector.norms - fock.norms)) < 1e-9
         # a window of exactly the kernel span holds the same register
         lags = [round(lag / base["dt"]) for lag, _, _ in base["coupling"]["deltas"]]
-        narrow = run(make_config(**base, representation="full_fock", n_max=1,
+        narrow = run(make_config(**base, representation="full_fock",
                                  window=max(lags) - min(lags) + 1))
         assert np.max(np.abs(sector.eps - narrow.eps)) < 1e-9
         assert np.max(np.abs(sector.norms - narrow.norms)) < 1e-9
@@ -989,14 +987,14 @@ class TestTrajectoryRecord:
         base = dict(coupling={"shape": "mirror", "gamma": 0.5, "phi": 0.3, "tau": 0.2},
                     dt=0.1, n_steps=10)
         sector = run(make_config(**base))
-        fock = run(make_config(**base, representation="full_fock", n_max=2))
-        # at most three active modes at n_max = 2: 2 * 3**3 amplitudes; each collision
-        # touches two modes, so one local propagator on 2 * 3**2 amplitudes serves every
-        # step, its largest excitation-number block at N = 2 or 3
-        note = ("full_fock register: peak dimension 54, local propagator dimension 18 "
-                "(largest excitation-number block 5)")
+        fock = run(make_config(**base, representation="full_fock"))
+        # three active modes: 2 * 2**3 amplitudes; each collision touches two modes, so one
+        # local propagator on 2 * 2**2 amplitudes serves every step, its largest
+        # excitation-number block C(3, 1) = 3 at N = 1 or 2
+        note = ("full_fock register: peak dimension 16, local propagator dimension 8 "
+                "(largest excitation-number block 3)")
         assert fock.notes == (note,)
-        assert run(make_config(**base, representation="full_fock", n_max=2)).notes == (note,)
+        assert run(make_config(**base, representation="full_fock")).notes == (note,)
         assert sector.notes == ()
 
     @pytest.mark.parametrize("coupling,window,dim", [
@@ -1045,14 +1043,27 @@ class TestGrowthBound:
         (WHITE_PROBE, 10.0, 1), (WHITE_PROBE, 10.0, 2), (MIRROR_PROBE, 0.0, 1)])
     def test_full_fock_takes_its_largest_block(self, coupling, omega0, n_max):
         # the one-excitation map is one number block of the local map.  For the white
-        # kernel at n_max 1 the only other nontrivial block is |e, 1>, of norm
-        # hypot(1, omega0 dt) = 1.414 < 1.418, so the two read the same rho
+        # kernel the only other nontrivial block is |e, 1>, of norm hypot(1, omega0 dt)
+        # = 1.414 < 1.418, so the two read the same rho; n_max 2 is an old spelling that
+        # parse_config drops, so it runs the same two-level register
         base = dict(coupling=coupling, omega0=omega0, dt=0.1, n_steps=4, stepper="second_order")
         sector = growth_bound(run(make_config(**base)))[0]
         fock = growth_bound(run(make_config(**base, representation="full_fock", n_max=n_max)))[0]
-        if coupling is WHITE_PROBE and n_max == 1:
+        if coupling is WHITE_PROBE:
             assert fock == sector
         assert fock >= sector
+
+    @pytest.mark.parametrize("coupling,omega0,t_max", [
+        (WHITE_PROBE, 10.0, 20.0), (MIRROR_PROBE, 0.0, 5.0)])
+    def test_growing_register_retires_its_modes(self, coupling, omega0, t_max):
+        # the registers grow to 1e60 in squared norm, so rounding alone leaves more than
+        # 1e-12 of bright weight on a retiring mode: the dark-branch bound is relative
+        base = dict(coupling=coupling, omega0=omega0, dt=0.1, t_max=t_max, stepper="second_order")
+        sector = run(make_config(**base))
+        fock = run(make_config(**base, representation="full_fock"))
+        scale = np.abs(sector.eps)
+        assert np.max(np.abs(fock.eps - sector.eps) / scale) <= 1e-12
+        assert np.max(np.abs(fock.norms - sector.norms) / sector.norms) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 5.0), st.floats(-20.0, 20.0), st.sampled_from([0.01, 0.1, 0.5]),

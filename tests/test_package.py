@@ -29,7 +29,7 @@ NOT_IN_PACKAGE = (
     "TruncatedFockState", "embed_single_excitation", "step_full",
     "SingleExcitationState", "init_single_excitation", "touched", "dense_propagator",
     "step_single_excitation", "BLOCK_MIN_GAP", "_collide", "_collide_steps", "_collide_blocks",
-    "build_plan", "_exact_strengths", "_smooth_lag_weight",
+    "build_plan", "_exact_strengths", "_smooth_lag_weight", "fock_block_sizes",
 )
 
 MODULES = [
@@ -84,11 +84,16 @@ def test_deleted_module():
 
 
 def test_window_and_mirror_recursion_are_not_options():
-    # both stay JSON spellings that parse_config reads and drops; see test_benchmark_configs
+    # both stay JSON spellings that parse_config reads and drops; see test_benchmark_configs.
+    # So does n_max: every full_fock mode has two levels
     assert [m.value for m in qcollide.Representation] == ["single_excitation", "full_fock"]
-    assert "window" not in [f.name for f in dataclasses.fields(SimulationConfig)]
-    with pytest.raises(TypeError, match="window"):
-        SimulationConfig(qcollide.CouplingConfig("white", 1.0), dt=0.1, n_steps=3, window=3)
+    assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+        "coupling", "dt", "omega0", "n_steps", "t_max", "stepper", "representation", "beta",
+        "rotating_frame", "output"]
+    for key in ("window", "n_max"):
+        with pytest.raises(TypeError, match=key):
+            SimulationConfig(qcollide.CouplingConfig("white", 1.0), dt=0.1, n_steps=3,
+                             representation="full_fock", **{key: 3})
 
 
 def test_weight_matrix_holds_only_what_is_read():
