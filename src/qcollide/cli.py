@@ -71,11 +71,8 @@ def _reference_on_grid(config: SimulationConfig, times: np.ndarray) -> np.ndarra
     if coupling.shape == "mirror":
         solution = solve_dde(omega0, coupling.gamma, coupling.phi, coupling.tau, float(times[-1]))
         unit = solution(times)
-    elif coupling.shape == "white":
-        unit = white_amplitude(omega0, coupling.gamma, times)
     else:
-        raise ConfigError("coupling.shape",
-                          "converge needs a coupling with a closed-form reference")
+        unit = white_amplitude(omega0, coupling.gamma, times)
     return config.beta * np.asarray(unit)
 
 
@@ -101,6 +98,9 @@ def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, q
                 raise ConfigError(
                     "dt_list", f"dt={dt!r} does not divide the delay tau={coupling.tau!r} exactly"
                 )
+    if coupling.shape not in ("mirror", "white"):
+        raise ConfigError("coupling.shape",
+                          "converge needs a coupling with a closed-form reference")
 
     rows = []  # (dt, error, observed order)
     for dt in sorted(dt_list, reverse=True):

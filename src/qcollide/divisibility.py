@@ -17,11 +17,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["DivisibilityReport", "analyze", "CP_RTOL"]
+__all__ = ["DivisibilityReport", "analyze", "CP_RTOL", "GROWTH_RTOL"]
 
 # relative tolerance on the population ratio used both for CP flags and for
 # counting revival gains, so the witness vanishes exactly when every step is CP
 CP_RTOL = 1e-12
+
+# relative growth of the excited population over its initial value past which
+# a trajectory is no qubit channel (|G| > 1).  Rounding alone moves the
+# population of an uncoupled exact run of 10^6 steps up by about 7e-11, far
+# below this; a stepper that amplifies moves it by orders of magnitude
+GROWTH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,10 @@ def analyze(trajectory) -> DivisibilityReport:
     ``CP_RTOL`` relative; the same threshold drives the CP flags, so the
     witness is zero exactly when every flag is CP.  The scan stops early with
     a note if the amplitude hits zero (the next intermediate map would be
-    singular).
+    singular).  A trajectory whose excited population exceeds its initial one
+    by more than ``GROWTH_RTOL`` relative has a decoherence factor |G| > 1:
+    it is no qubit channel, its CP reading means nothing, and it raises a
+    ValueError naming the first such step.
     """
     eps = np.asarray(trajectory.eps)
     pop = np.abs(eps) ** 2
@@ -76,6 +85,13 @@ def analyze(trajectory) -> DivisibilityReport:
             note="initial amplitude is zero: reduced maps are undefined",
         )
 
+    grown = np.flatnonzero(pop[1:] > pop[0] * (1 + GROWTH_RTOL))
+    if grown.size:
+        k = int(grown[0]) + 1
+        raise ValueError(
+            f"the excited population grows from {pop[0]:.6g} at step 0 to {pop[k]:.6g} at step "
+            f"{k}: the trajectory is no qubit channel (|G| > 1), so it has no CP reading"
+        )
     zeros = np.flatnonzero(eps[:-1] == 0)
     truncated_at: Optional[int] = None
     note: Optional[str] = None

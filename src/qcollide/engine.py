@@ -158,59 +158,28 @@ def _delay_recursion(plan: CollisionPlan, kind: Stepper):
 
 
 def _fock_hamiltonian(
-    n_modes: int, omega0: float, slots_gs: tuple
+    omega0: float, gs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """H on the qubit and ``n_modes`` two-level modes as index arithmetic, in register order.
+    """H on the qubit and one two-level mode per strength, as index arithmetic in register order.
 
-    H = omega0 |e><e| + sum over touched slots of g (|g><e| adag_slot + h.c.).
+    H = omega0 |e><e| + sum over modes m of gs[m] (|g><e| adag_m + h.c.).
     Returns its diagonal, omega0 on the excited qubit (the second half of the
-    flat indices), and its hops: for each touched slot, g from |e, 0> at flat
+    flat indices), and its hops: for each mode, gs[m] from |e, 0> at flat
     index ``src`` to |g, 1> at ``dst``.
     """
+    n_modes = len(gs)
     half = 1 << n_modes
     diag = np.zeros(2 * half)
     diag[half:] = omega0
     modes = np.arange(half)  # the modes' flat index, under the excited qubit
     src, dst, amp = [modes[:0]], [modes[:0]], [np.zeros(0, dtype=complex)]
-    for slot, g in slots_gs:
+    for slot, g in enumerate(gs):
         stride = 1 << (n_modes - 1 - slot)
-        hop = np.flatnonzero((modes & stride) == 0)  # |e, 0> on the slot
+        hop = np.flatnonzero((modes & stride) == 0)  # |e, 0> on the mode
         src.append(half + hop)
         dst.append(hop + stride)
         amp.append(np.full(hop.size, g, dtype=complex))
     return diag, np.concatenate(src), np.concatenate(dst), np.concatenate(amp)
-
-
-def _fock_blocks(
-    n_modes: int, omega0: float, dt: float, slots_gs: tuple, kind: Stepper
-) -> Tuple[np.ndarray, List[Tuple[int, int, np.ndarray]]]:
-    """The stepper's map of H on the qubit and ``n_modes`` modes, one number block at a time.
-
-    H (see ``_fock_hamiltonian``) and its coupling part V conserve the total
-    excitation number N, so both stepper maps are block diagonal once the
-    register's flat indices are ordered by N.  Returns that order and, per
-    block, its (start, stop) in the order and its map.  No matrix of the full
-    register dimension is formed.
-    """
-    shape = (2,) * (n_modes + 1)
-    number = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
-    order = np.argsort(number, kind="stable")
-    place = np.empty_like(order)  # position of each flat index in the order
-    place[order] = np.arange(order.size)
-    diag, src, dst, amp = _fock_hamiltonian(n_modes, omega0, slots_gs)
-    src, dst = place[src], place[dst]
-    by_src = np.argsort(src, kind="stable")  # each block's hops: one slice
-    src, dst, amp, diag = src[by_src], dst[by_src], amp[by_src], diag[order]
-    blocks = []
-    start = 0
-    for stop in np.cumsum(np.bincount(number)):
-        lo, hi = np.searchsorted(src, (start, stop))
-        h = np.diag(diag[start:stop]).astype(complex)
-        h[dst[lo:hi] - start, src[lo:hi] - start] = amp[lo:hi]
-        h[src[lo:hi] - start, dst[lo:hi] - start] = np.conj(amp[lo:hi])
-        blocks.append((start, int(stop), _collision_map(h, dt, kind)))
-        start = int(stop)
-    return order, blocks
 
 
 def _fock_propagator(plan: CollisionPlan, kind: Stepper):
@@ -219,18 +188,34 @@ def _fock_propagator(plan: CollisionPlan, kind: Stepper):
     The local space is the qubit and one mode per stored lag, in lag order.
     Up to FOCK_DENSE_MAX amplitudes U_loc is one dense matrix in that local
     order, built from the whole local H, so nothing assumes [H, N] = 0
-    there.  Above, it is the number order of the local basis and one map per
-    excitation-number block (see ``_fock_blocks``).  Each run builds it once.
+    there.  Above, H and its coupling part V conserve the total excitation
+    number N, so both stepper maps are block diagonal once the local basis is
+    ordered by N: U_loc is that order and, per block, its (start, stop) in the
+    order and its map, and no matrix of the whole local dimension is formed.
+    Each run builds it once.
     """
-    slots_gs = tuple(enumerate(plan.gs))  # touched() order
-    n_modes = len(slots_gs)
-    if 2 << n_modes > FOCK_DENSE_MAX:
-        return _fock_blocks(n_modes, plan.omega0, plan.dt, slots_gs, kind)
-    diag, src, dst, amp = _fock_hamiltonian(n_modes, plan.omega0, slots_gs)
-    h = np.diag(diag).astype(complex)
-    h[dst, src] = amp
-    h[src, dst] = np.conj(amp)
-    return _collision_map(h, plan.dt, kind)
+    diag, src, dst, amp = _fock_hamiltonian(plan.omega0, plan.gs)
+    if len(diag) <= FOCK_DENSE_MAX:
+        h = np.diag(diag).astype(complex)
+        h[dst, src] = amp
+        h[src, dst] = np.conj(amp)
+        return _collision_map(h, plan.dt, kind)
+    shape = (2,) * (len(plan.gs) + 1)
+    number = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
+    order = np.argsort(number, kind="stable")
+    place = np.empty_like(order)  # position of each flat index in the order
+    place[order] = np.arange(order.size)
+    blocks = []
+    start = 0
+    for n, stop in enumerate(np.cumsum(np.bincount(number))):
+        hops = number[src] == n  # and number[dst] == n: a hop keeps N
+        into, out = place[dst[hops]] - start, place[src[hops]] - start
+        h = np.diag(diag[order[start:stop]]).astype(complex)
+        h[into, out] = amp[hops]
+        h[out, into] = np.conj(amp[hops])
+        blocks.append((start, int(stop), _collision_map(h, plan.dt, kind)))
+        start = int(stop)
+    return order, blocks
 
 
 def _apply_local(prop, x: np.ndarray, out: np.ndarray) -> None:

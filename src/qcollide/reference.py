@@ -12,6 +12,7 @@ exponential times a polynomial.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ ArrayLike = Union[float, np.ndarray]
 
 # math.exp(x) and np.exp(x) are 0.0 for x below about -745.1332
 _EXP_UNDERFLOW = -745.2
-_NEWTON_STEPS = 8  # at most, from each end of a tail; the test cases need three
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ class DdeSolution:
     t_max / tau terms, sums about |b| t_max of them.  A term whose exponent
     is below exp's underflow at either end of its tail is evaluated only on
     the interval where it is not (see ``_above_underflow``).
+
+    Called on a float or a 0-d array it returns a complex; on an array of any
+    shape, an array of that shape.
     """
 
     omega0: float
@@ -62,16 +65,16 @@ class DdeSolution:
         return int(math.floor(t / self.tau))
 
     def __call__(self, t: ArrayLike) -> Union[complex, np.ndarray]:
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        ts = np.asarray(t, dtype=float)
         if np.any(ts < 0) or np.any(ts > self.t_max + 1e-9 * (1 + self.t_max)):
             raise ValueError(f"evaluation time outside [0, {self.t_max}]")
         # on sorted times term j lives on the tail t > j*tau, as a real exponential
         # times the constant phase e^{i j Im(log b)}; e^{-i omega0 t} is applied last
-        order = np.argsort(ts, kind="stable")
-        s = ts[order]
+        order = np.argsort(ts, axis=None, kind="stable")
+        s = ts.ravel()[order]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             total = np.exp(-self.gamma * s).astype(complex)  # the j = 0 term
-            if self.gamma > 0:  # with gamma = 0 every echo term vanishes
+            if self.gamma > 0 and s.size:  # with gamma = 0 every echo term vanishes
                 log_b_re = math.log(self.gamma) + self.gamma * self.tau
                 log_b_im = self.phi + self.omega0 * self.tau
                 falling = np.exp(log_b_re) * self.t_max + 1  # |b| t_max + 1, or inf
@@ -101,9 +104,9 @@ class DdeSolution:
                 f"the delay-equation reference is not finite (gamma={self.gamma}, "
                 f"tau={self.tau}, t_max={self.t_max})"
             )
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
+        if ts.ndim == 0:
             return complex(out[0])
-        return out
+        return out.reshape(ts.shape)
 
 
 def _above_underflow(scale: float, j: int, start: float, gamma: float, s: np.ndarray,
@@ -111,44 +114,25 @@ def _above_underflow(scale: float, j: int, start: float, gamma: float, s: np.nda
     """Rows lo..hi-1 of the sorted times s, outside which echo term j is 0.
 
     The term's log-magnitude f(t) = scale + j log(t - start) - gamma t is
-    concave on the tail s[lo:], in t and in log(t - start) alike, so where it
-    exceeds a cut below exp's underflow it does so on one interval.  Newton
-    steps on f from each end of the tail that is below the cut find the
-    interval's edge: in log(t - start) from the left end, next to the pole,
-    and in t from the right.  A tangent lies above a concave f, so each step
-    stays outside the interval, and f is below the cut from every step
-    outward.  A step past the peak or past the other end proves the term 0
-    on the whole tail, and the rows are then empty.  The cut sits below the
-    underflow by a margin that covers the rounding of f, here and in the
-    caller; a step that rounding carries well over the cut is not taken.
+    concave on the tail s[lo:] and peaks at t = start + j / gamma, so the rows
+    where it reaches a cut one below exp's underflow form one run: f rises to
+    it before the peak and falls from it after.  An end of the tail that is
+    below the cut moves in by bisection on its side of the peak; an end at or
+    above the cut stays.  The margin of 1 covers the rounding of f, here and
+    in the caller.  A term below the cut on its whole tail gets no rows.
     """
-    ends = s.item(lo), s.item(-1)
-    logs = [math.log(t - start) for t in ends]
-    cut = _EXP_UNDERFLOW - 1.0 - 1e-12 * (abs(scale) + j * max(map(abs, logs)) + gamma * ends[1])
-    edges = []
-    for t, log, side in zip(ends, logs, (1, -1)):
-        f = scale + j * log - gamma * t
-        for _ in range(_NEWTON_STEPS):
-            if f >= cut - 1.0:  # near enough: the interval starts within 1/|f'| of here
-                break
-            d = t - start
-            slope = j - gamma * d  # df / dlog(t - start), of the sign of f'(t)
-            if side * slope <= 0:
-                return len(s), len(s)  # the peak is behind: f is below the cut throughout
-            if side > 0:  # in log(t - start), where f is nearly linear next to the pole;
-                # a step cut short where exp would overflow stays outside too
-                step = start + d * math.exp(min((cut - f) / slope, 700.0))
-            else:  # in t, where f is nearly linear far from it
-                step = t + (cut - f) * d / slope
-            if not ends[0] <= step <= ends[1]:
-                return len(s), len(s)
-            value = scale + j * math.log(step - start) - gamma * step
-            if value > cut + 0.5:  # rounding went far over: keep the step before
-                break
-            t, f = step, value
-        edges.append(t)
-    first, last = np.searchsorted(s, edges, side="right")
-    return (lo if edges[0] == ends[0] else int(first)), int(last)
+    cut = _EXP_UNDERFLOW - 1.0
+
+    def above(i: int) -> bool:
+        t = s.item(i)
+        return scale + j * math.log(t - start) - gamma * t >= cut
+
+    peak = max(lo, int(s.searchsorted(start + j / gamma)))  # f rises on s[lo:peak]
+    rows = range(len(s))
+    first = lo if above(lo) else bisect.bisect_left(rows, True, lo, peak, key=above)
+    last = len(s) if above(-1) else bisect.bisect_left(
+        rows, True, peak, len(s), key=lambda i: not above(i))
+    return first, last
 
 
 def solve_dde(omega0: float, gamma: float, phi: float, tau: float, t_max: float) -> DdeSolution:

@@ -255,6 +255,22 @@ class TestConvergeCommand:
         assert main(["converge", "--config", config, "--output", str(tmp_path),
                      "--dt-list", "0.25", "--quiet"]) == 2
 
+    def test_kernel_without_reference_exits_two_before_any_run(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run", runs.append)
+        config = write_config(tmp_path, {
+            "coupling": {"shape": "custom", "gamma": 1.0, "deltas": [[0, 1, 0]],
+                         "smooth": {"form": "exponential", "kappa": 2.0, "support": 1.0}},
+            "dt": 0.125, "t_max": 2.0,
+        })
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config, "--output", str(out),
+                     "--dt-list", "0.125,0.0625", "--quiet"]) == 2
+        assert "'coupling.shape'" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
 
 class TestWitnessCommand:
     def test_mirror_report(self, tmp_path):
@@ -273,6 +289,27 @@ class TestWitnessCommand:
         report = json.loads((tmp_path / "witness.json").read_text())
         assert report["witness"] == 0.0
         assert report["first_violation_step"] is None
+
+
+    # second-order runs that amplify the state: at step 1 the population is 1.99 and 16
+    GROWTH = {
+        "white": {"coupling": {"shape": "white", "gamma": 0.1}, "omega0": 10.0, "dt": 0.1,
+                  "t_max": 20.0, "stepper": "second_order"},
+        "mirror": {"coupling": {"shape": "mirror", "gamma": 50.0, "phi": 0.0, "tau": 1.0},
+                   "dt": 0.1, "t_max": 5.0, "stepper": "second_order"},
+    }
+
+    @pytest.mark.parametrize("case", GROWTH)
+    def test_growing_population_exits_three_naming_the_step(self, tmp_path, capsys, case):
+        config = write_config(tmp_path, self.GROWTH[case])
+        simulated = tmp_path / "simulated"
+        assert main(["simulate", "--config", config, "--output", str(simulated),
+                     "--quiet"]) == 0
+        assert "rho = " in (simulated / "summary.json").read_text()
+        out = tmp_path / "out"
+        assert main(["witness", "--config", config, "--output", str(out), "--quiet"]) == 3
+        assert "at step 1: the trajectory is no qubit channel" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

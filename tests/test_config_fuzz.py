@@ -11,7 +11,9 @@ integer past the float range or past 64 bits, nan or inf, a string, an empty
 list or object, the value wrapped in a list, the value scaled by a power of
 ten, or the key deleted.  Half the examples instead nudge one nonzero number
 by a factor 10^k, k in [-2, 2]: a change that usually keeps the config valid,
-so that those examples reach a run.
+so that those examples reach a run.  A last property mutates two
+second-order configs: ``witness`` refuses such a run, with exit 3, exactly
+when its excited population grows past the initial one by ``GROWTH_RTOL``.
 """
 
 import contextlib
@@ -30,7 +32,8 @@ from hypothesis import strategies as st
 
 from qcollide.cli import main
 from qcollide.config import ConfigError, parse_config
-from qcollide.engine import run
+from qcollide.divisibility import GROWTH_RTOL
+from qcollide.engine import Stepper, run
 
 # examples per property; CI raises it
 FUZZ_EXAMPLES = int(os.environ.get("QCOLLIDE_FUZZ_EXAMPLES", "150"))
@@ -49,6 +52,9 @@ BASES = [
      "stepper": "second_order"},
     {"coupling": MIRROR, "dt": 0.0625, "t_max": 3.0, "representation": "mirror_recursion"},
 ]
+
+# second-order runs: a nudge of gamma or dt by up to 100 makes the collision amplify
+SECOND_ORDER_BASES = [BASES[3], dict(BASES[0], stepper="second_order")]
 
 DELETE, WRAP, SCALE = object(), object(), object()
 REPLACEMENTS = [None, True, False, 10**400, -10**400, 2**70, -2**70, math.nan, math.inf,
@@ -79,8 +85,8 @@ def value_at(data, path):
 
 
 @st.composite
-def mutated_configs(draw):
-    data = copy.deepcopy(draw(st.sampled_from(BASES)))
+def mutated_configs(draw, bases=BASES):
+    data = copy.deepcopy(draw(st.sampled_from(bases)))
     every = list(paths(data))
     nudge = draw(st.booleans())  # half the examples
     if nudge:
@@ -191,3 +197,26 @@ def test_every_subcommand_exits_with_a_named_field_an_error_or_finite_files(data
         else:
             assert status == 0, (status, message)
             assert_finite_outputs(outdir, command)
+
+
+@FUZZ
+@given(mutated_configs(SECOND_ORDER_BASES))
+def test_second_order_runs_keep_their_population_or_witness_exits_three(data):
+    config = parsed(data)
+    if (config is None or config.stepper != Stepper.SECOND_ORDER
+            or config.effective_steps()[0] > RUN_MAX_STEPS):
+        return
+    try:
+        traj = run(config)
+    except RuntimeError:  # not finite, which the run property checks
+        return
+    pop = traj.excited_population
+    kept = bool(np.all(pop <= pop[0] * (1 + GROWTH_RTOL)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(data))
+        argv = ["witness", "--config", str(path), "--output", str(Path(tmp, "out")), "--quiet"]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            status = main(argv)
+    refused = status == 3 and "no qubit channel" in err.getvalue()
+    assert refused == (not kept), (status, err.getvalue())

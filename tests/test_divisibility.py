@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcollide.divisibility import analyze
+from qcollide.divisibility import GROWTH_RTOL, analyze
 from qcollide.engine import run
 from qcollide.reference import solve_dde
 
@@ -140,6 +142,30 @@ class TestAnalyze:
         report = analyze(Fake())
         assert report.truncated_at == 0
         assert report.cp_flags == ()
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_population_above_its_start_is_refused(self, beta):
+        class Fake:
+            eps = beta * np.array([1.0, 0.9, 0.95, 1.1, 1.2], dtype=complex)
+
+        # |G| > 1 against the start, not against 1: at beta = 0.5 the population stays below 1
+        grows = f"from {beta**2:.6g} at step 0 to {1.21 * beta**2:.6g} at step 3: the trajectory"
+        with pytest.raises(ValueError, match=re.escape(grows)):
+            analyze(Fake())
+
+    def test_growth_within_the_tolerance_is_analysed(self):
+        class Fake:
+            eps = np.array([0.5, 0.5 * (1 + 0.4 * GROWTH_RTOL), 0.3], dtype=complex)
+
+        assert analyze(Fake()).cp_flags == (False, True)
+
+    def test_rounding_drift_of_a_long_uncoupled_run_is_analysed(self):
+        # the exact stepper's phase alone, 10^6 times: |eps| drifts up by about 3e-11
+        traj = run(make_config(coupling={"shape": "white", "gamma": 0.0}, omega0=1.3, dt=1e-3,
+                               n_steps=10**6))
+        pop = traj.excited_population
+        assert 0 < pop.max() - pop[0] < GROWTH_RTOL * pop[0]
+        assert len(analyze(traj).cp_flags) == 10**6
 
     def test_report_round_trips_to_json_dict(self):
         traj = run(make_config(dt=1 / 64, t_max=2.0))

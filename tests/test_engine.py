@@ -80,7 +80,7 @@ def dense_fock_unitary(n_max, n_modes, omega0, dt, slots_gs):
 
 
 def scatter_blocks(order, blocks):
-    """Dense matrix, in register order, of the number blocks of ``engine._fock_blocks``."""
+    """Dense matrix, in register order, of the number blocks of ``engine._fock_propagator``."""
     u = np.zeros((len(order),) * 2, dtype=complex)
     for start, stop, block in blocks:
         u[np.ix_(order[start:stop], order[start:stop])] = block
@@ -93,15 +93,13 @@ def excitation_numbers(n_max, n_modes):
 
 
 @st.composite
-def fock_layouts(draw):
-    n_modes = draw(st.integers(0, 7))
-    slots = draw(st.lists(st.integers(0, max(n_modes - 1, 0)), min_size=min(1, n_modes),
-                          max_size=min(3, n_modes), unique=True))
-    slots_gs = tuple(
-        (slot, draw(st.floats(0.0, 3.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
-        for slot in slots
-    )
-    return n_modes, draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 0.5)), slots_gs
+def delta_plans(draw, max_lags):
+    """Plans of 0 to ``max_lags`` delta lags: local spaces of 2 to 2 << max_lags amplitudes."""
+    lags = sorted(draw(st.lists(st.integers(0, max_lags), max_size=max_lags, unique=True)))
+    weights = [draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+               for _ in lags]
+    return delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)),
+                      draw(st.floats(0.01, 0.5)), 8)
 
 
 class TestBuildPlan:
@@ -260,17 +258,20 @@ class TestFullFockStepper:
 
 class TestFockNumberBlocks:
     @settings(max_examples=40, deadline=None)
-    @given(fock_layouts())
-    def test_blocks_match_dense_builder(self, layout):
-        n_modes, omega0, dt, slots_gs = layout
-        order, blocks = engine._fock_blocks(n_modes, omega0, dt, slots_gs, Stepper.EXACT)
+    @given(delta_plans(7))
+    def test_blocks_match_dense_builder(self, plan):
+        n_modes = len(plan.lags)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "FOCK_DENSE_MAX", 0)  # every size takes the block branch
+            order, blocks = engine._fock_propagator(plan, Stepper.EXACT)
         assert sorted(order) == list(range(2 << n_modes))
         number = excitation_numbers(1, n_modes)[order]
         for start, stop, _ in blocks:
             assert np.all(number[start:stop] == number[start])
         assert [stop - start for start, stop, _ in blocks] == [
             math.comb(n_modes + 1, n) for n in range(n_modes + 2)]
-        reference = dense_fock_unitary(1, n_modes, omega0, dt, slots_gs)
+        slots_gs = tuple(enumerate(plan.gs))
+        reference = dense_fock_unitary(1, n_modes, plan.omega0, plan.dt, slots_gs)
         assert np.max(np.abs(scatter_blocks(order, blocks) - reference)) <= 1e-12
 
     # registers of 16 and 32 amplitudes; the 8-amplitude local propagator is one dense
@@ -362,31 +363,16 @@ class TestLocalPropagator:
         assert isinstance(engine._fock_propagator(plan, Stepper.EXACT), np.ndarray) == dense
 
 
-@st.composite
-def small_local_spaces(draw):
-    """Plans of 0-6 delta lags: local spaces of 2 to 128 amplitudes."""
-    lags = sorted(draw(st.lists(st.integers(0, 6), max_size=6, unique=True)))
-    weights = [draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
-               for _ in lags]
-    return delta_plan(lags, weights, draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)),
-                      draw(st.floats(0.01, 0.5)), 8)
-
-
 class TestWholeSpaceExponential:
     """Local spaces of at most FOCK_DENSE_MAX amplitudes are exponentiated whole."""
 
     @settings(max_examples=60, deadline=None)
-    @given(small_local_spaces())
+    @given(delta_plans(6))
     def test_one_exponential_without_number_blocks(self, plan):
         n_modes = len(plan.lags)
         assert 2 << n_modes <= engine.FOCK_DENSE_MAX
-
-        def refuse(*args):
-            raise AssertionError("a small local space went through the number blocks")
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_fock_blocks", refuse)
-            u = engine._fock_propagator(plan, Stepper.EXACT)
+        u = engine._fock_propagator(plan, Stepper.EXACT)
+        assert isinstance(u, np.ndarray)  # one matrix, not the number blocks
         slots_gs = tuple(enumerate(plan.gs))
         reference = dense_fock_unitary(1, n_modes, plan.omega0, plan.dt, slots_gs)
         assert np.max(np.abs(u - reference)) <= 1e-12

@@ -90,6 +90,22 @@ class TestSolveDde:
         with pytest.raises(ValueError, match="outside"):
             sol(2.5)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_empty_times_give_empty_arrays(self, gamma):
+        sol = solve_dde(0.0, gamma, 0.3, 1.0, 5.0)
+        for shape in ((0,), (0, 3)):
+            values = sol(np.zeros(shape))
+            assert values.shape == shape and values.dtype == complex
+
+    def test_grid_of_times_keeps_its_shape(self):
+        sol = solve_dde(0.4, 0.8, 0.3, 1.0, 5.0)
+        grid = np.linspace(5.0, 0.0, 6).reshape(2, 3)
+        values = sol(grid)
+        assert values.shape == (2, 3)
+        assert values.tobytes() == sol(grid.ravel()).tobytes()
+        assert isinstance(sol(np.float64(2.5)), complex)
+        assert isinstance(sol(np.array(2.5)), complex)
+
 
 def on_grid(dt, t_max):
     return np.arange(int(round(t_max / dt)) + 1) * dt
@@ -164,6 +180,26 @@ class TestTermsOnTheirSupport:
                 # and no row far below the underflow (about -745.13) is evaluated
                 assert exponent[first - lo:last - lo].min() >= -748
         assert found == kinds
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_are_tight(self, case):
+        # the rows are exactly those at or above the cut, one below exp's underflow
+        gamma, tau, dt, t_max, _ = self.CASES[case]
+        s = on_grid(dt, t_max)
+        cut = reference._EXP_UNDERFLOW - 1
+        log_b_re = math.log(gamma) + gamma * tau
+        for j in range(1, int(t_max / tau) + 2):
+            start = j * tau
+            lo = int(np.searchsorted(s, start, side="right"))
+            if lo == len(s):
+                break
+            scale = j * log_b_re - math.lgamma(j + 1)
+            exponent = scale + j * np.log(s[lo:] - start) - gamma * s[lo:]
+            first, last = reference._above_underflow(scale, j, start, gamma, s, lo)
+            inside = np.zeros(len(exponent), dtype=bool)
+            inside[first - lo:last - lo] = True
+            assert np.all(exponent[inside] >= cut - 1e-6)
+            assert np.all(exponent[~inside] < cut + 1e-6)
 
     @pytest.mark.parametrize("case", ["both", "empty"])
     def test_cut_terms_sum_as_the_full_ones(self, case):
