@@ -17,7 +17,7 @@ import numpy as np
 
 from . import export
 from .config import ConfigError, SimulationConfig, load_config
-from .coupling import GRID_MATCH_RTOL, collision_weights
+from .coupling import GRID_MATCH_RTOL
 from .divisibility import analyze
 from .engine import run
 from .reference import solve_dde, white_amplitude
@@ -38,10 +38,8 @@ def _write(config: SimulationConfig, outdir: Path, key: str, text: str) -> Path:
 
 
 def cmd_kernel(config: SimulationConfig, outdir: Path, quiet: bool) -> int:
-    spec = config.coupling_spec()
-    n_steps, _ = config.effective_steps()
-    weights = collision_weights(spec, config.dt, n_steps)  # raises on a weight that overflowed
-    for warning in weights.warnings:  # after the refusal: its message is the error alone
+    weights = config.weights  # built at parse, which refuses a weight that overflowed
+    for warning in weights.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     path = _write(config, outdir, "weights_csv", export.weights_csv(weights))
     _say(quiet, f"wrote {path} ({len(weights.lags)} lags)")

@@ -26,11 +26,10 @@ from .coupling import (
     collision_weights,
     coupling_strengths,
     custom_coupling,
-    grid_span,
     mirror_coupling,
     white_coupling,
 )
-from .engine import Representation, Stepper
+from .engine import CollisionPlan, Representation, Stepper
 
 __all__ = [
     "ConfigError",
@@ -56,9 +55,10 @@ FOCK_BUDGET = 2**22
 RUN_BUDGET = 2**22
 
 # Most smooth-kernel evaluations the quadrature of a weight table may make:
-# QUADRATURE_CELLS per smooth lag, so at most 1,024 smooth lags.  On a 2-vCPU
-# Intel Xeon x86-64 host (one BLAS thread, best of 7) the 1,023-lag table of
-# support 1021/1024 at dt = 1/1024 took 0.16 s.
+# QUADRATURE_CELLS per smooth lag, so at most 1,024 smooth lags.  The
+# quadrature runs at parse, so this bounds the parse time of a config: on a
+# 2-vCPU Intel Xeon x86-64 host (one BLAS thread, best of 7) the 1,023-lag
+# table of support 1021/1024 at dt = 1/1024 took 0.16 s.
 KERNEL_CALL_BUDGET = 2**19
 
 # Most collision work a run may take: steps * (L + 1)^2 for L lags, the
@@ -201,7 +201,13 @@ class CouplingConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Full description of one simulation run."""
+    """Full description of one simulation run.
+
+    Construction also discretizes the kernel, once: ``weights`` (the
+    WeightMatrix) and ``plan`` (the run's CollisionPlan) are read-only
+    attributes, not fields, so ``==``, ``hash``, ``repr`` and ``to_dict`` see
+    the fields alone, and ``dataclasses.replace`` builds both again.
+    """
 
     coupling: CouplingConfig
     dt: float
@@ -219,7 +225,8 @@ class SimulationConfig:
 
         Each field is checked and normalised in place first (``stepper`` and
         ``representation`` to their enums, ``output`` to sorted pairs), then
-        the rules that tie fields together, then the size budgets.
+        the rules that tie fields together, then the size budgets, which
+        build the kernel's tables on the way.
         """
         if not isinstance(self.coupling, CouplingConfig):
             raise ConfigError("coupling", f"expected a CouplingConfig, got {self.coupling!r}")
@@ -280,18 +287,18 @@ class SimulationConfig:
            number of deltas plus the smooth lags, and steps times the charge
            is held to WORK_BUDGET (naming ``n_steps`` or ``t_max``).
         5. gamma / dt must be finite, naming ``coupling.gamma`` or ``dt``,
-           whichever is further from 1.  Without a smooth part the strength
-           table is built here as ``run`` builds it, and the RuntimeError of a
-           weight or a strength that is not finite becomes a refusal naming
-           ``coupling.deltas``; the span lags[-1] - lags[0] + 1 over its lags
-           is exact.  A smooth part's table needs the quadrature, so ``run``
-           builds and checks it (exit code 3), and its span is the bound of
-           ``grid_span``.
+           whichever is further from 1.  Then the weight table and the
+           strength table of the run are built, the quadrature of a smooth
+           part included, and kept as ``weights`` and ``plan``; the
+           RuntimeError of a weight or a strength that is not finite becomes a
+           refusal naming ``coupling.smooth`` for a kernel with a smooth part,
+           else ``coupling.deltas``.
         6. A full_fock register holds the qubit and one two-level mode per
            ancilla of that span of B modes; sum_N C(B + 1, N)^2 = C(2B + 2,
            B + 1) over its excitation-number blocks bounds both the register
            and its local propagator, and must fit FOCK_BUDGET (naming ``dt``,
-           which sets the span in steps).
+           which sets the span in steps).  B is the exact span lags[-1] -
+           lags[0] + 1 of the stored lags.
         7. A full_fock collision is then charged FOCK_COLLISION_FLOOR + R * D
            against WORK_BUDGET, for a register of R = 2^(B + 1) amplitudes
            and a local propagator of dimension D = 2^(min(B, L) + 1).
@@ -340,14 +347,17 @@ class SimulationConfig:
             raise ConfigError("coupling.gamma" if gamma >= 1 / dt else "dt",
                               f"gamma / dt = {gamma} / {dt} overflows, so every collision "
                               f"strength sqrt(gamma / dt) W would be infinite")
-        if spec.smooth is not None:
-            modes = grid_span(spec, dt)
-        else:
-            try:
-                stored, _ = coupling_strengths(collision_weights(spec, dt, 1), gamma)
-            except RuntimeError as exc:
-                raise ConfigError("coupling.deltas", f"{exc} (gamma={gamma}, dt={dt})") from None
-            modes = int(stored[-1] - stored[0]) + 1 if len(stored) else 0
+        try:
+            weights = collision_weights(spec, dt, 1)
+            stored, gs = coupling_strengths(weights, gamma)
+        except RuntimeError as exc:
+            raise ConfigError("coupling.deltas" if spec.smooth is None else "coupling.smooth",
+                              f"{exc} (gamma={gamma}, dt={dt})") from None
+        n_steps, _ = self.effective_steps()
+        _set(self, "weights", weights)
+        _set(self, "plan", CollisionPlan(stored, gs, 0.0 if self.rotating_frame else self.omega0,
+                                         dt, n_steps))
+        modes = int(stored[-1] - stored[0]) + 1 if len(stored) else 0
         if self.representation != Representation.FULL_FOCK:
             return
         # the block sum is at least the register's 2^(B + 1) amplitudes, so past

@@ -23,7 +23,6 @@ __all__ = [
     "mirror_coupling",
     "custom_coupling",
     "collision_weights",
-    "grid_span",
     "coupling_strengths",
     "GRID_MATCH_RTOL",
     "QUADRATURE_CELLS",
@@ -210,19 +209,6 @@ def collision_weights(spec: CouplingSpec, dt: float, n_steps: int) -> WeightMatr
     _refuse_non_finite("collision weight", lags, w,
                        f"the kernel's weight there overflows at dt={dt}")
     return WeightMatrix(dt=dt, lags=lags, w=w, warnings=tuple(warnings))
-
-
-def grid_span(spec: CouplingSpec, dt: float) -> int:
-    """Upper bound on the span max_lag - min_lag + 1 of ``collision_weights(spec, dt, ...)``.
-
-    Found without the quadrature: deltas may cancel, and the first and last
-    smooth cell averages may vanish.  A smooth part reaches from lag 0 to
-    floor(support / dt) + 1.  A kernel with no lag spans 0.
-    """
-    grid = [int(round(lag / dt)) for lag, _ in spec.deltas]
-    if spec.smooth is not None:
-        grid += [0, int(math.floor(spec.smooth_support / dt)) + 1]
-    return max(grid) - min(grid) + 1 if grid else 0
 
 
 def coupling_strengths(weights: WeightMatrix, gamma: float) -> Tuple[np.ndarray, np.ndarray]:

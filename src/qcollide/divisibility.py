@@ -52,7 +52,7 @@ class DivisibilityReport:
 
     def to_dict(self) -> dict:
         return {
-            "cp_flags": list(map(bool, self.cp_flags)),
+            "cp_flags": list(self.cp_flags),
             "revival_intervals": [
                 {"start_step": s, "end_step": e, "gained_population": g}
                 for s, e, g in self.revivals

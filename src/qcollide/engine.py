@@ -18,10 +18,6 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-# module access: perfbench's tracer counts the lags of an ``engine.collision_weights``
-# by the dict table's old ``lags_present``, so this module binds neither name
-from . import coupling
-
 if TYPE_CHECKING:  # pragma: no cover
     from .config import SimulationConfig
 
@@ -133,8 +129,10 @@ def _delay_recursion(plan: CollisionPlan, kind: Stepper):
     # sparse kernel can span millions of steps.  The partners of lag i, those
     # with 1 <= lags[i] - lags[j] < n_steps, are lags first[i] to i - 1; the
     # pairs are numbered in that order and summed _PAIR_CHUNK at a time
-    lags = plan.lags
-    unit = plan.gs / size if size else plan.gs
+    lags, gs, scale = plan.lags, plan.gs, size
+    if size < 2.0**-600:  # numpy's complex division takes 1 / size, inf below 5.6e-309:
+        gs, scale = gs * 2.0**600, size * 2.0**600  # scale both by a power of two, exactly
+    unit = gs / scale if size else gs
     first = np.searchsorted(lags, lags - (plan.n_steps - 1))
     count = np.arange(len(lags)) - first
     ends = np.cumsum(count)
@@ -446,17 +444,13 @@ def run(config: "SimulationConfig") -> Trajectory:
     Deterministic: identical configs produce identical arrays.  The wall time
     of the step loop is recorded for the summary but never enters the data
     columns.  A non-finite amplitude or norm raises a RuntimeError naming the
-    first step where it appears.
+    first step where it appears.  The strengths are ``config.plan``, built
+    when the config was.
     """
-    spec = config.coupling_spec()
-    n_steps, note = config.effective_steps()
+    plan = config.plan
+    note = config.effective_steps()[1]
     notes: List[str] = [] if note is None else [note]
-
-    weights = coupling.collision_weights(spec, config.dt, n_steps)
-    notes.extend(weights.warnings)
-    lags, gs = coupling.coupling_strengths(weights, spec.gamma)
-    plan = CollisionPlan(lags=lags, gs=gs, omega0=0.0 if config.rotating_frame else config.omega0,
-                         dt=config.dt, n_steps=n_steps)
+    notes.extend(config.weights.warnings)
     if config.rotating_frame and config.omega0 != 0:
         notes.append(_rotating_note(config, plan))
 

@@ -456,17 +456,18 @@ class TestExitCodes:
         assert len(err.encode()) < 200  # the reach in three digits, not 309
         assert not out.exists()
 
-    def test_overflowing_kernel_table_exits_three_naming_the_lag(self, tmp_path, capsys):
-        # the smooth quadrature overflows at this dt; simulate refuses the same config
+    def test_overflowing_kernel_table_exits_two_naming_smooth(self, tmp_path, capsys):
+        # the smooth quadrature overflows at this dt, and parse runs it: kernel and
+        # simulate refuse the config as invalid, naming the smooth part and the lag
         config = write_config(tmp_path, {
             "coupling": {"shape": "custom", "gamma": 1.0, "deltas": [[0, 1, 0], [0.5, 1, 0]],
                          "smooth": {"form": "exponential", "kappa": 2.0, "support": 1.0}},
             "dt": 1.25e306, "n_steps": 4})
         out = tmp_path / "out"
         for command in ("kernel", "simulate"):
-            assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 3
+            assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 2
             err = capsys.readouterr().err
-            assert "at lag 0 is not finite" in err
+            assert "'coupling.smooth'" in err and "at lag 0 is not finite" in err
             # the deltas merge at this dt; the merge warning does not come before the error
             assert err.startswith("error: ") and "warning" not in err
             assert not out.exists()
@@ -493,7 +494,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["simulate", "kernel"])
     def test_overflowing_strength_exits_two_naming_its_field(self, tmp_path, capsys, command,
                                                              coupling, dt, field):
-        # g = sqrt(gamma / dt) W is exact at parse time without a smooth part
+        # g = sqrt(gamma / dt) W is built at parse time
         config = write_config(tmp_path, {"coupling": coupling, "dt": dt, "n_steps": 10})
         out = tmp_path / "out"
         assert main([command, "--config", config, "--output", str(out), "--quiet"]) == 2
@@ -501,11 +502,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("representation", ["single_excitation", "full_fock"])
-    def test_overflowing_strength_with_a_smooth_part_exits_three_naming_the_lag(
-        self, tmp_path, capsys, monkeypatch, representation
-    ):
-        # a smooth part's weights come out of the quadrature: run() refuses the
-        # strength sqrt(8) * 1.7e308 before any eigendecomposition
+    def test_overflowing_smooth_strength_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                   representation):
+        # a smooth part's weights come out of the quadrature, which parse runs: the
+        # strength sqrt(8) * 1.7e308 is refused before any eigendecomposition
         def no_eigh(*args, **kwargs):
             raise AssertionError("eigh reached")
 
@@ -515,8 +515,9 @@ class TestExitCodes:
                          "smooth": {"form": "exponential", "kappa": 1.0, "support": 1.0}},
             "dt": 0.5, "n_steps": 4, "representation": representation})
         out = tmp_path / "out"
-        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 3
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
+        assert "'coupling.smooth'" in err
         assert "coupling strength at lag 0 is not finite ((inf+0j))" in err
         assert not out.exists()
 

@@ -1,10 +1,13 @@
 import json
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+import qcollide
+from qcollide import cli
 from qcollide.config import (
     FOCK_BUDGET,
     KERNEL_CALL_BUDGET,
@@ -18,6 +21,7 @@ from qcollide.config import (
 )
 from qcollide.coupling import mirror_coupling, white_coupling
 from qcollide.engine import Representation, Stepper, run
+from qcollide.export import weights_csv
 
 
 def minimal(**overrides):
@@ -515,15 +519,15 @@ class TestFockBudget:
         config = parse_config(minimal(coupling=dict(MIRROR, gamma=0.0), dt=1 / 64, **FOCK))
         assert run(config).notes[-1].startswith("full_fock register: peak dimension 2,")
 
-    def test_smooth_kernel_is_sized_by_its_grid_bound(self):
-        # the end cell averages of kappa 5000 underflow, so the run would span fewer
-        # modes, but parse runs no quadrature: 66 modes, refused naming dt
+    def test_smooth_kernel_is_sized_by_its_exact_span(self):
+        # the cell averages of kappa 5000 underflow past lag 3 at dt = 1/16: parse runs
+        # the quadrature, so the register spans 4 modes, where the grid reaches 18
         coupling = {"shape": "custom", "gamma": 1.0,
                     "smooth": {"form": "exponential", "kappa": 5000.0, "support": 1.0}}
-        error = refused_without_allocating(minimal(coupling=coupling, dt=1 / 64, window=11,
-                                                   **FOCK))
-        assert error.field == "dt"
-        assert "66 modes" in str(error)
+        fock = run(parse_config(minimal(coupling=coupling, dt=1 / 16, **FOCK)))
+        sector = run(parse_config(minimal(coupling=coupling, dt=1 / 16)))
+        assert fock.notes[-1].startswith("full_fock register: peak dimension 32,")
+        assert np.max(np.abs(fock.eps - sector.eps)) <= 1e-13
 
     def test_smooth_kernel_reach_counts(self):
         smooth = {"shape": "custom", "gamma": 1.0, "deltas": [[0.0, 1.0, 0.0]],
@@ -660,6 +664,71 @@ class TestRunBudget:
         with pytest.raises(ConfigError) as info:
             SimulationConfig(coupling=CouplingConfig("white", 1.0), dt=1.0, t_max=1e9)
         assert info.value.field == "t_max"
+
+
+class TestKernelTable:
+    """Parse discretizes the kernel once; run() and the kernel command reuse its table."""
+
+    KERNEL = {"shape": "custom", "gamma": 0.8, "deltas": [[0.0, 0.7, 0.0], [0.45, -0.4, 0.2]],
+              "smooth": {"form": "exponential", "kappa": 2.0, "support": 1.0}}
+
+    def test_run_and_the_kernel_command_discretize_nothing(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (qcollide, qcollide.coupling, qcollide.config, qcollide.engine, cli):
+            for name in ("collision_weights", "coupling_strengths"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        config = parse_config(minimal(coupling=self.KERNEL, dt=0.1, n_steps=20))
+        assert calls == ["collision_weights", "coupling_strengths"]  # the spy sees parse
+        fock = parse_config(minimal(coupling=self.KERNEL, dt=0.25, n_steps=8, **FOCK))
+        calls.clear()
+        traj = run(config)
+        run(fock)
+        assert cli.cmd_kernel(config, tmp_path, quiet=True) == 0
+        assert calls == []
+        assert traj.notes[:1] == config.weights.warnings  # the off-grid delta at 0.45
+        assert (tmp_path / "weights.csv").read_text() == weights_csv(config.weights)
+
+    def test_the_table_is_not_a_field(self):
+        data = minimal(coupling=self.KERNEL, dt=0.1, n_steps=20)
+        config, twin = parse_config(data), parse_config(data)
+        assert config.weights is not twin.weights and config.plan is not twin.plan
+        assert config == twin and hash(config) == hash(twin)
+        assert [f.name for f in fields(config)] == [
+            "coupling", "dt", "omega0", "n_steps", "t_max", "stepper", "representation", "beta",
+            "rotating_frame", "output"]
+        assert "WeightMatrix" not in repr(config) and "CollisionPlan" not in repr(config)
+        assert set(config.to_dict()) == {"coupling", "omega0", "dt", "n_steps", "stepper",
+                                         "representation", "beta", "rotating_frame"}
+        for name in ("weights", "plan"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, None)
+
+    def test_replace_builds_the_table_of_the_new_dt(self):
+        config = parse_config(with_t_max(2.0, coupling=MIRROR, omega0=0.3, dt=0.1))
+        finer = replace(config, dt=0.05)
+        assert (config.plan.lags.tolist(), config.plan.n_steps) == ([0, 10], 20)
+        assert (finer.plan.lags.tolist(), finer.plan.n_steps) == ([0, 20], 40)
+        assert finer.weights.dt == finer.plan.dt == 0.05
+        assert finer.plan.omega0 == 0.3
+        assert np.array_equal(finer.plan.gs, np.sqrt(1.0 / 0.05) * finer.weights.w)
+
+    @pytest.mark.parametrize("data,field", [
+        # 1,024 smooth lags, the most KERNEL_CALL_BUDGET admits: a register of 1,024 modes
+        (minimal(coupling=smooth_kernel(1022 / 1024), dt=1 / 1024, **FOCK), "dt"),
+        # sqrt(4 / 0.5) * 1.7e308 overflows once the smooth part's weight is added
+        (minimal(coupling={"shape": "custom", "gamma": 4.0, "deltas": [[0, 1.7e308, 0]],
+                           "smooth": SMOOTH}, dt=0.5, n_steps=4), "coupling.smooth"),
+    ], ids=["fock-register", "strength"])
+    def test_smooth_kernel_refused_after_its_quadrature(self, data, field):
+        assert refused_without_allocating(data).field == field
 
 
 class TestRoundTrip:

@@ -11,7 +11,6 @@ from qcollide.coupling import (
     collision_weights,
     coupling_strengths,
     custom_coupling,
-    grid_span,
     mirror_coupling,
     white_coupling,
 )
@@ -234,32 +233,6 @@ def delta_kernels(draw):
         for _ in range(n)
     ]
     return [(0.1 * lag, w) for lag, w in zip(lags, weights)]
-
-
-class TestGridSpan:
-    def test_known_spans(self):
-        assert grid_span(white_coupling(1.0), 0.1) == 1
-        assert grid_span(mirror_coupling(1.0, 0.0, 1.0), 1 / 64) == 65
-        assert grid_span(mirror_coupling(1.0, 0.0, 0.0), 0.1) == 0  # the deltas cancel
-        assert grid_span(custom_coupling(1.0, [(2.0, 1.0), (2.5, 0.5)]), 0.1) == 6
-        # a smooth part of support 1 reaches lags 0..5 at dt = 0.25, the delta lag 12
-        smooth = custom_coupling(1.0, [(3.0, 1.0)], smooth=lambda u: 1.0, smooth_support=1.0)
-        assert grid_span(smooth, 0.25) == 13
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(-1.0, 1.0)), max_size=4),
-        st.one_of(st.none(), st.floats(0.05, 1.0)),
-        st.sampled_from([0.1, 0.25, 0.3]),
-    )
-    def test_bounds_the_table(self, deltas, support, dt):
-        spec = custom_coupling(
-            1.0, deltas, smooth=None if support is None else (lambda u: math.exp(-u)),
-            smooth_support=support or 0.0,
-        )
-        lags = collision_weights(spec, dt, 1).lags
-        if len(lags):
-            assert lags[-1] - lags[0] + 1 <= grid_span(spec, dt)
 
 
 class TestLinearity:

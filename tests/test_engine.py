@@ -899,6 +899,20 @@ class TestRepresentationEquivalence:
         assert np.max(np.abs(sector.eps - fock.eps)) <= 1e-9
         assert np.max(np.abs(sector.norms - fock.norms)) <= 1e-9
 
+    @pytest.mark.parametrize("coupling", [
+        {"shape": "custom", "gamma": 1.0, "deltas": [[0, 1e-312, 0], [0.2, 0, 1e-312]]},
+        {"shape": "custom", "gamma": 1.0, "deltas": [[0, 5e-324, 0], [0.2, 0, 5e-324]]},
+        {"shape": "custom", "gamma": 1.0,
+         "smooth": {"form": "exponential", "kappa": 1e-310, "support": 0.3}},
+    ], ids=["1e-312", "5e-324", "smooth-1e-310"])
+    def test_subnormal_strengths_match_the_fock_register(self, coupling):
+        # |g| below 5.6e-309: 1 / |g| is inf, which the sector run must not divide by
+        base = dict(coupling=coupling, dt=0.1, n_steps=5)
+        sector = run(make_config(**base))
+        fock = run(make_config(**base, representation="full_fock"))
+        assert np.max(np.abs(sector.eps - fock.eps)) <= 3e-14
+        assert np.max(np.abs(sector.norms - fock.norms)) <= 3e-14
+
     # the register always spans the kernel, so a window below a smooth
     # kernel's span changes nothing
     @pytest.mark.parametrize("support,dt,n_steps,window", [

@@ -30,7 +30,7 @@ NOT_IN_PACKAGE = (
     "SingleExcitationState", "init_single_excitation", "touched", "dense_propagator",
     "step_single_excitation", "BLOCK_MIN_GAP", "_collide", "_collide_steps", "_collide_blocks",
     "build_plan", "_exact_strengths", "_smooth_lag_weight", "fock_block_sizes",
-    "_fock_blocks", "_NEWTON_STEPS",
+    "_fock_blocks", "_NEWTON_STEPS", "grid_span",
 )
 
 MODULES = [
