@@ -63,15 +63,17 @@ def _reference_on_grid(config: SimulationConfig, times: np.ndarray) -> np.ndarra
     """The exact amplitude on ``times``: beta times the eps(0) = 1 solution.
 
     The one-excitation amplitude is linear in beta, since |g, vac> never evolves.
+    A rotating-frame run is compared against e^{+i omega0 t} times the lab one.
     """
-    coupling = config.coupling
-    omega0 = 0.0 if config.rotating_frame else config.omega0
+    coupling, omega0 = config.coupling, config.omega0
     if coupling.shape == "mirror":
         solution = solve_dde(omega0, coupling.gamma, coupling.phi, coupling.tau, float(times[-1]))
         unit = solution(times)
     else:
         unit = white_amplitude(omega0, coupling.gamma, times)
-    return config.beta * np.asarray(unit)
+    if config.rotating_frame and omega0 != 0:
+        unit = unit * np.exp(1j * omega0 * times)
+    return config.beta * unit
 
 
 def cmd_converge(config: SimulationConfig, dt_list: List[float], outdir: Path, quiet: bool) -> int:

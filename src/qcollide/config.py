@@ -130,6 +130,16 @@ def _require_keys(data: Mapping[str, Any], allowed: Tuple[str, ...], where: str)
 
 
 @dataclass(frozen=True)
+class _Exponential:
+    """The smooth form kappa e^{-kappa u}: equal kappas give equal, hashable kernels."""
+
+    kappa: float
+
+    def __call__(self, u: float) -> float:
+        return self.kappa * math.exp(-self.kappa * u)
+
+
+@dataclass(frozen=True)
 class CouplingConfig:
     """Declarative form of a coupling, as written in config files.
 
@@ -183,8 +193,7 @@ class CouplingConfig:
             return white_coupling(self.gamma)
         if self.shape == "mirror":
             return mirror_coupling(self.gamma, self.phi, self.tau)
-        kappa = self.smooth_kappa
-        smooth = (lambda u: kappa * math.exp(-kappa * u)) if self.smooth_form else None
+        smooth = _Exponential(self.smooth_kappa) if self.smooth_form else None
         return custom_coupling(self.gamma, self.deltas, smooth, self.smooth_support)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -283,6 +292,8 @@ class SimulationConfig:
            ``coupling.smooth.support``).
         2. Its reach in steps must fit RUN_BUDGET ancilla slots (naming ``dt``),
         3. and so must n_steps plus the reach (naming ``n_steps`` or ``t_max``).
+           The largest phase omega0 t of the run, omega0 dt times that span,
+           must be finite (naming ``omega0``).
         4. A collision is charged (L + 1)^2 for L stored lags, at most the
            number of deltas plus the smooth lags, and steps times the charge
            is held to WORK_BUDGET (naming ``n_steps`` or ``t_max``).
@@ -292,7 +303,8 @@ class SimulationConfig:
            part included, and kept as ``weights`` and ``plan``; the
            RuntimeError of a weight or a strength that is not finite becomes a
            refusal naming ``coupling.smooth`` for a kernel with a smooth part,
-           else ``coupling.deltas``.
+           else ``coupling.deltas``.  The plan's strength at lag l is
+           multiplied by e^{-i omega0 l dt}, the frame rotating at omega0.
         6. A full_fock register holds the qubit and one two-level mode per
            ancilla of that span of B modes; sum_N C(B + 1, N)^2 = C(2B + 2,
            B + 1) over its excitation-number blocks bounds both the register
@@ -335,6 +347,9 @@ class SimulationConfig:
                 f"{_count(steps + reach)} ancilla slots, more than {RUN_BUDGET}; shorten the run "
                 f"or use a coarser dt",
             )
+        if math.isinf(self.omega0 * dt * (steps + reach)):
+            raise ConfigError("omega0", f"the phase omega0 t of {_count(steps + reach)} steps at "
+                                        f"dt={dt} overflows; use a smaller omega0")
 
         def check_work(per_collision: float, what: str) -> None:
             if steps * per_collision > WORK_BUDGET:
@@ -353,10 +368,11 @@ class SimulationConfig:
         except RuntimeError as exc:
             raise ConfigError("coupling.deltas" if spec.smooth is None else "coupling.smooth",
                               f"{exc} (gamma={gamma}, dt={dt})") from None
+        if self.omega0 != 0:
+            gs = gs * np.exp(-1j * self.omega0 * (stored * dt))
         n_steps, _ = self.effective_steps()
         _set(self, "weights", weights)
-        _set(self, "plan", CollisionPlan(stored, gs, 0.0 if self.rotating_frame else self.omega0,
-                                         dt, n_steps))
+        _set(self, "plan", CollisionPlan(stored, gs, dt, n_steps))
         modes = int(stored[-1] - stored[0]) + 1 if len(stored) else 0
         if self.representation != Representation.FULL_FOCK:
             return

@@ -1,11 +1,13 @@
 """Collision engine: per-step interaction plans, steppers and trajectories.
 
 A collision advances the joint state over one grid interval under
-H = omega0 |e><e| + sum_m g(n-m) (|g><e| adag_m + h.c.), where the sum runs
-over every lag the kernel stores.  Ancilla indices extend below 1: early
-collisions of a kernel with memory couple to pre-history input modes that are
-still in vacuum, which is what produces the full decay rate before any
-feedback arrives.
+H = sum_m g(n-m) (|g><e| adag_m + h.c.), where the sum runs over every lag
+the kernel stores.  The collisions run in the frame that rotates at omega0:
+the strength at lag l carries e^{-i omega0 l dt}, and the lab-frame
+amplitude is e^{-i omega0 t} eps, one output phase.  Ancilla indices extend
+below 1: early collisions of a kernel with memory couple to pre-history input
+modes that are still in vacuum, which is what produces the full decay rate
+before any feedback arrives.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class Stepper(str, Enum):
     """Per-collision propagator arithmetic."""
 
     EXACT = "exact"  # exact matrix exponential on the touched subspace
-    SECOND_ORDER = "second_order"  # 1 - i H dt - V^2 dt^2 / 2, as is
+    SECOND_ORDER = "second_order"  # 1 - i H dt - H^2 dt^2 / 2, as is
 
     def __str__(self) -> str:  # keep config round-trips readable
         return self.value
@@ -79,7 +81,6 @@ class CollisionPlan:
 
     lags: np.ndarray
     gs: np.ndarray
-    omega0: float
     dt: float
     n_steps: int
 
@@ -95,36 +96,32 @@ def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _collision_map(h: np.ndarray, dt: float, kind: Stepper) -> np.ndarray:
-    """The stepper's map of Hermitian h: exp(-i h dt), or 1 - i h dt - V^2 dt^2 / 2.
-
-    V is h without its diagonal: the couplings, without omega0.
-    """
+    """The stepper's map of Hermitian h: exp(-i h dt), or 1 - i h dt - h^2 dt^2 / 2."""
     if kind == Stepper.EXACT:
         return _expm_hermitian(h, dt)
-    v = h - np.diag(np.diag(h))
     # numpy's power gives inf where a float's raises; both are C pow
-    return np.eye(len(h)) - 1j * dt * h - 0.5 * np.float64(dt)**2 * (v @ v)
+    return np.eye(len(h)) - 1j * dt * h - 0.5 * np.float64(dt)**2 * (h @ h)
 
 
 def _delay_recursion(plan: CollisionPlan, kind: Stepper):
     """The one-excitation collision as a scalar recursion over lag differences.
 
     Collision k acts on eps and the touched ancillas c = c[k - lags] through
-    H = omega0 |e><e| + |g| (|e><ghat| + |ghat><e|): the strengths g couple
-    the emitter to the single direction ghat = g / |g|, and the rest of c is
-    dark.  So the map is 1 + V (u2 - 1) V^dagger with V = [e, ghat], where u2
-    is the stepper's 2x2 map of H2 = [[omega0, |g|], [|g|, 0]]:
-    exp(-i H2 dt), or 1 - i H2 dt - |g|^2 dt^2 / 2.  With s_k = ghat^dagger c
-    and (eps_k, s_k + ds_k) = u2 (eps_{k-1}, s_k), each collision adds
-    ghat ds_k to its ancillas, and s_k = sum over D >= 1 of R(D) ds_{k-D},
-    where R(D) = sum over lag of conj(ghat[lag]) ghat[lag - D].  Returns u2, the
+    H = |g| (|e><ghat| + |ghat><e|): the strengths g couple the emitter to
+    the single direction ghat = g / |g|, and the rest of c is dark.  So the
+    map is 1 + V (u2 - 1) V^dagger with V = [e, ghat], where u2 is the
+    stepper's 2x2 map of H2 = [[0, |g|], [|g|, 0]]: exp(-i H2 dt), or
+    1 - i H2 dt - |g|^2 dt^2 / 2.  With s_k = ghat^dagger c and
+    (eps_k, s_k + ds_k) = u2 (eps_{k-1}, s_k), each collision adds ghat ds_k
+    to its ancillas, and s_k = sum over D >= 1 of R(D) ds_{k-D}, where
+    R(D) = sum over lag of conj(ghat[lag]) ghat[lag - D].  Returns u2, the
     lag differences D < n_steps with nonzero R(D), their R, and the block
     length of ``_run_single_excitation``: the smallest such D (the run
     length if there is none), capped so the scan's powers of a growing u00
     stay finite (second order only).
     """
     size = np.float64(math.hypot(*np.abs(plan.gs)))  # no overflow in a sum of squares
-    u2 = _collision_map(np.array([[plan.omega0, size], [size, 0.0]]), plan.dt, kind)
+    u2 = _collision_map(np.array([[0.0, size], [size, 0.0]]), plan.dt, kind)
     # pairs (newer lag i, older lag j) of the stored lags, not the lag grid: a
     # sparse kernel can span millions of steps.  The partners of lag i, those
     # with 1 <= lags[i] - lags[j] < n_steps, are lags first[i] to i - 1; the
@@ -155,20 +152,16 @@ def _delay_recursion(plan: CollisionPlan, kind: Stepper):
     return u2, gaps, r[gaps], block
 
 
-def _fock_hamiltonian(
-    omega0: float, gs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fock_hamiltonian(gs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H on the qubit and one two-level mode per strength, as index arithmetic in register order.
 
-    H = omega0 |e><e| + sum over modes m of gs[m] (|g><e| adag_m + h.c.).
-    Returns its diagonal, omega0 on the excited qubit (the second half of the
-    flat indices), and its hops: for each mode, gs[m] from |e, 0> at flat
-    index ``src`` to |g, 1> at ``dst``.
+    H = sum over modes m of gs[m] (|g><e| adag_m + h.c.) has no diagonal.
+    Returns its hops: for each mode, gs[m] from |e, 0> at flat index ``src``
+    (the excited qubit is the second half of the flat indices) to |g, 1> at
+    ``dst``.
     """
     n_modes = len(gs)
     half = 1 << n_modes
-    diag = np.zeros(2 * half)
-    diag[half:] = omega0
     modes = np.arange(half)  # the modes' flat index, under the excited qubit
     src, dst, amp = [modes[:0]], [modes[:0]], [np.zeros(0, dtype=complex)]
     for slot, g in enumerate(gs):
@@ -177,7 +170,7 @@ def _fock_hamiltonian(
         src.append(half + hop)
         dst.append(hop + stride)
         amp.append(np.full(hop.size, g, dtype=complex))
-    return diag, np.concatenate(src), np.concatenate(dst), np.concatenate(amp)
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(amp)
 
 
 def _fock_propagator(plan: CollisionPlan, kind: Stepper):
@@ -186,15 +179,16 @@ def _fock_propagator(plan: CollisionPlan, kind: Stepper):
     The local space is the qubit and one mode per stored lag, in lag order.
     Up to FOCK_DENSE_MAX amplitudes U_loc is one dense matrix in that local
     order, built from the whole local H, so nothing assumes [H, N] = 0
-    there.  Above, H and its coupling part V conserve the total excitation
-    number N, so both stepper maps are block diagonal once the local basis is
-    ordered by N: U_loc is that order and, per block, its (start, stop) in the
-    order and its map, and no matrix of the whole local dimension is formed.
-    Each run builds it once.
+    there.  Above, H conserves the total excitation number N, so both
+    stepper maps are block diagonal once the local basis is ordered by N:
+    U_loc is that order and, per block, its (start, stop) in the order and
+    its map, and no matrix of the whole local dimension is formed.  Each run
+    builds it once.
     """
-    diag, src, dst, amp = _fock_hamiltonian(plan.omega0, plan.gs)
-    if len(diag) <= FOCK_DENSE_MAX:
-        h = np.diag(diag).astype(complex)
+    src, dst, amp = _fock_hamiltonian(plan.gs)
+    size = 2 << len(plan.gs)
+    if size <= FOCK_DENSE_MAX:
+        h = np.zeros((size, size), dtype=complex)
         h[dst, src] = amp
         h[src, dst] = np.conj(amp)
         return _collision_map(h, plan.dt, kind)
@@ -208,7 +202,7 @@ def _fock_propagator(plan: CollisionPlan, kind: Stepper):
     for n, stop in enumerate(np.cumsum(np.bincount(number))):
         hops = number[src] == n  # and number[dst] == n: a hop keeps N
         into, out = place[dst[hops]] - start, place[src[hops]] - start
-        h = np.diag(diag[order[start:stop]]).astype(complex)
+        h = np.zeros((stop - start,) * 2, dtype=complex)
         h[into, out] = amp[hops]
         h[out, into] = np.conj(amp[hops])
         blocks.append((start, int(stop), _collision_map(h, plan.dt, kind)))
@@ -397,45 +391,22 @@ def _growth_note(plan: CollisionPlan, prop) -> str:
 
     Without a full_fock local map ``prop`` the collision is 1 + V (u2 - 1) V^dagger
     of ``_delay_recursion``, of norm max(1, rho) = rho, where u2 = (1 - x/2) -
-    i dt H2 with x = |g|^2 dt^2 is normal: rho = hypot(1 - x/2, dt lambda), for
-    lambda = (|omega0| + sqrt(omega0^2 + 4 |g|^2)) / 2 the largest |eigenvalue|
-    of H2.  With ``prop``, rho is the largest 2-norm of the dense map or of its
-    number blocks.  The norm after n collisions is at most rho^n times the
-    first; the note gives n log10 rho, as rho^n can overflow.
+    i dt H2 with x = |g|^2 dt^2 is normal: rho = hypot(1 - x/2, dt |g|), as
+    H2 has the eigenvalues +-|g|.  With ``prop``, rho is the largest 2-norm of
+    the dense map or of its number blocks.  The norm after n collisions is at
+    most rho^n times the first; the note gives n log10 rho, as rho^n can
+    overflow.
     """
     if prop is None:
         size = math.hypot(*np.abs(plan.gs).tolist())
-        lam = (abs(plan.omega0) + math.hypot(plan.omega0, 2 * size)) / 2
         x = (size * plan.dt) * (size * plan.dt)
-        rho = math.hypot(1 - x / 2, plan.dt * lam)
+        rho = math.hypot(1 - x / 2, plan.dt * size)
     else:
         maps = [prop] if isinstance(prop, np.ndarray) else [u for _, _, u in prop[1]]
         rho = max(float(np.linalg.norm(u, 2)) for u in maps)
     return (f"second-order stepper: a collision can scale the state's norm by up to rho = "
             f"{rho:.6g}, so {plan.n_steps} steps by up to 10^{plan.n_steps * math.log10(rho):.4g} "
             f"(n log10 rho)")
-
-
-def _rotating_note(config: "SimulationConfig", plan: CollisionPlan) -> str:
-    """What a rotating-frame run leaves out of the lab frame.
-
-    In the lab frame eps = exp(-i omega0 t) u, where u sees the weight at each
-    lag times exp(-i omega0 lag dt).  The run keeps the weights as given, which
-    changes eps only through the phases between two stored lags: with one
-    stored lag, the recipe holds up to the stepper's O(dt) splitting.
-    """
-    omega0 = config.omega0
-    if len(plan.lags) < 2:
-        return (f"rotating frame: dynamics run with omega0=0; multiply eps by "
-                f"exp(-i*{omega0!r}*t) to recover lab-frame amplitudes")
-    note = (f"rotating frame: dynamics run with omega0=0 and the kernel's weights as given; the "
-            f"lab frame also multiplies the weight at each lag by exp(-i*{omega0!r}*lag*dt), so "
-            f"exp(-i*{omega0!r}*t) * eps is not the lab-frame amplitude")
-    coupling = config.coupling
-    if coupling.shape == "mirror":
-        note += (f"; in the lab frame this mirror's feedback phase is phi + omega0*tau = "
-                 f"{coupling.phi + omega0 * coupling.tau!r}, not phi = {coupling.phi!r}")
-    return note
 
 
 def run(config: "SimulationConfig") -> Trajectory:
@@ -445,14 +416,18 @@ def run(config: "SimulationConfig") -> Trajectory:
     of the step loop is recorded for the summary but never enters the data
     columns.  A non-finite amplitude or norm raises a RuntimeError naming the
     first step where it appears.  The strengths are ``config.plan``, built
-    when the config was.
+    when the config was, in the frame that rotates at omega0; unless
+    ``rotating_frame`` is set, eps_k is then multiplied by e^{-i omega0 k dt},
+    the lab-frame amplitude.
     """
     plan = config.plan
+    omega0 = config.omega0
     note = config.effective_steps()[1]
     notes: List[str] = [] if note is None else [note]
     notes.extend(config.weights.warnings)
-    if config.rotating_frame and config.omega0 != 0:
-        notes.append(_rotating_note(config, plan))
+    if config.rotating_frame and omega0 != 0:
+        notes.append(f"rotating frame: multiply eps by exp(-i*{omega0!r}*t) to recover "
+                     f"lab-frame amplitudes")
 
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
@@ -462,6 +437,8 @@ def run(config: "SimulationConfig") -> Trajectory:
         else:
             prop = None
             eps, norms = _run_single_excitation(config, plan)
+        if omega0 != 0 and not config.rotating_frame:
+            eps = np.exp(-1j * omega0 * (np.arange(len(eps)) * plan.dt)) * eps
     wall_time = time.perf_counter() - start
     bad = np.flatnonzero(~(np.isfinite(eps) & np.isfinite(norms)))
     if bad.size:

@@ -268,7 +268,7 @@ _last_propagator: list = [None, None]  # the key and value of the last build
 def last_built(build, plan: CollisionPlan, *args):
     """build(plan, *args), built again only when the builder, the plan's values or
     the args change: a per-call run asks for the same propagator at every step."""
-    values = (plan.lags, plan.gs, np.array([plan.omega0, plan.dt]))  # bytes: -0.0 is not 0.0
+    values = (plan.lags, plan.gs, np.array([plan.dt]))  # bytes: -0.0 is not 0.0
     key = (build, *(a.tobytes() for a in values)) + args
     if _last_propagator[0] != key:
         _last_propagator[:] = key, build(plan, *args)
@@ -278,23 +278,21 @@ def last_built(build, plan: CollisionPlan, *args):
 def dense_propagator(plan: CollisionPlan, kind: Stepper) -> np.ndarray:
     """One-excitation collision map on (eps, c[k - lags]).
 
-    H has omega0 on the emitter and the strengths g in its first column
-    and row; V is H without the omega0 entry.  The exact stepper is
-    exp(-i H dt); the second-order one is 1 - i H dt - V^2 dt^2 / 2.
+    H has the strengths g in its first column and row, and no diagonal: the
+    plan holds the strengths of the frame rotating at omega0.  The exact
+    stepper is exp(-i H dt); the second-order one is 1 - i H dt - H^2 dt^2 / 2.
     """
     return last_built(_dense_propagator, plan, Stepper(kind))
 
 
 def _dense_propagator(plan: CollisionPlan, kind: Stepper) -> np.ndarray:
-    v = np.zeros((len(plan.gs) + 1,) * 2, dtype=complex)
-    v[1:, 0] = plan.gs
-    v[0, 1:] = plan.gs.conj()
-    h = v.copy()
-    h[0, 0] = plan.omega0
+    h = np.zeros((len(plan.gs) + 1,) * 2, dtype=complex)
+    h[1:, 0] = plan.gs
+    h[0, 1:] = plan.gs.conj()
     if kind == Stepper.EXACT:
         return engine._expm_hermitian(h, plan.dt)
     # numpy's power gives inf where a float's raises; both are C pow
-    return np.eye(len(h)) - 1j * plan.dt * h - 0.5 * np.float64(plan.dt)**2 * (v @ v)
+    return np.eye(len(h)) - 1j * plan.dt * h - 0.5 * np.float64(plan.dt)**2 * (h @ h)
 
 
 def step_single_excitation(

@@ -200,6 +200,23 @@ class TestConvergeCommand:
         np.testing.assert_allclose(scaled[:, 1], abs(complex(0.6, 0.3)) * unit[:, 1], rtol=1e-12)
         np.testing.assert_allclose(scaled[1:, 2], unit[1:, 2], rtol=1e-12)
 
+    def test_rotating_mirror_converges_like_the_lab_frame(self, tmp_path):
+        # a rotating run is measured against e^{+i omega0 t} times the lab reference:
+        # its errors are the lab run's, and its orders are near 1
+        def table(rotating):
+            coupling = {"shape": "mirror", "gamma": 1.0, "phi": 0.3, "tau": 1.0}
+            data = mirror_data(coupling=coupling, omega0=5.0, t_max=4.0, rotating_frame=rotating)
+            config = write_config(tmp_path, data, f"{rotating}.json")
+            out = tmp_path / str(rotating)
+            assert main(["converge", "--config", config, "--output", str(out),
+                         "--dt-list", "0.0625,0.03125,0.015625", "--quiet"]) == 0
+            rows = (out / "convergence.csv").read_text().splitlines()[1:]
+            return np.array([[float(x) for x in row.split(",")] for row in rows])
+
+        rotating, lab = table(True), table(False)
+        assert np.all((0.9 <= rotating[1:, 2]) & (rotating[1:, 2] <= 1.1))
+        np.testing.assert_allclose(rotating[:, 1], lab[:, 1], rtol=1e-9)
+
     def test_white_converges_against_exponential(self, tmp_path):
         config = write_config(tmp_path, {
             "coupling": {"shape": "white", "gamma": 1.0}, "dt": 0.1, "t_max": 2.0,
@@ -291,10 +308,10 @@ class TestWitnessCommand:
         assert report["first_violation_step"] is None
 
 
-    # second-order runs that amplify the state: at step 1 the population is 1.99 and 16
+    # second-order runs that amplify the state: at step 1 the population is 2.25 and 16
     GROWTH = {
-        "white": {"coupling": {"shape": "white", "gamma": 0.1}, "omega0": 10.0, "dt": 0.1,
-                  "t_max": 20.0, "stepper": "second_order"},
+        "white": {"coupling": {"shape": "white", "gamma": 50.0}, "dt": 0.1, "t_max": 20.0,
+                  "stepper": "second_order"},
         "mirror": {"coupling": {"shape": "mirror", "gamma": 50.0, "phi": 0.0, "tau": 1.0},
                    "dt": 0.1, "t_max": 5.0, "stepper": "second_order"},
     }
@@ -394,6 +411,15 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_phase_exits_two_naming_omega0(self, tmp_path, capsys):
+        # omega0 t of the late steps overflows: refused at parse, where a run would
+        # reach nan at step 15 and exit 3
+        config = write_config(tmp_path, mirror_data(omega0=1e308, dt=0.125, n_steps=20))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--output", str(out), "--quiet"]) == 2
+        assert "'omega0'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["", ".", "/"])

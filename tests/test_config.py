@@ -62,6 +62,16 @@ class TestParsing:
         assert spec.smooth(0.5) == pytest.approx(2.0 * math.exp(-1.0))
         assert spec.smooth_support == 1.5
 
+    def test_equal_configs_give_equal_specs(self):
+        # the smooth form is a frozen callable that holds kappa, not a new lambda each call
+        coupling = {"shape": "custom", "gamma": 1.0,
+                    "smooth": {"form": "exponential", "kappa": 2.0, "support": 1.5}}
+        config, twin = (parse_config(minimal(coupling=coupling)) for _ in range(2))
+        assert config.coupling_spec() == config.coupling_spec() == twin.coupling_spec()
+        assert hash(config.coupling_spec()) == hash(twin.coupling_spec())
+        steeper = dict(coupling, smooth=dict(coupling["smooth"], kappa=3.0))
+        assert parse_config(minimal(coupling=steeper)).coupling_spec() != config.coupling_spec()
+
     def test_beta_forms(self):
         assert parse_config(minimal(beta=0.5)).beta == 0.5 + 0j
         assert parse_config(minimal(beta=[0.6, 0.8])).beta == complex(0.6, 0.8)
@@ -660,6 +670,18 @@ class TestRunBudget:
             parse_config(minimal(coupling=smooth_kernel(2.0), dt=2 / 1000, n_steps=34_155))
         assert info.value.field == "n_steps"
 
+    def test_overflowing_phase_is_refused_naming_omega0(self):
+        # omega0 dt = 1.25e307 over 20 steps and a reach of 8: the phase omega0 t of
+        # the late steps is inf, and e^{-i omega0 t} would be nan
+        mirror = {"shape": "mirror", "gamma": 0.5, "phi": 0.0, "tau": 1.0}
+        error = refused_without_allocating(minimal(coupling=mirror, omega0=1e308, dt=0.125,
+                                                   n_steps=20))
+        assert error.field == "omega0"
+        assert "overflows" in str(error)
+        # a phase that stays finite runs, to finite amplitudes of modulus below one
+        traj = run(parse_config(minimal(coupling=mirror, omega0=5e306, dt=0.125, n_steps=20)))
+        assert np.all(np.isfinite(traj.eps)) and np.all(np.abs(traj.eps) <= 1)
+
     def test_direct_construction_is_sized(self):
         with pytest.raises(ConfigError) as info:
             SimulationConfig(coupling=CouplingConfig("white", 1.0), dt=1.0, t_max=1e9)
@@ -717,8 +739,9 @@ class TestKernelTable:
         assert (config.plan.lags.tolist(), config.plan.n_steps) == ([0, 10], 20)
         assert (finer.plan.lags.tolist(), finer.plan.n_steps) == ([0, 20], 40)
         assert finer.weights.dt == finer.plan.dt == 0.05
-        assert finer.plan.omega0 == 0.3
-        assert np.array_equal(finer.plan.gs, np.sqrt(1.0 / 0.05) * finer.weights.w)
+        # the strength at lag l carries e^{-i omega0 l dt}, the frame rotating at omega0 = 0.3
+        phase = np.exp(-1j * 0.3 * (finer.plan.lags * 0.05))
+        assert np.array_equal(finer.plan.gs, np.sqrt(1.0 / 0.05) * finer.weights.w * phase)
 
     @pytest.mark.parametrize("data,field", [
         # 1,024 smooth lags, the most KERNEL_CALL_BUDGET admits: a register of 1,024 modes

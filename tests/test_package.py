@@ -65,7 +65,7 @@ def test_deleted_plan_property():
 
 def test_plan_is_a_record_of_lags_and_strengths():
     assert [f.name for f in dataclasses.fields(CollisionPlan)] == [
-        "lags", "gs", "omega0", "dt", "n_steps"]
+        "lags", "gs", "dt", "n_steps"]
     for name in ("strengths", "couplings", "_propagators"):
         assert not hasattr(CollisionPlan, name), name
     for name in ("check_window", "check_run_budget", "check_strengths", "check_fock_budget"):
